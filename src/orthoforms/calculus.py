@@ -22,65 +22,37 @@ from .domain import DomainPoint, metric_lower, metric_upper
 
 
 # ---------------------------------------------------------------------------
-# finite-difference dbar (independent fallback for every analytic derivative)
+# finite differences (independent fallback for every analytic derivative)
 
 
-def _fd_scale(point: DomainPoint) -> float:
-    return max(1.0, float(np.max(np.abs(point.z))))
+def richardson(coarse, fine):
+    """One extrapolation level of a second-order rule under step halving:
+    fine is the value at half the step of coarse."""
+    return (4.0 * fine - coarse) / 3.0
 
 
-def dbar_numeric(func, point: DomainPoint, h: float | None = None) -> np.ndarray:
-    """Components of dbar f at a point by Richardson-extrapolated central
-    differences: dbar_j = (d/dx_j + i d/dy_j)/2."""
-    n = point.frame.n
-    if h is None:
-        h = 1e-4 * _fd_scale(point)
-    out = np.zeros(n, dtype=complex)
-    z = point.z
+def central_differences(func, z: np.ndarray, directions, h: float) -> np.ndarray:
+    """Richardson-extrapolated central differences of func at z:
+    out[..., k] is the derivative of t -> func(z + t directions[k]) at 0."""
 
     def diff(step):
-        comp = np.zeros(n, dtype=complex)
-        for j in range(n):
-            for unit in (1.0, 1.0j):
-                dz = np.zeros(n, dtype=complex)
-                dz[j] = unit * step
-                plus = func(point.replace(z + dz))
-                minus = func(point.replace(z - dz))
-                d = (plus - minus) / (2.0 * step)
-                comp[j] += 0.5 * (d if unit == 1.0 else 1.0j * d)
-        return comp
+        return np.stack([
+            (np.asarray(func(z + step * d), dtype=complex)
+             - np.asarray(func(z - step * d), dtype=complex)) / (2.0 * step)
+            for d in directions], axis=-1)
 
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    out = (4.0 * d2 - d1) / 3.0
-    return out
+    return richardson(diff(h), diff(h / 2.0))
 
 
-def dbar_jacobian(vec_func, point: DomainPoint, h: float | None = None) -> np.ndarray:
-    """J[a, j] = dbar_j of component a, for a vector-valued function."""
+def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
+    """J[a, j] = dbar_j of component a, for a vector-valued function, with
+    dbar_j = (d/dx_j + i d/dy_j)/2; shape (n,) for a scalar function."""
     n = point.frame.n
-    if h is None:
-        h = 1e-4 * _fd_scale(point)
-    z = point.z
-
-    def diff(step):
-        cols = []
-        for j in range(n):
-            acc = None
-            for unit in (1.0, 1.0j):
-                dz = np.zeros(n, dtype=complex)
-                dz[j] = unit * step
-                plus = np.asarray(vec_func(point.replace(z + dz)), dtype=complex)
-                minus = np.asarray(vec_func(point.replace(z - dz)), dtype=complex)
-                d = (plus - minus) / (2.0 * step)
-                term = 0.5 * (d if unit == 1.0 else 1.0j * d)
-                acc = term if acc is None else acc + term
-            cols.append(acc)
-        return np.array(cols).T
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    h = 1e-4 * max(1.0, float(np.max(np.abs(point.z))))
+    units = np.eye(n, dtype=complex)
+    d = central_differences(lambda z: vec_func(point.replace(z)), point.z,
+                            np.concatenate([units, 1j * units]), h)
+    return (d[..., :n] + 1j * d[..., n:]) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +67,7 @@ class ScalarField:
         raise NotImplementedError
 
     def dbar(self, point: DomainPoint) -> np.ndarray:
-        return dbar_numeric(self.value, point)
+        return dbar_jacobian(self.value, point)
 
     def __call__(self, point: DomainPoint) -> complex:
         return self.value(point)
@@ -306,22 +278,20 @@ def xi_scalar(field: ScalarField, kappa: float,
     return point.q_y ** kappa * star01(f, point.frame.eps, point.y, point.q_y)
 
 
-def dbar_top(vec_func, point: DomainPoint, h: float | None = None) -> complex:
+def dbar_top(vec_func, point: DomainPoint) -> complex:
     """dmu-coefficient of dbar H for H = sum_j g_j hat_j:
     c = -(4i q(Y))^n sum_j dbar_j g_j.  (dH = dbar H for (n, n-1)-forms.)"""
-    jac = dbar_jacobian(vec_func, point, h=h)
-    div = np.trace(jac)
+    div = np.trace(dbar_jacobian(vec_func, point))
     return -measure_factor(point.frame.n, point.q_y) * div
 
 
-def xi_top(vec_func, kappa: float, point: DomainPoint,
-           h: float | None = None) -> complex:
+def xi_top(vec_func, kappa: float, point: DomainPoint) -> complex:
     """xi_{-kappa} of an (n, n-1)-form given by its coefficient function:
     conj(dbar-top coefficient) * q(Y)^{-kappa}."""
-    return star_top(dbar_top(vec_func, point, h=h), -kappa, point.q_y)
+    return star_top(dbar_top(vec_func, point), -kappa, point.q_y)
 
 
-def laplace_scalar(field: ScalarField, kappa: float, point: DomainPoint,
-                   h: float | None = None) -> complex:
+def laplace_scalar(field: ScalarField, kappa: float,
+                   point: DomainPoint) -> complex:
     """The weight-kappa laplacian xi_{-kappa} xi_kappa f at a point."""
-    return xi_top(lambda pt: xi_scalar(field, kappa, pt), kappa, point, h=h)
+    return xi_top(lambda pt: xi_scalar(field, kappa, pt), kappa, point)

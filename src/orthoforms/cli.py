@@ -34,17 +34,25 @@ from .suites import ConfigError, RunConfig, RunParams, parse_config, run
 __all__ = ["main"]
 
 
+def _read_config(path: str | None) -> dict:
+    """The JSON object of a --config file, or {} without one."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("--config", f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError("--config", f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("--config", f"{path} does not hold a JSON object")
+    return data
+
+
 def _load_config(path: str | None, suite: str | None,
                  seed: int | None, out: str | None) -> RunConfig:
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("--config", f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError("--config", f"{path} is not valid JSON: {exc}")
+    data = _read_config(path)
     if suite is not None:
         data["suite"] = suite
     if "suite" not in data:
@@ -121,11 +129,7 @@ def _params_dict(p: RunParams) -> dict:
 
 
 def _frame_from_args(args) -> tuple:
-    cfg = {"standard": args.n}
-    if args.config is not None:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        cfg = data.get("lattice", cfg)
+    cfg = _read_config(args.config).get("lattice", {"standard": args.n})
     lattice, fd, group = lattice_from_config(cfg)
     frame = WittFrame.build(lattice, fd["e"], fd["e_prime"])
     return lattice, frame, group

@@ -34,17 +34,18 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import measure_factor
+from .calculus import measure_factor, richardson
 from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame, \
     act, q_plus_minus
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
+from .special import gauss_legendre_grid
 
 __all__ = [
     "CycleError", "QuadratureError", "CycleChart", "RestrictSample",
     "WindowBump", "transport_to", "tube_boundary_integral",
     "cycle_integral_C", "shell_stokes", "restrict_samples", "restrict_T",
-    "cycle_integral_T", "richardson", "hat_sign",
+    "cycle_integral_T", "hat_sign",
 ]
 
 
@@ -71,12 +72,6 @@ def _top_sign(n: int) -> float:
     """dz_1..dz_n dzbar_1..dzbar_n = this sign times the interleaved
     product of dz_j dzbar_j."""
     return -1.0 if ((n * (n - 1)) // 2) % 2 else 1.0
-
-
-def richardson(coarse, fine, order: int = 2, ratio: float = 2.0):
-    """One extrapolation level for step halving: fine at eps/ratio."""
-    w = ratio ** order
-    return (w * fine - coarse) / (w - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +148,7 @@ class CycleChart:
 
     @classmethod
     def create(cls, frame: WittFrame, vector, window, nodes,
-               transport: np.ndarray | None = None, collar_nodes: int = 16,
-               validate: bool = True) -> "CycleChart":
+               collar_nodes: int = 16) -> "CycleChart":
         vec = as_vec(vector)
         if len(vec) != frame.lattice.dim:
             raise CycleError("cycle vector has the wrong dimension")
@@ -179,13 +173,9 @@ class CycleChart:
         nodes = tuple(int(k) for k in nodes)
         if len(nodes) != expected_axes or any(k < 2 for k in nodes):
             raise CycleError("need at least 2 quadrature nodes per axis")
-        if transport is None:
-            transport = transport_to(frame, vec)
-        transport = np.asarray(transport, dtype=float)
-        chart = cls(kind, frame, vec, q, transport, window, nodes,
-                    int(collar_nodes))
-        if validate:
-            chart._check()
+        chart = cls(kind, frame, vec, q, transport_to(frame, vec), window,
+                    nodes, int(collar_nodes))
+        chart._check()
         return chart
 
     # -- validation ---------------------------------------------------------
@@ -207,12 +197,13 @@ class CycleChart:
         if self.membership_defect() > 1e-10:
             raise CycleError("transported base cycle fails the membership test")
 
-    def membership_defect(self, per_axis: int = 3) -> float:
+    def membership_defect(self) -> float:
         """max |q(lambda_{Z-+})| of the cycle vector over a coarse sample of
-        transported window nodes (the sign opposite to the vector's norm)."""
+        transported window nodes (the sign opposite to the vector's norm):
+        three interior points per axis."""
         fc = self.frame.frame_coords(self.vector)
         worst = 0.0
-        samples = [np.linspace(a, b, per_axis + 2)[1:-1] for a, b in self.window]
+        samples = [np.linspace(a, b, 5)[1:-1] for a, b in self.window]
         for params in itertools.product(*samples):
             point = self.base_point(np.asarray(params))
             q_plus, q_minus = q_plus_minus(self.frame, fc, point)
@@ -276,12 +267,6 @@ def _phi_jacobian(u: np.ndarray, eps: float) -> np.ndarray:
     return dz
 
 
-def _gl_axis(lo: float, hi: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(count)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * t, half * w
-
-
 class _Face(NamedTuple):
     fixed_index: int
     fixed_value: float
@@ -321,16 +306,12 @@ def _face_form_integral(chart: CycleChart, face: _Face, eps: float,
     frame = chart.frame
     n = frame.n
     free = [i for i in range(2 * n) if i != face.fixed_index]
-    grids = [_gl_axis(a, b, c) for (a, b), c in zip(face.axes, face.counts)]
     signs = np.array([hat_sign(n, j + 1) for j in range(n)])
     total = 0.0 + 0.0j
     u = np.zeros(2 * n)
     u[face.fixed_index] = face.fixed_value
-    for combo in itertools.product(*[range(len(g[0])) for g in grids]):
-        weight = 1.0
-        for axis, idx in enumerate(combo):
-            u[free[axis]] = grids[axis][0][idx]
-            weight *= grids[axis][1][idx]
+    for params, weight in zip(*gauss_legendre_grid(face.axes, face.counts)):
+        u[free] = params
         point = DomainPoint(frame, _phi(u, eps))
         cols = _phi_jacobian(u, eps)[:, free]
         if not chart.is_identity_transport:
@@ -350,10 +331,8 @@ def _face_form_integral(chart: CycleChart, face: _Face, eps: float,
     return face.sign * total
 
 
-def _doubling(compute: Callable[[int], complex], target: float | None,
+def _doubling(compute: Callable[[int], complex], target: float,
               label: str) -> complex:
-    if target is None:
-        return compute(1)
     coarse = compute(1)
     fine = compute(2)
     scale = max(abs(fine), 1e-14)
@@ -406,15 +385,9 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
     power = chart.norm ** (0.5 * n - kappa)
 
     def compute(scale: int) -> complex:
-        grids = [_gl_axis(a, b, scale * c)
-                 for (a, b), c in zip(chart.window, chart.nodes)]
         total = 0.0 + 0.0j
-        for combo in itertools.product(*[range(len(g[0])) for g in grids]):
-            weight = 1.0
-            params = np.empty(n)
-            for axis, idx in enumerate(combo):
-                params[axis] = grids[axis][0][idx]
-                weight *= grids[axis][1][idx]
+        for params, weight in zip(*gauss_legendre_grid(
+                chart.window, [scale * c for c in chart.nodes])):
             point = chart.base_point(params)
             total += weight * h(point) * point.pair(fc) ** (kappa - n)
         return power * total
@@ -429,8 +402,7 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
 def shell_stokes(chart: CycleChart, h_field, p_field,
                  dbar_coeff: Callable[[DomainPoint], complex],
                  eps_pair: tuple[float, float],
-                 boundary_target: float = 1e-5,
-                 volume_target: float | None = None) -> dict:
+                 boundary_target: float = 1e-5) -> dict:
     """Check d(h P) = dbar h wedge P + h dbar P on the shell between two
     tube radii.
 
@@ -439,7 +411,8 @@ def shell_stokes(chart: CycleChart, h_field, p_field,
     coefficient of dbar P relative to the invariant measure.  Returns the
     outer/inner boundary integrals, the shell volume integral, and the
     residual outer - inner - volume (window-edge faces vanish when h is
-    compactly supported inside the window).
+    compactly supported inside the window).  The volume integral is a
+    single tensor Gauss-Legendre pass, without node doubling.
     """
     if chart.frame.n not in (1, 2):
         raise CycleError("shell regions are implemented for n <= 2")
@@ -454,7 +427,7 @@ def shell_stokes(chart: CycleChart, h_field, p_field,
     inner = tube_boundary_integral(chart.vector, h, p_field, e1, chart,
                                    target=boundary_target)
     volume = _shell_volume_integral(chart, h_field, p_field, dbar_coeff,
-                                    e1, e2, volume_target)
+                                    e1, e2)
     residual = outer - inner - volume
     return {"outer": outer, "inner": inner, "volume": volume,
             "residual": residual}
@@ -474,49 +447,32 @@ def _shell_strips(n: int, e1: float, e2: float) -> list[tuple]:
 
 
 def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
-                           e1: float, e2: float,
-                           target: float | None) -> complex:
+                           e1: float, e2: float) -> complex:
     frame = chart.frame
     n = frame.n
     top = _top_sign(n)
-
-    def compute(scale: int) -> complex:
-        total = 0.0 + 0.0j
-        for strip in _shell_strips(n, e1, e2):
-            axes = []
-            counts = []
-            # u-order: x1', y1', x2', y2', ...; collar axes are x1' (index 0)
-            # and y_j' (odd indices >= 3); window axes fill the rest.
-            axes.append(strip[0])
-            counts.append(scale * chart.collar_nodes)
-            axes.append(chart.window[0])
-            counts.append(scale * chart.nodes[0])
-            for j in range(1, n):
-                axes.append(chart.window[j])
-                counts.append(scale * chart.nodes[j])
-                axes.append(strip[j])
-                counts.append(scale * chart.collar_nodes)
-            grids = [_gl_axis(a, b, c) for (a, b), c in zip(axes, counts)]
-            for combo in itertools.product(*[range(len(g[0])) for g in grids]):
-                weight = 1.0
-                u = np.empty(2 * n)
-                for axis, idx in enumerate(combo):
-                    u[axis] = grids[axis][0][idx]
-                    weight *= grids[axis][1][idx]
-                point = DomainPoint(frame, _phi(u, 1.0))
-                hv = h_field.value(point)
-                dbar_h = h_field.dbar(point)
-                if hv == 0 and not np.any(dbar_h):
-                    continue
-                q_factor = measure_factor(n, point.q_y)
-                coeff = hv * dbar_coeff(point) - q_factor * complex(
-                    dbar_h @ p_field(point))
-                dz = _phi_jacobian(u, 1.0)
-                det_full = np.linalg.det(np.vstack([dz, np.conj(dz)]))
-                total += weight * coeff * top * det_full / q_factor
-        return total
-
-    return _doubling(compute, target, "shell volume integral")
+    total = 0.0 + 0.0j
+    for strip in _shell_strips(n, e1, e2):
+        # u-order: x1', y1', x2', y2', ...; collar axes are x1' (index 0)
+        # and y_j' (odd indices >= 3); window axes fill the rest.
+        axes = [strip[0], chart.window[0]]
+        counts = [chart.collar_nodes, chart.nodes[0]]
+        for j in range(1, n):
+            axes += [chart.window[j], strip[j]]
+            counts += [chart.nodes[j], chart.collar_nodes]
+        for u, weight in zip(*gauss_legendre_grid(axes, counts)):
+            point = DomainPoint(frame, _phi(u, 1.0))
+            hv = h_field.value(point)
+            dbar_h = h_field.dbar(point)
+            if hv == 0 and not np.any(dbar_h):
+                continue
+            q_factor = measure_factor(n, point.q_y)
+            coeff = hv * dbar_coeff(point) - q_factor * complex(
+                dbar_h @ p_field(point))
+            dz = _phi_jacobian(u, 1.0)
+            det_full = np.linalg.det(np.vstack([dz, np.conj(dz)]))
+            total += weight * coeff * top * det_full / q_factor
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +495,12 @@ class WindowBump:
     Stokes checks need no finite differences.
     """
 
-    def __init__(self, chart: CycleChart, power: int = 4):
+    power = 4
+
+    def __init__(self, chart: CycleChart):
         if chart.kind != "real_analytic":
             raise CycleError("window bumps are tied to real-analytic charts")
         self.window = chart.window
-        self.power = power
 
     def _factors(self, t: float, lo: float, hi: float) -> tuple[float, float]:
         if not lo < t < hi:
@@ -647,8 +604,7 @@ def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
 def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
                      eps: float, chart: CycleChart,
                      sector: str = "holomorphic", angle_nodes: int = 256,
-                     target: float = 1e-9,
-                     richardson_order: int = 2) -> list[RestrictSample]:
+                     target: float = 1e-9) -> list[RestrictSample]:
     """Circle integrals of H / (nu, psi(Z))^kappa at the chart's window
     nodes, for radius eps sqrt(q(Y')) and the halved radius, with one
     Richardson level on the slot-n value.
@@ -668,20 +624,14 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
         raise CycleError("nu does not match the chart vector")
     if sector not in ("holomorphic", "conjugate"):
         raise CycleError("sector must be 'holomorphic' or 'conjugate'")
-    grids = [_gl_axis(a, b, c) for (a, b), c in zip(chart.window, chart.nodes)]
     out: list[RestrictSample] = []
-    for combo in itertools.product(*[range(len(g[0])) for g in grids]):
-        params = np.empty(len(grids))
-        weight = 1.0
-        for axis, idx in enumerate(combo):
-            params[axis] = grids[axis][0][idx]
-            weight *= grids[axis][1][idx]
+    for params, weight in zip(*gauss_legendre_grid(chart.window, chart.nodes)):
         slots = _fiber_integral(chart, H, kappa, params, eps, sector,
                                 angle_nodes, target)
         half = _fiber_integral(chart, H, kappa, params, eps / 2.0, sector,
                                angle_nodes, target)
         value = complex(slots[-1])
-        extr = complex(richardson(value, half[-1], order=richardson_order))
+        extr = complex(richardson(value, half[-1]))
         out.append(RestrictSample(tuple(params), weight, value, extr, slots))
     return out
 

@@ -131,9 +131,6 @@ class WittFrame:
         """q on W in the orthonormalized coordinates (works on complex)."""
         return (self.eps * w * w).sum(axis=-1)
 
-    def pair_w(self, u: np.ndarray, v: np.ndarray):
-        return 2.0 * (self.eps * u * v).sum(axis=-1)
-
     def q_lambda(self, lam: np.ndarray) -> float:
         """q of a vector given in frame coordinates."""
         return float(lam[0] * lam[1] + self.q_w(lam[2:]))
@@ -141,9 +138,6 @@ class WittFrame:
     def pair_psi(self, lam: np.ndarray, z: np.ndarray):
         """(lambda, psi(Z)) for lambda in frame coordinates, Z in W(C)."""
         return lam[0] - lam[1] * self.q_w(z) + 2.0 * (self.eps * lam[2:] * z).sum()
-
-    def pair_psi_bar(self, lam: np.ndarray, z: np.ndarray):
-        return self.pair_psi(lam, np.conj(z))
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,10 @@ re-verified by the test suite).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .calculus import star01
-from .domain import DomainPoint, WittFrame, act, q_plus_minus
-from .quadratic import Vec, as_vec
+from .calculus import central_differences, star01
+from .domain import DomainPoint, act, q_plus_minus
 from .special import hyp2f1
 
 GUARD = 1e-12
@@ -144,28 +141,17 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
 # form-level slash action
 
 
-def action_jacobian(sigma, point: DomainPoint, h: float = 1e-5) -> np.ndarray:
+def action_jacobian(sigma, point: DomainPoint) -> np.ndarray:
     """Holomorphic Jacobian J[i, k] = d(sigma Z)_i / d z_k of the action,
     by Richardson central differences along real directions."""
     frame = point.frame
-    n = frame.n
 
     def image(z):
         moved, _ = act(frame, sigma, point.replace(z))
         return moved.z
 
-    def diff(step):
-        cols = []
-        for k in range(n):
-            dz = np.zeros(n, dtype=complex)
-            dz[k] = step
-            cols.append((image(point.z + dz) - image(point.z - dz))
-                        / (2.0 * step))
-        return np.array(cols).T
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return central_differences(image, point.z,
+                               np.eye(frame.n, dtype=complex), 1e-5)
 
 
 def form_pullback(sigma, vec_func, point: DomainPoint) -> np.ndarray:
@@ -184,36 +170,3 @@ def form_slash(sigma, vec_func, weight: int, point: DomainPoint) -> np.ndarray:
     frame = point.frame
     _, j = act(frame, sigma, point)
     return j ** (-weight) * form_pullback(sigma, vec_func, point)
-
-
-# ---------------------------------------------------------------------------
-# bundled parameters
-
-
-@dataclass(frozen=True, eq=False)
-class KernelParams:
-    """A validated (lambda, kappa) pair with the locked branch phase i^n."""
-
-    lam: Vec
-    lam_fc: np.ndarray
-    kappa: int
-    branch_phase: complex
-
-    @classmethod
-    def create(cls, frame: WittFrame, lam, kappa: int) -> "KernelParams":
-        lam = as_vec(lam)
-        if frame.lattice.q(lam) == 0:
-            raise ValueError("kernel vector must have q(lambda) != 0")
-        kappa = int(kappa)
-        if kappa <= frame.n:
-            raise ValueError("weight must exceed n")
-        return cls(lam, frame.frame_coords(lam), kappa, 1j ** frame.n)
-
-    def omega(self, point: DomainPoint) -> complex:
-        return omega_kernel(self.lam_fc, self.kappa, point)
-
-    def p(self, point: DomainPoint) -> np.ndarray:
-        return p_components(self.lam_fc, point)
-
-    def p_tilde(self, point: DomainPoint, rep: str = "auto") -> np.ndarray:
-        return p_tilde_components(self.lam_fc, self.kappa, point, rep=rep)

@@ -21,10 +21,6 @@ def as_vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -89,11 +85,6 @@ class QuadraticLattice:
 
     def gram_float(self) -> np.ndarray:
         return np.array(self.gram, dtype=float)
-
-    def dual_denominator(self) -> int:
-        """Smallest N with N * L' contained in L (level-style bound)."""
-        det = round(abs(np.linalg.det(self.gram_float())))
-        return int(det) if det else 0
 
 
 @dataclass(frozen=True)

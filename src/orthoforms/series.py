@@ -90,24 +90,6 @@ class SeriesResult(NamedTuple):
     count: int
 
 
-class _Kahan:
-    """Compensated accumulator for a complex scalar or fixed-shape array."""
-
-    def __init__(self, shape: tuple[int, ...] | None = None):
-        if shape is None:
-            self.total = 0j
-            self.comp = 0j
-        else:
-            self.total = np.zeros(shape, dtype=complex)
-            self.comp = np.zeros(shape, dtype=complex)
-
-    def add(self, term) -> None:
-        y = term - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
     """Lexicographically sorted coset vectors of norm m whose majorant at
     the point is at most the bound."""
@@ -116,45 +98,52 @@ def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
                               spec.coset, spec.bound)
 
 
-def _accumulate(vectors, term_fn: Callable, shape=None):
-    """Ordered compensated sum; returns (total, per-term max moduli)."""
-    acc = _Kahan(shape)
+def _accumulate(vectors, term: Callable, zero):
+    """Ordered compensated (Kahan) sum starting from zero, a complex scalar
+    or a fixed-shape array; returns (total, per-term max moduli)."""
+    total = comp = zero
     sizes: list[float] = []
     for v in vectors:
-        term = term_fn(v)
-        acc.add(term)
-        sizes.append(float(np.max(np.abs(term))))
-    return acc.total, sizes
+        t = term(v)
+        y = t - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        sizes.append(float(np.max(np.abs(t))))
+    return total, sizes
+
+
+def _omega_term(frame: WittFrame, kappa: int, point: DomainPoint):
+    """The scalar kernel (lambda, psi(Z))^-kappa as a term of a vector."""
+    return lambda v: omega_kernel(frame.frame_coords(v), kappa, point)
+
+
+def _p_tilde_term(frame: WittFrame, kappa: int, point: DomainPoint):
+    """The xi-preimage kernel as a term of a vector; a singular term names
+    its vector."""
+    def term(v):
+        try:
+            return p_tilde_components(frame.frame_coords(v), kappa, point)
+        except KernelSingularity as exc:
+            raise KernelSingularity(
+                f"series term singular at lattice vector {tuple(v)}",
+                exc.lam, exc.quantity, exc.value) from exc
+    return term
 
 
 def sum_omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> complex:
     """Compensated sum of (lambda, psi(Z))^-kappa over a fixed vector list,
     in list order."""
-    total, _ = _accumulate(
-        vectors, lambda v: omega_kernel(frame.frame_coords(v), kappa, point))
-    return complex(total)
+    return _accumulate(vectors, _omega_term(frame, kappa, point), 0j)[0]
 
 
 def sum_Omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> np.ndarray:
     """Componentwise compensated sum of the xi-preimage kernel over a fixed
     vector list, in list order."""
-    total, _ = _accumulate(
-        vectors,
-        lambda v: _p_tilde_term(frame, v, kappa, point),
-        shape=(frame.n,))
-    return np.asarray(total)
-
-
-def _p_tilde_term(frame: WittFrame, v, kappa: int,
-                  point: DomainPoint) -> np.ndarray:
-    try:
-        return p_tilde_components(frame.frame_coords(v), kappa, point)
-    except KernelSingularity as exc:
-        raise KernelSingularity(
-            f"series term singular at lattice vector {tuple(v)}",
-            exc.lam, exc.quantity, exc.value) from exc
+    return _accumulate(vectors, _p_tilde_term(frame, kappa, point),
+                       np.zeros(frame.n, dtype=complex))[0]
 
 
 def _shell_tail(spec: SeriesSpec, m_gram: np.ndarray, vectors,
@@ -171,34 +160,29 @@ def _shell_tail(spec: SeriesSpec, m_gram: np.ndarray, vectors,
     return count * best
 
 
-def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
-    """Truncated scalar series: (value, tail estimate, term count)."""
+def _evaluate(spec: SeriesSpec, point: DomainPoint, term,
+              zero) -> SeriesResult:
+    """Enumerate the class at the point, sum term(frame, kappa, point) over
+    it from zero, and estimate the tail on the outer majorant shell."""
     frame = spec.frame
     m_gram = majorant_at(frame, point)
     vectors = enumerate_majorant(frame.lattice, m_gram, spec.m, spec.coset,
                                  spec.bound)
-    total, sizes = _accumulate(
-        vectors,
-        lambda v: omega_kernel(frame.frame_coords(v), spec.kappa, point))
-    return SeriesResult(complex(total),
-                        _shell_tail(spec, m_gram, vectors, sizes),
+    total, sizes = _accumulate(vectors, term(frame, spec.kappa, point), zero)
+    return SeriesResult(total, _shell_tail(spec, m_gram, vectors, sizes),
                         len(vectors))
+
+
+def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
+    """Truncated scalar series: (value, tail estimate, term count)."""
+    return _evaluate(spec, point, _omega_term, 0j)
 
 
 def eval_Omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated form-valued series: componentwise sum of the xi-preimage
     kernel, with the analogous shell tail estimate."""
-    frame = spec.frame
-    m_gram = majorant_at(frame, point)
-    vectors = enumerate_majorant(frame.lattice, m_gram, spec.m, spec.coset,
-                                 spec.bound)
-    total, sizes = _accumulate(
-        vectors,
-        lambda v: _p_tilde_term(frame, v, spec.kappa, point),
-        shape=(frame.n,))
-    return SeriesResult(np.asarray(total),
-                        _shell_tail(spec, m_gram, vectors, sizes),
-                        len(vectors))
+    return _evaluate(spec, point, _p_tilde_term,
+                     np.zeros(spec.frame.n, dtype=complex))
 
 
 def modularity_defect(spec: SeriesSpec, point: DomainPoint,

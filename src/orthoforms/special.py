@@ -1,7 +1,8 @@
 """Special-function helpers: a Gauss hypergeometric evaluator for the real
 parameter ranges the kernels need, Gauss-Legendre quadrature with node
-doubling, and the explicit constant appearing in the boundary limit of the
-singular kernel integrals.
+doubling, the tensor Gauss-Legendre grid of the cycle quadratures, and the
+explicit constant appearing in the boundary limit of the singular kernel
+integrals.
 """
 from __future__ import annotations
 
@@ -72,11 +73,32 @@ def hyp2f1(a: float, b: float, c: float, z: float, tol: float = 1e-15,
 # quadrature
 
 
-def gauss_legendre(func, lo: float, hi: float, nodes: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gl_rule(lo: float, hi: float, count: int):
+    """The count-node Gauss-Legendre rule of [-1, 1], moved to [lo, hi]:
+    (nodes, unscaled weights, half-width)."""
+    t, w = np.polynomial.legendre.leggauss(count)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    vals = np.array([func(mid + half * xi) for xi in x])
+    return mid + half * t, w, half
+
+
+def gauss_legendre(func, lo: float, hi: float, nodes: int) -> float:
+    x, w, half = _gl_rule(lo, hi, nodes)
+    vals = np.array([func(xi) for xi in x])
     return float(half * np.sum(w * vals))
+
+
+def gauss_legendre_grid(axes, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule on the box prod [lo, hi] of axes.
+
+    Returns the node rows in itertools.product order (last axis fastest)
+    and their product weights, multiplied left to right, so a sum over the
+    rows repeats a nested loop over the axes bit for bit."""
+    rules = [_gl_rule(lo, hi, count) for (lo, hi), count in zip(axes, counts)]
+    weights = np.ones(1)
+    for _, w, half in rules:
+        weights = np.multiply.outer(weights, half * w).ravel()
+    grid = np.meshgrid(*[x for x, _, _ in rules], indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=-1), weights
 
 
 def integrate_adaptive(func, lo: float, hi: float, tol: float = 1e-13,

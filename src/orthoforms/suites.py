@@ -32,12 +32,11 @@ import numpy as np
 from . import __version__
 from .calculus import (
     PairBarField, QYField, dbar_jacobian, laplace_scalar, measure_factor,
-    ratio_field, star_nn1, star_pair, xi_top,
+    ratio_field, richardson, star_nn1, star_pair, xi_top,
 )
 from .cycles import (
     CycleChart, QuadratureError, WindowBump, cycle_integral_C,
-    cycle_integral_T, restrict_samples, richardson, shell_stokes,
-    tube_boundary_integral,
+    cycle_integral_T, restrict_samples, shell_stokes, tube_boundary_integral,
 )
 from .domain import (
     DomainPoint, WittFrame, act, metric_det, metric_lower, metric_upper,
@@ -637,33 +636,45 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
         delta = cycle_integral_C(mu, h, kappa, chart, target=1e-9)
         c_lim = limit_constant(2, kappa)
         values = []
+        # eps -> note on the unconfirmed node doubling whose fine value is used
+        unsettled = {}
         for eps in p.eps_schedule:
             try:
                 values.append(tube_boundary_integral(mu, h, H, eps, chart,
                                                      target=1e-4))
             except QuadratureError as exc:
                 values.append(complex(exc.fine))
-        extrapolated = (richardson(values[-2], values[-1], order=2)
+                unsettled[eps] = (
+                    f"quadrature unconfirmed at eps={eps}: coarse = "
+                    f"{complex(exc.coarse)}, fine = {complex(exc.fine)} (fine "
+                    f"value used)")
+        extrapolated = (richardson(values[-2], values[-1])
                         if len(values) >= 2 else values[-1])
+
+        def noted(text: str, at) -> str:
+            return text + "".join(f"; {unsettled[e]}" for e in at
+                                  if e in unsettled)
+
         stated = -c_lim * delta
         out.append(_record(
             f"tube_limit/printed-constant/kappa{kappa}",
             "tube-limit-printed-constant", ins, complex(extrapolated),
             complex(stated), 1e-3,
-            note="boundary integral vs minus the printed constant times the "
-                 "windowed density"))
+            note=noted("boundary integral vs minus the printed constant "
+                       "times the windowed density", p.eps_schedule[-2:])))
         out.append(_record(
             f"tube_limit/doubled-constant/kappa{kappa}",
             "tube-limit-doubled-constant", ins, complex(extrapolated),
             complex(2.0 * stated), 1e-3, diagnostic=True,
-            note="both collar face families carry equal limiting flux; the "
-                 "observed limit is twice the printed constant"))
+            note=noted("both collar face families carry equal limiting flux; "
+                       "the observed limit is twice the printed constant",
+                       p.eps_schedule[-2:])))
         for eps, val in zip(p.eps_schedule, values):
             out.append(_record(
                 f"tube_limit/curve/kappa{kappa}-eps{eps}",
                 "tube-limit-curve", dict(ins, at=eps), complex(val),
                 complex(2.0 * stated), 1.0, diagnostic=True,
-                note="convergence curve sample"))
+                note=noted("convergence curve sample", [eps])))
     return out
 
 

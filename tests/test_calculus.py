@@ -5,7 +5,8 @@ import pytest
 
 from orthoforms.calculus import (ConstantField, PairBarField, PairField,
                                  ProductField, QYField, QYPowerField,
-                                 dbar_jacobian, dbar_numeric, laplace_scalar,
+                                 central_differences, dbar_jacobian,
+                                 laplace_scalar,
                                  measure_factor, ratio_field, star01, star_nn1,
                                  star_pair, star_top, xi_scalar, xi_top)
 from orthoforms.domain import q_plus_minus, sample_point, sample_vector
@@ -35,7 +36,7 @@ def test_dbar_catalog_matches_finite_differences(setup_n, rng):
     ]
     for field in fields:
         analytic = field.dbar(p)
-        numeric = dbar_numeric(field.value, p)
+        numeric = dbar_jacobian(field.value, p)
         scale = max(1.0, float(np.max(np.abs(analytic))))
         assert np.max(np.abs(analytic - numeric)) < 1e-7 * scale, type(field)
 
@@ -48,10 +49,40 @@ def test_dbar_jacobian_consistent_with_componentwise(setup_n, rng):
         return np.array([pb.value(pt), pt.q_y ** 2 + 0j])
 
     jac = dbar_jacobian(vec, p)
-    row0 = dbar_numeric(lambda pt: pb.value(pt), p)
-    row1 = dbar_numeric(lambda pt: pt.q_y ** 2 + 0j, p)
+    row0 = dbar_jacobian(lambda pt: pb.value(pt), p)
+    row1 = dbar_jacobian(lambda pt: pt.q_y ** 2 + 0j, p)
     assert np.allclose(jac[0], row0, atol=1e-8)
     assert np.allclose(jac[1], row1, atol=1e-8)
+
+
+def test_central_differences_exact_on_cubics():
+    """One Richardson level cancels the h^2 term of the central difference,
+    and a cubic has no other, so only roundoff remains along real and
+    imaginary directions alike."""
+    a = np.array([1.5 - 0.5j, 0.7 + 2.0j])
+    z0 = np.array([0.3 + 1.1j, -0.2 + 0.4j])
+
+    def f(z):
+        s = a @ z
+        return s ** 3 + np.conj(s) ** 2 * s
+
+    directions = [np.array([1.0, 0.0], dtype=complex),
+                  np.array([1j, 0.0]), np.array([0.0, 1j]),
+                  np.array([0.5 - 1j, 2.0 + 0.25j])]
+    d = central_differences(f, z0, directions, 0.1)
+    s = a @ z0
+    for k, v in enumerate(directions):
+        w = a @ v
+        exact = 3 * s ** 2 * w + 2 * np.conj(s) * np.conj(w) * s \
+            + np.conj(s) ** 2 * w
+        assert abs(d[k] - exact) < 1e-12 * abs(exact)
+
+
+def test_dbar_jacobian_shapes(setup_n, rng):
+    _, frame, n, p, lam, fc = _setup(setup_n, rng)
+    assert dbar_jacobian(QYField().value, p).shape == (n,)
+    assert dbar_jacobian(lambda pt: np.array([pt.q_y, 1.0, 2.0]),
+                         p).shape == (3, n)
 
 
 def test_star_roundtrips(setup_n, rng):

@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from orthoforms import suites
 from orthoforms.cli import main
+from orthoforms.cycles import QuadratureError
 from orthoforms.special import limit_constant
 from orthoforms.suites import (
     ConfigError, RunConfig, RunParams, parse_config, run,
@@ -147,6 +149,42 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert main(["verify", "identities", "--config",
                  str(tmp_path / "missing.json")]) == 2
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval-kernel", "--lam", "0,0,1,1", "--z", "0.3+1.2j,0.1+0.2j"],
+    ["eval-series", "--m", "1", "--z", "0.3+1.2j,0.1+0.2j"],
+], ids=["eval-kernel", "eval-series"])
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "invalid-json", "not-an-object"])
+def test_evaluator_bad_config_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(command + ["--config", str(path)]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_tube_limit_notes_unconfirmed_quadrature(monkeypatch):
+    """A boundary integral whose node doubling fails keeps its fine value,
+    and every record built on it names eps and the coarse/fine pair."""
+    def unconfirmed(mu, h, H, eps, chart, target):
+        raise QuadratureError("tube boundary integral did not converge",
+                              1.0 + 0j, 2.0 + eps * 1j)
+
+    monkeypatch.setattr(suites, "tube_boundary_integral", unconfirmed)
+    report = run(RunConfig(suite="tube_limit", params=RunParams(
+        kappa_values=(3,), eps_schedule=(0.1, 0.05, 0.025))))
+    records = {r.check_id: r for r in report.records}
+    curve = records["tube_limit/curve/kappa3-eps0.05"]
+    assert curve.value == 2.0 + 0.05j
+    assert "eps=0.05:" in curve.note
+    assert "coarse = (1+0j), fine = (2+0.05j)" in curve.note
+    assert "eps=0.1:" not in curve.note
+    for kind in ("printed-constant", "doubled-constant"):
+        note = records[f"tube_limit/{kind}/kappa3"].note
+        assert "eps=0.05:" in note and "eps=0.025:" in note
+        assert "eps=0.1:" not in note
 
 
 def test_duality_without_cycle_data_exits_2(capsys):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from orthoforms import kernels
-from orthoforms.calculus import measure_factor, star_nn1, star_pair
+from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
     CycleChart, CycleError, QuadratureError, WindowBump, cycle_integral_C,
-    cycle_integral_T, restrict_T, restrict_samples, richardson, shell_stokes,
+    cycle_integral_T, restrict_T, restrict_samples, shell_stokes,
     transport_to, tube_boundary_integral,
 )
 from orthoforms.domain import DomainPoint, WittFrame, act
@@ -257,7 +257,7 @@ def test_tube_boundary_tracks_doubled_window_density(geo):
     assert abs(r1 + 2.0) <= 0.1
     assert abs(r2 + 2.0) <= 0.03
     assert abs(r2 + 2.0) <= 0.35 * abs(r1 + 2.0)
-    extrapolated = richardson(v1, v2, order=2)
+    extrapolated = richardson(v1, v2)
     assert abs(extrapolated - (-2.0) * c_lim * delta) <= 5e-3 * abs(c_lim * delta)
 
 

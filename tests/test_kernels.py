@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthoforms.calculus import (dbar_numeric, dbar_top, ratio_field, star01,
+from orthoforms.calculus import (dbar_jacobian, dbar_top, ratio_field, star01,
                                  xi_scalar, xi_top, measure_factor)
 from orthoforms.domain import DomainPoint, q_plus_minus, sample_point
-from orthoforms.kernels import (KernelParams, KernelSingularity,
+from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
                                 p_tilde_components, ratio_gradient,
@@ -97,7 +97,7 @@ def test_p_form_dual_routes(setup_n, rng):
     closed = p_components(fc, p)
     catalog = xi_scalar(ratio_field(fc), 1, p)
     assert np.max(np.abs(closed - catalog)) < 1e-10 * max(1.0, np.max(np.abs(closed)))
-    fd = p.q_y * star01(dbar_numeric(ratio_field(fc).value, p),
+    fd = p.q_y * star01(dbar_jacobian(ratio_field(fc).value, p),
                         frame.eps, p.y, p.q_y)
     assert np.max(np.abs(closed - fd)) < 1e-7 * max(1.0, np.max(np.abs(closed)))
 
@@ -338,17 +338,3 @@ def test_p_tilde_continuation_near_negative_cycle():
         norms.append(abs(pair_bar ** (kappa - 1))
                      * np.max(np.abs(p_tilde_components(fc, kappa, p))))
     assert max(norms) < 10.0 * min(norms)
-
-
-def test_kernel_params_validation(setup_n, rng):
-    _, frame, _, n = setup_n
-    with pytest.raises(ValueError):
-        KernelParams.create(frame, frame.e, n + 2)  # q(e) = 0
-    lam = _vector_with_sign(frame, rng, +1)
-    with pytest.raises(ValueError):
-        KernelParams.create(frame, lam, n)  # weight too small
-    params = KernelParams.create(frame, lam, n + 2)
-    assert params.branch_phase == 1j ** n
-    p = _regular_point(frame, params.lam_fc, rng, n + 2)
-    assert np.allclose(params.p_tilde(p),
-                       p_tilde_components(params.lam_fc, n + 2, p), atol=1e-12)

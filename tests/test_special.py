@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from orthoforms.special import (SpecialFunctionError, gauss_legendre, hyp2f1,
+from orthoforms.special import (SpecialFunctionError, gauss_legendre,
+                                gauss_legendre_grid, hyp2f1,
                                 integrate_adaptive, limit_constant,
                                 radial_integral, sphere_area)
 
@@ -85,6 +87,40 @@ def test_gauss_legendre_polynomial_exact():
     # 16 nodes integrate degree-31 polynomials exactly
     val = gauss_legendre(lambda x: x ** 7 - 2 * x ** 3 + 1, 0.0, 1.0, 16)
     assert abs(val - (1.0 / 8 - 2.0 / 4 + 1.0)) < 1e-14
+
+
+def test_gauss_legendre_grid_repeats_the_nested_loop():
+    """Rows come in itertools.product order and each weight is the product
+    of the axis weights, left to right, bit for bit."""
+    axes, counts = [(0.0, 1.0), (-2.0, 3.0), (0.5, 0.75)], [3, 2, 4]
+    nodes, weights = gauss_legendre_grid(axes, counts)
+    rules = []
+    for (lo, hi), count in zip(axes, counts):
+        t, w = np.polynomial.legendre.leggauss(count)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        rules.append((mid + half * t, half * w))
+    combos = list(itertools.product(*[range(c) for c in counts]))
+    assert nodes.shape == (len(combos), len(axes))
+    assert weights.shape == (len(combos),)
+    for row, weight, combo in zip(nodes, weights, combos):
+        assert tuple(row) == tuple(rules[a][0][i] for a, i in enumerate(combo))
+        expected = 1.0
+        for a, i in enumerate(combo):
+            expected *= rules[a][1][i]
+        assert weight == expected
+
+
+@pytest.mark.parametrize("counts", [(1, 3), (2, 5), (4, 2), (3, 3, 2)])
+def test_gauss_legendre_grid_exact_for_separable_polynomials(counts):
+    # k nodes per axis integrate x^(2k-1) + 1 exactly on that axis
+    axes = [(-0.5, 1.5), (1.0, 2.0), (-1.0, 0.25)][:len(counts)]
+    degrees = [2 * k - 1 for k in counts]
+    nodes, weights = gauss_legendre_grid(axes, counts)
+    values = np.prod([nodes[:, a] ** d + 1.0 for a, d in enumerate(degrees)],
+                     axis=0)
+    exact = math.prod((hi ** (d + 1) - lo ** (d + 1)) / (d + 1) + (hi - lo)
+                      for d, (lo, hi) in zip(degrees, axes))
+    assert abs(weights @ values - exact) < 1e-13 * abs(exact)
 
 
 def test_integrate_adaptive_vs_closed_form():
