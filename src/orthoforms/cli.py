@@ -29,7 +29,9 @@ from .kernels import (
 from .quadratic import LatticeError, lattice_from_config
 from .series import SeriesError, SeriesSpec, eval_Omega, eval_omega
 from .special import limit_constant
-from .suites import ConfigError, RunConfig, RunParams, parse_config, run
+from .suites import (
+    ConfigError, RunConfig, RunParams, check_config_fields, parse_config, run,
+)
 
 __all__ = ["main"]
 
@@ -129,7 +131,11 @@ def _params_dict(p: RunParams) -> dict:
 
 
 def _frame_from_args(args) -> tuple:
-    cfg = _read_config(args.config).get("lattice", {"standard": args.n})
+    data = _read_config(args.config)
+    check_config_fields(data)
+    cfg = data.get("lattice", {"standard": args.n})
+    if not isinstance(cfg, dict):
+        raise ConfigError("lattice", "must be a mapping")
     lattice, fd, group = lattice_from_config(cfg)
     frame = WittFrame.build(lattice, fd["e"], fd["e_prime"])
     return lattice, frame, group

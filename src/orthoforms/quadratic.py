@@ -1,9 +1,15 @@
 """Even lattices of signature (2, n): exact bilinear arithmetic, isometries,
-and short-vector enumeration under a positive-definite majorant form.
+and enumeration of the vectors of one norm under a positive-definite
+majorant form.
 
 Vectors are tuples of :class:`fractions.Fraction` in lattice coordinates, so
 norms, pairings and isometry checks are exact.  Floats only enter through the
 majorant form, which depends on a transcendental base point anyway.
+
+The enumeration searches the majorant ellipsoid depth first over all but the
+first coordinate and solves the norm equation, a quadratic or linear one in a
+single integer unknown, for the first; it never visits ellipsoid points of
+the wrong norm.
 """
 from __future__ import annotations
 
@@ -32,6 +38,13 @@ def vec_scale(c, v: Vec) -> Vec:
 
 def vec_float(v: Vec) -> np.ndarray:
     return np.array([float(a) for a in v])
+
+
+def _integral(v: Sequence) -> tuple[int, list[int]]:
+    """(den, den * v) with den the lcm of the entries' denominators."""
+    v = as_vec(v)
+    den = math.lcm(*(a.denominator for a in v))
+    return den, [a.numerator * (den // a.denominator) for a in v]
 
 
 class LatticeError(ValueError):
@@ -64,15 +77,13 @@ class QuadraticLattice:
         return len(self.gram)
 
     def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
-        g = self.gram
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = g[i]
-            total += Fraction(ui) * sum(Fraction(row[j]) * Fraction(vj)
-                                        for j, vj in enumerate(v) if vj != 0)
-        return total
+        # exact, in integers: (u, v) = (du u, dv v) / (du dv)
+        du, iu = _integral(u)
+        dv, iv = _integral(v)
+        total = sum(ui * sum(gij * vj
+                             for gij, vj in zip(row, iv, strict=True) if vj)
+                    for ui, row in zip(iu, self.gram, strict=True) if ui)
+        return Fraction(total, du * dv)
 
     def q(self, v: Sequence) -> Fraction:
         return self.bilinear(v, v) / 2
@@ -255,83 +266,109 @@ def majorant_value(m_gram: np.ndarray, v: Sequence) -> float:
     return float(x @ m_gram @ x)
 
 
+def _integer_roots(a: int, b: int, c: int) -> list[int] | None:
+    """Sorted integer roots of a w^2 + b w + c = 0, or None when every
+    integer is one (a = b = c = 0)."""
+    if a:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        root = math.isqrt(disc)
+        if root * root != disc:
+            return []
+        nums = {-b - root, -b + root}
+        return sorted(num // (2 * a) for num in nums if num % (2 * a) == 0)
+    if b:
+        return [-c // b] if c % b == 0 else []
+    return None if c == 0 else []
+
+
 def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
                        m: Fraction | int, coset: Sequence,
                        bound: float) -> list[Vec]:
     """All v in coset + L with q(v) == m and majorant(v) <= bound.
 
-    Enumeration runs over the ellipsoid with a small slack and filters by the
-    canonical float majorant value and the exact rational norm, so results
-    agree with a brute-force box scan and are monotone in the bound.  Sorted
+    A Fincke-Pohst depth-first search walks coordinates d-1 ... 1 over the
+    majorant ellipsoid with a small slack.  The innermost coordinate is
+    solved for instead of scanned: with w = den * v integral (den the lcm of
+    the coset denominators), q(v) = m reads
+    ``G00 w0^2 + b w0 + c = 2 m den^2``, a quadratic (linear when G00 = 0,
+    as on a hyperbolic plane) with at most two integer roots; only when b
+    also vanishes and c already hits the target is the coordinate scanned.
+    Each root inside the ellipsoid is filtered by the canonical float
+    majorant value and the exact rational norm, so results agree with a
+    brute-force box scan and are monotone in the bound.  Sorted
     lexicographically for determinism.
     """
     d = lattice.dim
-    c = vec_float(as_vec(coset))
     if bound <= 0:
         return []
     try:
         low = np.linalg.cholesky(m_gram)
     except np.linalg.LinAlgError as exc:
         raise LatticeError("majorant form is not positive definite") from exc
-    r = low.T  # upper triangular, x^T M x = ||r x||^2
+    r = low.T.tolist()  # upper triangular, x^T M x = ||r x||^2
     slack = bound * (1 + 1e-9) + 1e-9
     m = Fraction(m)
     coset_v = as_vec(coset)
-    out: list[Vec] = []
+    c = [float(a) for a in coset_v]
+    den, offset = _integral(coset_v)  # w_j = den * x_j + offset_j
+    target = 2 * m * den * den  # w^T G w for w = den * v of norm m
+    if target.denominator != 1:
+        return []
+    target = target.numerator
+    g = lattice.gram
+    out: list[tuple[tuple[int, ...], Vec]] = []
+    t = [0.0] * d
+    x = [0] * d
 
-    t = np.zeros(d)
-
-    def descend(i: int, remaining: float):
-        if i < 0:
-            v = tuple(coset_v[j] + Fraction(round(t[j] - c[j])) for j in range(d))
-            if lattice.q(v) == m and majorant_value(m_gram, v) <= bound:
-                out.append(v)
-            return
-        rii = r[i, i]
-        s = float(r[i, i + 1:] @ t[i + 1:]) if i + 1 < d else 0.0
+    def window(i: int, remaining: float) -> tuple[float, float, int, int]:
+        rii = r[i][i]
+        s = sum(r[i][j] * t[j] for j in range(i + 1, d))
         half = math.sqrt(max(remaining, 0.0))
         lo = math.ceil((-half - s) / rii - c[i] - 1e-12)
         hi = math.floor((half - s) / rii - c[i] + 1e-12)
-        for x in range(lo, hi + 1):
-            t[i] = x + c[i]
+        return rii, s, lo, hi
+
+    def innermost(remaining: float, lin: list[int], quad: int):
+        r00, s, lo, hi = window(0, remaining)
+        roots = _integer_roots(g[0][0], 2 * lin[0], quad - target)
+        if roots is None:
+            xs = range(lo, hi + 1)
+        else:
+            xs = [(w - offset[0]) // den for w in roots
+                  if (w - offset[0]) % den == 0]
+        for x0 in xs:
+            if not lo <= x0 <= hi:
+                continue
+            if (r00 * (x0 + c[0]) + s) ** 2 <= remaining + 1e-12:
+                x[0] = x0
+                v = tuple(coset_v[j] + x[j] for j in range(d))
+                if lattice.q(v) == m and majorant_value(m_gram, v) <= bound:
+                    out.append((tuple(x), v))
+
+    def descend(i: int, remaining: float, lin: list[int], quad: int):
+        # lin[k] = sum_{j > i} G_kj w_j and quad = sum_{j, l > i} w_j G_jl w_l
+        if i == 0:
+            innermost(remaining, lin, quad)
+            return
+        rii, s, lo, hi = window(i, remaining)
+        gi = g[i]
+        for xi in range(lo, hi + 1):
+            t[i] = xi + c[i]
             used = (rii * t[i] + s) ** 2
             if used <= remaining + 1e-12:
-                descend(i - 1, remaining - used)
+                x[i] = xi
+                w = den * xi + offset[i]
+                descend(i - 1, remaining - used,
+                        [lin[k] + gi[k] * w for k in range(i)],
+                        quad + w * (gi[i] * w + 2 * lin[i]))
         t[i] = 0.0
 
-    descend(d - 1, slack)
+    descend(d - 1, slack, [0] * d, 0)
+    # v = coset + x, so sorting the integer x sorts v lexicographically
     out.sort()
-    return out
-
-
-def enumerate_box_oracle(lattice: QuadraticLattice, m_gram: np.ndarray,
-                         m: Fraction | int, coset: Sequence,
-                         bound: float) -> list[Vec]:
-    """Brute-force reference for :func:`enumerate_majorant`: scan the full
-    coordinate box |x_i| <= sqrt(bound * (M^-1)_ii)."""
-    d = lattice.dim
-    inv = np.linalg.inv(m_gram)
-    c = vec_float(as_vec(coset))
-    coset_v = as_vec(coset)
-    m = Fraction(m)
-    limits = []
-    for i in range(d):
-        half = math.sqrt(max(bound * inv[i, i], 0.0))
-        limits.append((math.ceil(-half - c[i] - 1e-9), math.floor(half - c[i] + 1e-9)))
-    out: list[Vec] = []
-
-    def rec(i: int, acc: list[int]):
-        if i == d:
-            v = tuple(coset_v[j] + acc[j] for j in range(d))
-            if lattice.q(v) == m and majorant_value(m_gram, v) <= bound:
-                out.append(v)
-            return
-        for x in range(limits[i][0], limits[i][1] + 1):
-            rec(i + 1, acc + [x])
-
-    rec(0, [])
-    out.sort()
-    return out
+    return [v for _, v in out]
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,17 @@ def parse_params(data: dict) -> RunParams:
     return params
 
 
+def check_config_fields(data: dict) -> None:
+    """Reject the first top-level field that is not a RunConfig field."""
+    for key in data:
+        if key not in ("suite", "lattice", "parameters", "output", "duality"):
+            raise ConfigError(key, "unknown field")
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a mapping")
-    known = {"suite", "lattice", "parameters", "output", "duality"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
+    check_config_fields(data)
     suite = data.get("suite")
     if suite is None:
         raise ConfigError("suite", "missing")
@@ -582,8 +586,7 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
             for idx, gamma in enumerate(group):
                 defect = modularity_defect(spec, point, gamma)
                 moved, _ = act(frame, gamma, point)
-                tol = (eval_omega(spec, point).tail
-                       + eval_omega(spec, moved).tail + 1e-12)
+                tol = r1.tail + eval_omega(spec, moved).tail + 1e-12
                 out.append(_worst(
                     f"series/series-modularity/n{n}-m{m}-g{idx}",
                     "series-modularity", dict(ins, generator=idx), defect,

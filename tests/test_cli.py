@@ -155,14 +155,31 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ["eval-kernel", "--lam", "0,0,1,1", "--z", "0.3+1.2j,0.1+0.2j"],
     ["eval-series", "--m", "1", "--z", "0.3+1.2j,0.1+0.2j"],
 ], ids=["eval-kernel", "eval-series"])
-@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
-                         ids=["missing", "invalid-json", "not-an-object"])
-def test_evaluator_bad_config_exits_2(tmp_path, capsys, command, content):
+@pytest.mark.parametrize("content,field", [
+    (None, "--config"),
+    ("{not json", "--config"),
+    ("[1, 2]", "--config"),
+    ('{"latice": {"standard": 3}, "bogus": 1}', "latice"),
+    ('{"lattice": 3}', "lattice"),
+], ids=["missing", "invalid-json", "not-an-object", "unknown-field",
+        "lattice-not-an-object"])
+def test_evaluator_bad_config_exits_2(tmp_path, capsys, command, content,
+                                      field):
     path = tmp_path / "cfg.json"
     if content is not None:
         path.write_text(content)
     assert main(command + ["--config", str(path)]) == 2
-    assert "--config" in capsys.readouterr().err
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_evaluator_config_reads_lattice_beside_run_fields(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"suite": "series",
+                                   "lattice": {"standard": 3},
+                                   "parameters": {"seed": 1}})
+    # the configured rank-3 lattice has dimension 5, not the default 4
+    assert main(["eval-kernel", "--config", cfg, "--lam", "0,0,1,1,0",
+                 "--z", "0.3+1.2j,0.1+0.2j,0.05+0.1j", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "omega"
 
 
 def test_tube_limit_notes_unconfirmed_quadrature(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoforms.quadratic import (Isometry, LatticeError, QuadraticLattice,
-                                  as_vec, eichler_isometry,
-                                  enumerate_box_oracle, enumerate_majorant,
-                                  lattice_from_config, majorant_value,
-                                  standard_group, standard_lattice)
+                                  Vec, as_vec, eichler_isometry,
+                                  enumerate_majorant, lattice_from_config,
+                                  majorant_value, standard_group,
+                                  standard_lattice, vec_float)
+
+
+def enumerate_box_oracle(lattice: QuadraticLattice, m_gram: np.ndarray,
+                         m, coset, bound: float) -> list[Vec]:
+    """Brute-force reference for :func:`enumerate_majorant`: scan the full
+    coordinate box |x_i| <= sqrt(bound * (M^-1)_ii)."""
+    d = lattice.dim
+    inv = np.linalg.inv(m_gram)
+    c = vec_float(as_vec(coset))
+    coset_v = as_vec(coset)
+    m = Fraction(m)
+    limits = []
+    for i in range(d):
+        half = math.sqrt(max(bound * inv[i, i], 0.0))
+        limits.append((math.ceil(-half - c[i] - 1e-9),
+                       math.floor(half - c[i] + 1e-9)))
+    out: list[Vec] = []
+
+    def rec(i: int, acc: list[int]):
+        if i == d:
+            v = tuple(coset_v[j] + acc[j] for j in range(d))
+            if lattice.q(v) == m and majorant_value(m_gram, v) <= bound:
+                out.append(v)
+            return
+        for x in range(limits[i][0], limits[i][1] + 1):
+            rec(i + 1, acc + [x])
+
+    rec(0, [])
+    out.sort()
+    return out
 
 
 def test_gram_validation():
@@ -121,6 +152,75 @@ def test_enumeration_with_coset(rng):
     assert fast == slow
     for v in fast:
         assert v[0] - Fraction(1, 2) == int(v[0] - Fraction(1, 2))
+
+
+def _anisotropic_majorant(rng):
+    # U + <2> with the anisotropic vector first: G00 = 2, so the innermost
+    # coordinate solves a genuine quadratic
+    lat, cfg, _ = lattice_from_config({
+        "gram": [[2, 0, 0], [0, 0, 1], [0, 1, 0]],
+        "e": [0, 1, 0], "e_prime": [0, 0, 1], "k_basis": [[1, 0, 0]]})
+    from orthoforms.domain import WittFrame, majorant_at, sample_point
+    frame = WittFrame.build(lat, cfg["e"], cfg["e_prime"])
+    return lat, majorant_at(frame, sample_point(frame, rng))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, -1])
+def test_enumeration_quadratic_innermost_matches_box_oracle(m, rng):
+    lat, m_gram = _anisotropic_majorant(rng)
+    assert lat.signature() == (2, 1)
+    fast = enumerate_majorant(lat, m_gram, m, [0, 0, 0], 12.0)
+    assert fast
+    assert fast == enumerate_box_oracle(lat, m_gram, m, [0, 0, 0], 12.0)
+
+
+def test_enumeration_quadratic_innermost_half_integral_coset(rng):
+    lat, m_gram = _anisotropic_majorant(rng)
+    coset = [Fraction(1, 2), 0, 0]
+    fast = enumerate_majorant(lat, m_gram, Fraction(1, 4), coset, 12.0)
+    assert fast
+    assert fast == enumerate_box_oracle(lat, m_gram, Fraction(1, 4), coset,
+                                        12.0)
+
+
+def test_enumeration_zero_linear_coefficient_scans(rng):
+    # m = 0 on a hyperbolic plane: with every outer coordinate 0 the
+    # innermost equation is 0 = 0, so the whole window is kept
+    lat, m_gram = _point_majorant(2, rng)
+    e = as_vec((1, 0, 0, 0))
+    bound = 2.0 * majorant_value(m_gram, e) + 1.0
+    fast = enumerate_majorant(lat, m_gram, 0, [0] * 4, bound)
+    assert e in fast and as_vec((2, 0, 0, 0)) in fast
+    assert fast == enumerate_box_oracle(lat, m_gram, 0, [0] * 4, bound)
+
+
+@pytest.mark.parametrize("m,coset", [
+    (Fraction(1, 2), [0, 0, 0, 0]),
+    (Fraction(1, 3), [Fraction(1, 2), 0, 0, 0]),
+], ids=["integral-coset", "half-integral-coset"])
+def test_enumeration_unreachable_norm_is_empty(m, coset, rng):
+    # 2 m den^2 is not an integer, so no vector of the coset has norm m
+    lat, m_gram = _point_majorant(2, rng)
+    assert enumerate_majorant(lat, m_gram, m, coset, 9.0) == []
+    assert enumerate_box_oracle(lat, m_gram, m, coset, 9.0) == []
+
+
+def test_enumeration_norm_check_only_on_solutions(monkeypatch):
+    """At the series suite's point (n = 2, B = 80) the exact norm runs only
+    on the solved innermost coordinates, not on every ellipsoid point."""
+    from orthoforms.domain import DomainPoint, WittFrame, majorant_at
+    cfg = standard_lattice(2)
+    lat = QuadraticLattice(tuple(tuple(r) for r in cfg["gram"]))
+    frame = WittFrame.build(lat, cfg["e"], cfg["e_prime"])
+    m_gram = majorant_at(frame, DomainPoint(
+        frame, np.array([0.31 + 1.27j, 0.17 + 0.29j])))
+    calls = []
+    q = QuadraticLattice.q
+    monkeypatch.setattr(QuadraticLattice, "q",
+                        lambda self, v: calls.append(v) or q(self, v))
+    found = enumerate_majorant(lat, m_gram, 1, [0] * 4, 80.0)
+    assert len(found) == 488
+    assert len(calls) <= 2 * 488
 
 
 def test_enumeration_monotone_in_bound(rng):
