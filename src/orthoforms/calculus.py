@@ -13,6 +13,13 @@ The antilinear weighted star sends weight-k scalars to tops and (0,1)-forms
 to (n, n-1)-forms; xi_k is star after dbar.  The conjugate-linear pairing of
 two (0,1)-forms f, g is star_pair(f, g) = (1/2) sum f_i conj(g_j) h^{ij},
 so that f ^ star(g) = star_pair(f, g) dmu.
+
+Every kernel is built on the ratio (lambda, psi(Zbar)) / q(Y); the dbar of
+its numerator, of q(Y) and of the ratio are written out once each in closed
+form (pair_bar_dbar, q_y_dbar, ratio_dbar).  A scalar field is any object
+with value(point) and dbar(point); ratio_field, PairBarField and QYField are
+the ones the program uses.  Richardson central differences (dbar_jacobian)
+check those closed forms and differentiate everything else.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from .domain import DomainPoint, metric_lower, metric_upper
 
 
 # ---------------------------------------------------------------------------
-# finite differences (independent fallback for every analytic derivative)
+# finite differences (the independent check of every closed-form derivative)
 
 
 def richardson(coarse, fine):
@@ -56,181 +63,61 @@ def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar fields with cataloged analytic derivatives
+# closed-form dbar of (lambda, psi(Zbar)), of q(Y) and of their ratio
 
 
-class ScalarField:
-    """A complex scalar on the domain with a dbar that is analytic when the
-    field is built from cataloged pieces and finite-difference otherwise."""
+def pair_bar_dbar(lam: np.ndarray, point: DomainPoint) -> np.ndarray:
+    """dbar_j (lambda, psi(Zbar)) = 2 eps_j (lambda_j - lambda_e' zbar_j)."""
+    return 2.0 * point.frame.eps * (lam[2:] - lam[1] * np.conj(point.z))
+
+
+def q_y_dbar(point: DomainPoint) -> np.ndarray:
+    """dbar_j q(Y) = i eps_j y_j."""
+    return 1j * point.frame.eps * point.y
+
+
+def ratio_dbar(lam: np.ndarray, point: DomainPoint) -> np.ndarray:
+    """dbar[(lambda, psi(Zbar)) / q(Y)] by the quotient rule."""
+    qy = point.q_y
+    return (pair_bar_dbar(lam, point) * qy
+            - point.pair_bar(lam) * q_y_dbar(point)) / qy ** 2
+
+
+class PairBarField:
+    """Z -> (lambda, psi(Zbar)) with its closed-form dbar."""
+
+    def __init__(self, lam_fc: np.ndarray):
+        self.lam = np.asarray(lam_fc, dtype=float)
 
     def value(self, point: DomainPoint) -> complex:
-        raise NotImplementedError
-
-    def dbar(self, point: DomainPoint) -> np.ndarray:
-        return dbar_jacobian(self.value, point)
-
-    def __call__(self, point: DomainPoint) -> complex:
-        return self.value(point)
-
-    def __add__(self, other):
-        return SumField(self, as_field(other))
-
-    def __radd__(self, other):
-        return SumField(as_field(other), self)
-
-    def __sub__(self, other):
-        return SumField(self, ScaledField(as_field(other), -1.0))
-
-    def __mul__(self, other):
-        return ProductField(self, as_field(other))
-
-    def __rmul__(self, other):
-        return ProductField(as_field(other), self)
-
-    def __truediv__(self, other):
-        return QuotientField(self, as_field(other))
-
-    def __pow__(self, k: int):
-        return PowerField(self, k)
-
-    def __neg__(self):
-        return ScaledField(self, -1.0)
-
-
-class ConstantField(ScalarField):
-    def __init__(self, c):
-        self.c = complex(c)
-
-    def value(self, point):
-        return self.c
-
-    def dbar(self, point):
-        return np.zeros(point.frame.n, dtype=complex)
-
-
-def as_field(x) -> ScalarField:
-    if isinstance(x, ScalarField):
-        return x
-    return ConstantField(x)
-
-
-class PairField(ScalarField):
-    """Z -> (lambda, psi(Z)); holomorphic, so dbar = 0."""
-
-    def __init__(self, lam_fc: np.ndarray):
-        self.lam = np.asarray(lam_fc, dtype=float)
-
-    def value(self, point):
-        return point.pair(self.lam)
-
-    def dbar(self, point):
-        return np.zeros(point.frame.n, dtype=complex)
-
-
-class PairBarField(ScalarField):
-    """Z -> (lambda, psi(Zbar)); dbar_j = 2 eps_j (lambda_j - lambda_e' zbar_j)."""
-
-    def __init__(self, lam_fc: np.ndarray):
-        self.lam = np.asarray(lam_fc, dtype=float)
-
-    def value(self, point):
         return point.pair_bar(self.lam)
 
-    def dbar(self, point):
-        eps = point.frame.eps
-        return 2.0 * eps * (self.lam[2:] - self.lam[1] * np.conj(point.z))
+    def dbar(self, point: DomainPoint) -> np.ndarray:
+        return pair_bar_dbar(self.lam, point)
 
 
-class QYField(ScalarField):
-    """Z -> q(Y); dbar_j = i eps_j y_j."""
+class QYField:
+    """Z -> q(Y) with its closed-form dbar."""
 
-    def value(self, point):
+    def value(self, point: DomainPoint) -> complex:
         return complex(point.q_y)
 
-    def dbar(self, point):
-        return 1j * point.frame.eps * point.y
+    def dbar(self, point: DomainPoint) -> np.ndarray:
+        return q_y_dbar(point)
 
 
-class QYPowerField(ScalarField):
-    """q(Y)^s for real s (q(Y) > 0 on the domain, so no branch issues)."""
+class _RatioField(PairBarField):
+    def value(self, point: DomainPoint) -> complex:
+        return point.pair_bar(self.lam) / complex(point.q_y)
 
-    def __init__(self, s: float):
-        self.s = float(s)
-
-    def value(self, point):
-        return complex(point.q_y ** self.s)
-
-    def dbar(self, point):
-        return (self.s * point.q_y ** (self.s - 1.0)
-                * 1j * point.frame.eps * point.y)
+    def dbar(self, point: DomainPoint) -> np.ndarray:
+        return ratio_dbar(self.lam, point)
 
 
-class SumField(ScalarField):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def value(self, point):
-        return self.a.value(point) + self.b.value(point)
-
-    def dbar(self, point):
-        return self.a.dbar(point) + self.b.dbar(point)
-
-
-class ScaledField(ScalarField):
-    def __init__(self, a, c):
-        self.a, self.c = a, complex(c)
-
-    def value(self, point):
-        return self.c * self.a.value(point)
-
-    def dbar(self, point):
-        return self.c * self.a.dbar(point)
-
-
-class ProductField(ScalarField):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def value(self, point):
-        return self.a.value(point) * self.b.value(point)
-
-    def dbar(self, point):
-        return (self.a.value(point) * self.b.dbar(point)
-                + self.b.value(point) * self.a.dbar(point))
-
-
-class QuotientField(ScalarField):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def value(self, point):
-        return self.a.value(point) / self.b.value(point)
-
-    def dbar(self, point):
-        bv = self.b.value(point)
-        return (self.a.dbar(point) * bv
-                - self.a.value(point) * self.b.dbar(point)) / bv ** 2
-
-
-class PowerField(ScalarField):
-    """Integer powers of an arbitrary field (negative allowed off zeros)."""
-
-    def __init__(self, base, k: int):
-        if k != int(k):
-            raise ValueError("PowerField needs an integer exponent")
-        self.base, self.k = base, int(k)
-
-    def value(self, point):
-        return self.base.value(point) ** self.k
-
-    def dbar(self, point):
-        v = self.base.value(point)
-        return self.k * v ** (self.k - 1) * self.base.dbar(point)
-
-
-def ratio_field(lam_fc: np.ndarray) -> ScalarField:
-    """The weight -1 scalar (lambda, psi(Zbar)) / q(Y)."""
-    return QuotientField(PairBarField(lam_fc), QYField())
+def ratio_field(lam_fc: np.ndarray) -> _RatioField:
+    """The weight -1 scalar (lambda, psi(Zbar)) / q(Y) with its closed-form
+    dbar."""
+    return _RatioField(lam_fc)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +158,9 @@ def star_top(c: complex, kappa: float, q_y: float) -> complex:
     return np.conj(c) * q_y ** kappa
 
 
-def xi_scalar(field: ScalarField, kappa: float,
-              point: DomainPoint) -> np.ndarray:
-    """xi_kappa f as an (n, n-1)-coefficient vector: q(Y)^kappa star(dbar f)."""
+def xi_scalar(field, kappa: float, point: DomainPoint) -> np.ndarray:
+    """xi_kappa f as an (n, n-1)-coefficient vector: q(Y)^kappa star(dbar f),
+    for a field with a dbar(point) method."""
     f = field.dbar(point)
     return point.q_y ** kappa * star01(f, point.frame.eps, point.y, point.q_y)
 
@@ -291,7 +178,6 @@ def xi_top(vec_func, kappa: float, point: DomainPoint) -> complex:
     return star_top(dbar_top(vec_func, point), -kappa, point.q_y)
 
 
-def laplace_scalar(field: ScalarField, kappa: float,
-                   point: DomainPoint) -> complex:
+def laplace_scalar(field, kappa: float, point: DomainPoint) -> complex:
     """The weight-kappa laplacian xi_{-kappa} xi_kappa f at a point."""
     return xi_top(lambda pt: xi_scalar(field, kappa, pt), kappa, point)

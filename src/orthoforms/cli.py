@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from .quadratic import LatticeError, lattice_from_config
 from .series import SeriesError, SeriesSpec, eval_Omega, eval_omega
 from .special import limit_constant
 from .suites import (
-    ConfigError, RunConfig, RunParams, check_config_fields, parse_config, run,
+    ConfigError, RunConfig, check_config_fields, parse_config, run,
 )
 
 __all__ = ["main"]
@@ -100,16 +101,12 @@ def cmd_verify(args) -> int:
 
 def cmd_tube_limit(args) -> int:
     def tweak(config: RunConfig) -> RunConfig:
-        params = config.params
+        changes = {}
         if args.kappa is not None:
-            params = RunParams(**{**_params_dict(params),
-                                  "kappa_values": (args.kappa,)})
+            changes["kappa_values"] = (args.kappa,)
         if args.eps is not None:
-            params = RunParams(**{**_params_dict(params),
-                                  "eps_schedule": tuple(args.eps)})
-        return RunConfig(suite="tube_limit", lattice=config.lattice,
-                         params=params, output=config.output,
-                         extra=config.extra)
+            changes["eps_schedule"] = tuple(args.eps)
+        return replace(config, params=replace(config.params, **changes))
     return _run_suite(args, "tube_limit", tweak)
 
 
@@ -119,15 +116,6 @@ def cmd_restrict(args) -> int:
 
 def cmd_duality(args) -> int:
     return _run_suite(args, "duality")
-
-
-def _params_dict(p: RunParams) -> dict:
-    return {
-        "n_values": p.n_values, "kappa_values": p.kappa_values,
-        "samples": p.samples, "eps_schedule": p.eps_schedule,
-        "bound": p.bound, "seed": p.seed,
-        "tolerance_scale": p.tolerance_scale,
-    }
 
 
 def _frame_from_args(args) -> tuple:

@@ -84,6 +84,16 @@ def _reflection(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.eye(len(v)) - np.outer(v, g @ v) / qv
 
 
+def _model_and_target(frame: WittFrame, vector: Vec,
+                      q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The model column (b1 for q > 0, -b_n for q < 0) and the cycle vector
+    scaled to unit norm, v / sqrt(|q|), both in lattice coordinates."""
+    model = frame.from_frame[:, 2 if q > 0 else frame.n + 1].astype(float)
+    if q < 0:
+        model = -model
+    return model, vec_float(vector) / np.sqrt(abs(q))
+
+
 def transport_to(frame: WittFrame, vector: Sequence) -> np.ndarray:
     """A real isometry gamma with sqrt(|q|) gamma (model) = vector, where the
     model is b1 for positive norm and -b_n for negative norm.
@@ -92,18 +102,14 @@ def transport_to(frame: WittFrame, vector: Sequence) -> np.ndarray:
     fixed component of the domain is selected by a probe point.
     """
     g = frame.gram_float
-    v = vec_float(as_vec(vector))
-    q = float(frame.lattice.q(as_vec(vector)))
+    vec = as_vec(vector)
+    q = float(frame.lattice.q(vec))
     if q == 0:
         raise CycleError("cycle vector must have nonzero norm")
     n = frame.n
-    col = 2 if q > 0 else n + 1
-    model = frame.from_frame[:, col].astype(float).copy()
-    if q < 0:
-        model = -model
-    target = v / np.sqrt(abs(q))
+    model, target = _model_and_target(frame, vec, q)
     if np.max(np.abs(model - target)) < 1e-12:
-        return np.eye(len(v))
+        return np.eye(len(vec))
 
     candidates = []
     diff = model - target
@@ -185,12 +191,7 @@ class CycleChart:
         defect = np.max(np.abs(self.transport.T @ g @ self.transport - g))
         if defect > 1e-12:
             raise CycleError(f"transport is not an isometry (defect {defect:.2e})")
-        n = self.frame.n
-        col = 2 if self.norm > 0 else n + 1
-        model = self.frame.from_frame[:, col].astype(float)
-        if self.norm < 0:
-            model = -model
-        target = vec_float(self.vector) / np.sqrt(abs(self.norm))
+        model, target = _model_and_target(self.frame, self.vector, self.norm)
         carry = np.max(np.abs(self.transport @ model - target))
         if carry > 1e-9:
             raise CycleError(f"transport misses the cycle vector ({carry:.2e})")
@@ -638,25 +639,23 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
 
 def restrict_T(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
                eps: float, chart: CycleChart,
-               angle_nodes: int = 256,
                target: float = 1e-9) -> list[RestrictSample]:
     """Restriction samples of the (n, n-1)-form field H on the window of a
     negative-norm cycle: at each node, the circle integral at radius
     eps sqrt(q(Y')) and its Richardson eps -> 0 extrapolation."""
-    return restrict_samples(nu, H, kappa, eps, chart, "holomorphic",
-                            angle_nodes, target)
+    return restrict_samples(nu, H, kappa, eps, chart, target=target)
 
 
 def cycle_integral_T(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
                      eps: float, chart: CycleChart,
-                     angle_nodes: int = 256, target: float = 1e-8) -> complex:
+                     target: float = 1e-8) -> complex:
     """Window integral of the extrapolated restriction of H.
 
     Only the slot-n fiber integral survives the eps -> 0 limit; the base
     form it multiplies is dz_1..dz_{n-1} dzbar_1..dzbar_{n-1} up to the
     hat-basis sign, converted to the real window measure."""
     n = chart.frame.n
-    samples = restrict_T(nu, H, kappa, eps, chart, angle_nodes, target)
+    samples = restrict_T(nu, H, kappa, eps, chart, target)
     base = sum(s.weight * s.extrapolated for s in samples)
     m = n - 1
     reorder = hat_sign(n, n) * (-1.0) ** m * _top_sign(m)

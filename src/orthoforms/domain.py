@@ -287,28 +287,27 @@ def metric_det(n: int, q_y: float) -> float:
 # sampling helpers (seeded, used by the verification suites)
 
 
-def sample_point(frame: WittFrame, rng: np.random.Generator,
-                 y1_range=(0.8, 2.5), spread=0.55) -> DomainPoint:
-    """A random point of the fixed component with q(Y) bounded away from 0."""
+def sample_point(frame: WittFrame, rng: np.random.Generator) -> DomainPoint:
+    """A random point of the fixed component with q(Y) bounded away from 0:
+    y1 in [0.8, 2.5] and |y_j / y1| at most 0.55 for j > 1."""
     n = frame.n
     x = rng.uniform(-2.0, 2.0, n)
     y = np.zeros(n)
-    y[0] = rng.uniform(*y1_range)
+    y[0] = rng.uniform(0.8, 2.5)
     if n > 1:
         rest = rng.uniform(-1.0, 1.0, n - 1)
         norm = np.sqrt(np.sum(rest ** 2))
         if norm > 1e-12:
-            radius = spread * rng.uniform(0.1, 1.0)
+            radius = 0.55 * rng.uniform(0.1, 1.0)
             rest = rest / max(norm, 1.0) * radius
         y[1:] = rest * y[0]
     return DomainPoint(frame, x + 1j * y)
 
 
-def sample_vector(frame: WittFrame, rng: np.random.Generator,
-                  span: int = 3) -> Vec:
-    """A random nonzero integral lattice vector with small entries."""
+def sample_vector(frame: WittFrame, rng: np.random.Generator) -> Vec:
+    """A random nonzero integral lattice vector with entries in -3..3."""
     d = frame.lattice.dim
     while True:
-        v = rng.integers(-span, span + 1, d)
+        v = rng.integers(-3, 4, d)
         if np.any(v):
             return as_vec([int(a) for a in v])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import central_differences, star01
+from .calculus import central_differences, ratio_dbar, star01
 from .domain import DomainPoint, act, q_plus_minus
 from .special import hyp2f1
 
@@ -53,20 +53,9 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
     return pair ** (-kappa)
 
 
-def ratio_gradient(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
-    """Components of dbar[(lambda, psi(Zbar)) / q(Y)], in closed form."""
-    lam = np.asarray(lam_fc, dtype=float)
-    eps = point.frame.eps
-    qy = point.q_y
-    pair_bar = point.pair_bar(lam)
-    grad_pb = 2.0 * eps * (lam[2:] - lam[1] * np.conj(point.z))
-    grad_qy = 1j * eps * point.y
-    return (grad_pb * qy - pair_bar * grad_qy) / qy ** 2
-
-
 def p_components(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
     """The (n, n-1)-form xi_1[(lambda, psi(Zbar))/q(Y)] in the hat basis."""
-    f = ratio_gradient(lam_fc, point)
+    f = ratio_dbar(np.asarray(lam_fc, dtype=float), point)
     return point.q_y * star01(f, point.frame.eps, point.y, point.q_y)
 
 

@@ -19,14 +19,15 @@ def _is_nonpositive_int(x: float) -> bool:
     return x <= 0 and abs(x - round(x)) < 1e-12
 
 
-def _series(a: float, b: float, c: float, z: float, tol: float,
-            max_terms: int) -> float:
+def _series(a: float, b: float, c: float, z: float) -> float:
+    """The hypergeometric series summed until a term falls below 1e-15 of
+    the partial sum (or of 1), giving up after 200,000 terms."""
     total = 1.0
     term = 1.0
-    for k in range(max_terms):
+    for k in range(200_000):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
-        if abs(term) < tol * max(1.0, abs(total)):
+        if abs(term) < 1e-15 * max(1.0, abs(total)):
             return total
         if term == 0.0:
             return total
@@ -34,8 +35,7 @@ def _series(a: float, b: float, c: float, z: float, tol: float,
         f"hypergeometric series did not converge for z={z}")
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, tol: float = 1e-15,
-           max_terms: int = 200_000) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function F(a, b; c; z) for real parameters with
     z < 1, or z = 1 when c - a - b > 0 (principal branch).
 
@@ -65,8 +65,8 @@ def hyp2f1(a: float, b: float, c: float, z: float, tol: float = 1e-15,
     if z <= -0.5:
         # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1))
         w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * _series(a, c - b, c, w, tol, max_terms)
-    return _series(a, b, c, z, tol, max_terms)
+        return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
+    return _series(a, b, c, z)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +101,15 @@ def gauss_legendre_grid(axes, counts) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([g.ravel() for g in grid], axis=-1), weights
 
 
-def integrate_adaptive(func, lo: float, hi: float, tol: float = 1e-13,
-                       start_nodes: int = 16, max_nodes: int = 4096) -> float:
-    """Gauss-Legendre with node doubling until two refinements agree."""
-    nodes = start_nodes
+def integrate_adaptive(func, lo: float, hi: float) -> float:
+    """Gauss-Legendre with node doubling from 16 nodes until two refinements
+    agree to 1e-13 (relative above 1), giving up past 4096 nodes."""
+    nodes = 16
     prev = gauss_legendre(func, lo, hi, nodes)
-    while nodes <= max_nodes:
+    while nodes <= 4096:
         nodes *= 2
         cur = gauss_legendre(func, lo, hi, nodes)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= 1e-13 * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise SpecialFunctionError("quadrature did not converge")

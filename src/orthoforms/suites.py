@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -151,17 +151,6 @@ class RunParams:
     tolerance_scale: float = 1.0
 
 
-_PARAM_FIELDS = {
-    "n_values": tuple,
-    "kappa_values": tuple,
-    "samples": int,
-    "eps_schedule": tuple,
-    "bound": float,
-    "seed": int,
-    "tolerance_scale": float,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     suite: str
@@ -172,11 +161,12 @@ class RunConfig:
 
 
 def parse_params(data: dict) -> RunParams:
+    kinds = {f.name: type(f.default) for f in fields(RunParams)}
     kwargs = {}
     for key, raw in data.items():
-        if key not in _PARAM_FIELDS:
+        if key not in kinds:
             raise ConfigError(f"parameters.{key}", "unknown parameter")
-        kind = _PARAM_FIELDS[key]
+        kind = kinds[key]
         try:
             if kind is tuple:
                 kwargs[key] = tuple(
@@ -406,8 +396,9 @@ def suite_identities(ctx: SuiteContext) -> list[CheckRecord]:
 # kernel suite
 
 
-def _offcycle_sample(frame, rng, sign=0, min_margin=0.05):
-    """A (point, lam) pair bounded away from both kernel singular loci.
+def _offcycle_sample(frame, rng, sign=0):
+    """A (point, lam) pair bounded away from both kernel singular loci:
+    |q_minus| and q_plus above 0.05, |(lambda, psi(Zbar))| above 0.3.
 
     sign > 0 (< 0) forces a positive-norm (negative-norm) vector; sign == 0
     accepts any nonzero norm.
@@ -419,7 +410,7 @@ def _offcycle_sample(frame, rng, sign=0, min_margin=0.05):
         if q_lam == 0.0 or q_lam * sign < 0:
             continue
         q_plus, q_minus = q_plus_minus(frame, fc, point)
-        if (abs(q_minus) > min_margin and q_plus > min_margin
+        if (abs(q_minus) > 0.05 and q_plus > 0.05
                 and abs(point.pair_bar(fc)) > 0.3):
             return point, lam, fc
     raise RuntimeError("sampler failed to leave the singular loci")
@@ -486,6 +477,7 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                         "xi-preimage", ins, pre, 1e-6 * p.tolerance_scale))
 
         slash = 0.0
+        skipped = 0
         kappa = n + 2
         gens = list(group)
         for _ in range(points):
@@ -498,12 +490,19 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                         gamma, lambda pt: p_tilde_components(fc, kappa, pt),
                         -kappa, point)
                 except KernelSingularity:
+                    skipped += 1
                     continue
                 slash = max(slash, float(np.max(np.abs(left - right)))
                             / max(1.0, float(np.max(np.abs(left)))))
+        note = ""
+        if skipped:
+            note = (f"{skipped} of {2 * points} (point, generator) pairs "
+                    f"skipped: kernel singular")
+        if skipped == 2 * points:
+            slash = math.inf
         out.append(_worst(f"kernel/slash-equivariance/n{n}",
                           "slash-equivariance", inputs, slash,
-                          1e-6 * p.tolerance_scale))
+                          1e-6 * p.tolerance_scale, note=note))
     return out
 
 
@@ -511,8 +510,8 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
 # constants suite
 
 
-def _trapezoid_radial(n: int, count: int = 200001) -> float:
-    r = np.linspace(0.0, 1.0, count)
+def _trapezoid_radial(n: int) -> float:
+    r = np.linspace(0.0, 1.0, 200001)
     f = r ** (n - 2) * (r * r + 1.0) ** (-n / 2.0)
     return float(np.trapezoid(f, r))
 
@@ -924,15 +923,7 @@ def run(config: RunConfig) -> Report:
         "config_digest": _digest({
             "suite": config.suite,
             "lattice": config.lattice,
-            "parameters": {
-                "n_values": list(config.params.n_values),
-                "kappa_values": list(config.params.kappa_values),
-                "samples": config.params.samples,
-                "eps_schedule": list(config.params.eps_schedule),
-                "bound": config.params.bound,
-                "seed": config.params.seed,
-                "tolerance_scale": config.params.tolerance_scale,
-            },
+            "parameters": asdict(config.params),
         }),
     }
     return Report(header, tuple(records))

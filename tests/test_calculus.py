@@ -3,14 +3,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthoforms.calculus import (ConstantField, PairBarField, PairField,
-                                 ProductField, QYField, QYPowerField,
+from orthoforms.calculus import (PairBarField, QYField,
                                  central_differences, dbar_jacobian,
                                  laplace_scalar,
                                  measure_factor, ratio_field, star01, star_nn1,
                                  star_pair, star_top, xi_scalar, xi_top)
 from orthoforms.domain import q_plus_minus, sample_point, sample_vector
 from orthoforms.quadratic import vec_float
+
+
+class _HolomorphicPair:
+    """Z -> (lambda, psi(Z)); holomorphic, so dbar = 0."""
+
+    def __init__(self, lam_fc):
+        self.lam = lam_fc
+
+    def value(self, point):
+        return point.pair(self.lam)
+
+    def dbar(self, point):
+        return np.zeros(point.frame.n, dtype=complex)
 
 
 def _setup(setup_n, rng):
@@ -23,17 +35,8 @@ def _setup(setup_n, rng):
 def test_dbar_catalog_matches_finite_differences(setup_n, rng):
     """Every cataloged analytic dbar agrees with the Richardson FD oracle."""
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
-    fields = [
-        PairField(fc),
-        PairBarField(fc),
-        QYField(),
-        QYPowerField(2.5),
-        QYPowerField(-1.5),
-        ProductField(PairField(fc), PairBarField(fc)),
-        ratio_field(fc),
-        PairBarField(fc) ** 3,
-        (PairBarField(fc) + 2.0) * QYField() - PairField(fc) / QYPowerField(2.0),
-    ]
+    fields = [_HolomorphicPair(fc), PairBarField(fc), QYField(),
+              ratio_field(fc)]
     for field in fields:
         analytic = field.dbar(p)
         numeric = dbar_jacobian(field.value, p)
@@ -190,7 +193,7 @@ def test_laplace_eigenfunction(setup_n, rng):
 
 def test_xi_scalar_of_holomorphic_vanishes(setup_n, rng):
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
-    assert np.allclose(xi_scalar(PairField(fc), 3, p), 0.0, atol=1e-12)
+    assert np.allclose(xi_scalar(_HolomorphicPair(fc), 3, p), 0.0, atol=1e-12)
 
 
 def test_xi_top_of_constant_coefficients(setup_n, rng):

@@ -9,6 +9,7 @@ import pytest
 from orthoforms import suites
 from orthoforms.cli import main
 from orthoforms.cycles import QuadratureError
+from orthoforms.kernels import KernelSingularity
 from orthoforms.special import limit_constant
 from orthoforms.suites import (
     ConfigError, RunConfig, RunParams, parse_config, run,
@@ -202,6 +203,53 @@ def test_tube_limit_notes_unconfirmed_quadrature(monkeypatch):
         note = records[f"tube_limit/{kind}/kappa3"].note
         assert "eps=0.05:" in note and "eps=0.025:" in note
         assert "eps=0.1:" not in note
+
+
+@pytest.mark.parametrize("singular_every", [2, 1], ids=["some", "all"])
+def test_kernel_suite_counts_skipped_slash_pairs(monkeypatch, singular_every):
+    """Slash pairs skipped as singular are counted in the note, and the
+    record fails when no pair was evaluated at all."""
+    calls = []
+    form_slash = suites.form_slash
+
+    def sometimes_singular(gamma, vec_func, weight, point):
+        calls.append(gamma)
+        if len(calls) % singular_every == 0:
+            raise KernelSingularity("forced", None, "test", 0.0)
+        return form_slash(gamma, vec_func, weight, point)
+
+    monkeypatch.setattr(suites, "form_slash", sometimes_singular)
+    report = run(RunConfig(suite="kernel", params=RunParams(
+        n_values=(1,), samples=8)))
+    record = {r.check_id: r for r in report.records}[
+        "kernel/slash-equivariance/n1"]
+    skipped = 4 // singular_every
+    assert record.note == (f"{skipped} of 4 (point, generator) pairs "
+                           f"skipped: kernel singular")
+    if singular_every == 1:
+        assert record.value == math.inf and not record.passed
+        assert not report.passed
+    else:
+        assert record.passed and report.passed
+
+
+def test_tube_limit_overrides_match_config_file(tmp_path, monkeypatch):
+    """tube-limit --kappa/--eps build the config the equivalent file does."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return suites.Report({}, ())
+
+    monkeypatch.setattr("orthoforms.cli.run", capture)
+    assert main(["tube-limit", "--kappa", "3", "--eps", "0.1,0.05"]) == 0
+    cfg = _write_config(tmp_path, {
+        "suite": "tube_limit",
+        "parameters": {"kappa_values": [3], "eps_schedule": [0.1, 0.05]}})
+    assert main(["tube-limit", "--config", cfg]) == 0
+    assert seen[0] == seen[1]
+    assert seen[0].params.kappa_values == (3,)
+    assert seen[0].params.eps_schedule == (0.1, 0.05)
 
 
 def test_duality_without_cycle_data_exits_2(capsys):

@@ -9,7 +9,7 @@ from orthoforms.domain import DomainPoint, q_plus_minus, sample_point
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
-                                p_tilde_components, ratio_gradient,
+                                p_tilde_components,
                                 xi_image_reference)
 from orthoforms.quadratic import as_vec
 
@@ -172,7 +172,7 @@ def test_gradient_wedge_p(setup_n, rng):
     lam = _vector_with_sign(frame, rng, +1)
     fc = frame.frame_coords(lam)
     p = _regular_point(frame, fc, rng, n + 1)
-    f = ratio_gradient(fc, p)
+    f = ratio_field(fc).dbar(p)
     g = p_components(fc, p)
     # f ^ (g in hat basis) = -(4i q(Y))^n sum f_j g_j  times dmu
     wedge = -measure_factor(n, p.q_y) * np.sum(f * g)
