@@ -76,11 +76,13 @@ def q_y_dbar(point: DomainPoint) -> np.ndarray:
     return 1j * point.frame.eps * point.y
 
 
-def ratio_dbar(lam: np.ndarray, point: DomainPoint) -> np.ndarray:
-    """dbar[(lambda, psi(Zbar)) / q(Y)] by the quotient rule."""
+def ratio_dbar(lam: np.ndarray, point: DomainPoint,
+               pair_bar: complex) -> np.ndarray:
+    """dbar[(lambda, psi(Zbar)) / q(Y)] by the quotient rule, given the
+    numerator pair_bar = (lambda, psi(Zbar))."""
     qy = point.q_y
     return (pair_bar_dbar(lam, point) * qy
-            - point.pair_bar(lam) * q_y_dbar(point)) / qy ** 2
+            - pair_bar * q_y_dbar(point)) / qy ** 2
 
 
 class PairBarField:
@@ -111,7 +113,7 @@ class _RatioField(PairBarField):
         return point.pair_bar(self.lam) / complex(point.q_y)
 
     def dbar(self, point: DomainPoint) -> np.ndarray:
-        return ratio_dbar(self.lam, point)
+        return ratio_dbar(self.lam, point, point.pair_bar(self.lam))
 
 
 def ratio_field(lam_fc: np.ndarray) -> _RatioField:
@@ -132,9 +134,11 @@ def measure_factor(n: int, q_y: float) -> complex:
 def star01(f: np.ndarray, eps: np.ndarray, y: np.ndarray,
            q_y: float) -> np.ndarray:
     """Antilinear star of a (0,1)-form, as an (n, n-1)-coefficient vector:
-    out_j = -(1 / (2 (4i q_y)^n)) sum_i conj(f_i) h^{ij}."""
-    h_up = metric_upper(eps, y, q_y)
-    return -(np.conj(f) @ h_up) / (2.0 * measure_factor(len(y), q_y))
+    out_j = -(1 / (2 (4i q_y)^n)) sum_i conj(f_i) h^{ij}, written out with
+    h^{ij} = 4 y_i y_j - 2 q_y delta_ij eps_i."""
+    fb = np.conj(f)
+    return (-(4.0 * (fb @ y) * y - 2.0 * q_y * eps * fb)
+            / (2.0 * measure_factor(len(y), q_y)))
 
 
 def star_nn1(g: np.ndarray, eps: np.ndarray, y: np.ndarray,

@@ -21,6 +21,12 @@ above a compact window are computed by exact pullback of the coordinate
 hat-basis along phi_eps, with tensor Gauss-Legendre quadrature and a
 node-doubling error estimate.
 
+The geometry of a face or shell strip is computed once per quadrature grid,
+as arrays over its node rows: the collar map, its closed-form Jacobian
+(pushed forward by the action Jacobian on a transported chart) and the
+signed hat minors from one stacked determinant.  Only the callbacks h and
+H, which take one DomainPoint each, run per node.
+
 All quadrature faces are oriented against the parameter order
 (x1', y1', x2', y2', ...), which is orientation-positive for the domain;
 a face freezing the k-th parameter at its boundary with outward direction
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -213,7 +220,7 @@ class CycleChart:
 
     # -- geometry -----------------------------------------------------------
 
-    @property
+    @cached_property
     def is_identity_transport(self) -> bool:
         return bool(np.max(np.abs(self.transport -
                                   np.eye(self.frame.lattice.dim))) < 1e-14)
@@ -238,34 +245,68 @@ class CycleChart:
 
 
 # ---------------------------------------------------------------------------
-# the collar map and its exact partials
+# the collar map and its exact partials, one row per quadrature node
+
+# grid rows whose geometry is held as arrays at once: enough to make the
+# per-row numpy cost negligible, few enough that a fine grid's columns and
+# minor blocks stay a few hundred kilobytes
+_BLOCK_ROWS = 512
 
 
 def _phi(u: np.ndarray, eps: float) -> np.ndarray:
-    """Collar coordinates u = (x1', y1', x2', y2', ...) -> Z."""
-    n = len(u) // 2
-    x = u[0::2]
-    y = u[1::2]
-    z = np.empty(n, dtype=complex)
-    z[0] = eps * y[0] * x[0] + 1j * y[0]
-    for j in range(1, n):
-        z[j] = x[j] + 1j * eps * y[0] * y[j]
+    """Collar coordinates u = (x1', y1', x2', y2', ...) -> Z, row by row:
+    (N, 2n) -> (N, n)."""
+    x = u[:, 0::2]
+    y = u[:, 1::2]
+    z = x + 1j * eps * y[:, :1] * y
+    z[:, 0] = eps * y[:, 0] * x[:, 0] + 1j * y[:, 0]
     return z
 
 
 def _phi_jacobian(u: np.ndarray, eps: float) -> np.ndarray:
-    """d z_a / d u_k as an (n x 2n) complex matrix, in closed form."""
-    n = len(u) // 2
-    x = u[0::2]
-    y = u[1::2]
-    dz = np.zeros((n, 2 * n), dtype=complex)
-    dz[0, 0] = eps * y[0]
-    dz[0, 1] = eps * x[0] + 1j
+    """d z_a / d u_k in closed form, row by row: (N, 2n) -> (N, n, 2n)."""
+    n = u.shape[1] // 2
+    x = u[:, 0::2]
+    y = u[:, 1::2]
+    dz = np.zeros((len(u), n, 2 * n), dtype=complex)
+    dz[:, 0, 0] = eps * y[:, 0]
+    dz[:, 0, 1] = eps * x[:, 0] + 1j
     for j in range(1, n):
-        dz[j, 1] = 1j * eps * y[j]
-        dz[j, 2 * j] = 1.0
-        dz[j, 2 * j + 1] = 1j * eps * y[0]
+        dz[:, j, 1] = 1j * eps * y[:, j]
+        dz[:, j, 2 * j] = 1.0
+        dz[:, j, 2 * j + 1] = 1j * eps * y[:, 0]
     return dz
+
+
+def _hat_minors(cols: np.ndarray) -> np.ndarray:
+    """Signed hat-basis minors of face tangents: for columns
+    (N, n, 2n-1) = d z / d(free params), out[:, j] is s_j times the
+    determinant of the dz rows over the dzbar rows without dzbar_j,
+    taken by one stacked det over (N, n, 2n-1, 2n-1)."""
+    n = cols.shape[1]
+    blocks = np.empty((len(cols), n) + cols.shape[2:] * 2, dtype=complex)
+    blocks[:, :, :n] = cols[:, None]
+    for j in range(n):
+        np.conj(cols[:, :j], out=blocks[:, j, n:n + j])
+        np.conj(cols[:, j + 1:], out=blocks[:, j, n + j:])
+    signs = np.array([hat_sign(n, j + 1) for j in range(n)])
+    return np.linalg.det(blocks) * signs
+
+
+def _transport_rows(chart: CycleChart, z: np.ndarray,
+                    cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Model-chart rows z (N, n) and tangent columns cols (N, n, k) carried
+    by the chart transport: the image points, and the columns multiplied by
+    the action Jacobian at each node.  The identity returns them as given."""
+    if chart.is_identity_transport:
+        return z, cols
+    moved = np.empty_like(z)
+    pushed = np.empty_like(cols)
+    for i, zi in enumerate(z):
+        point = DomainPoint(chart.frame, zi)
+        pushed[i] = action_jacobian(chart.transport, point) @ cols[i]
+        moved[i] = act(chart.frame, chart.transport, point)[0].z
+    return moved, pushed
 
 
 class _Face(NamedTuple):
@@ -300,35 +341,34 @@ def _tube_faces(chart: CycleChart, scale: int = 1) -> list[_Face]:
     raise CycleError("tube boundary faces are implemented for n <= 2")
 
 
+def _face_nodes(chart: CycleChart, face: _Face, eps: float):
+    """(Z, weight, signed hat minors) at each quadrature node of a face, the
+    geometry computed as arrays over blocks of grid rows."""
+    n = chart.frame.n
+    free = [i for i in range(2 * n) if i != face.fixed_index]
+    params, weights = gauss_legendre_grid(face.axes, face.counts)
+    for lo in range(0, len(weights), _BLOCK_ROWS):
+        block = params[lo:lo + _BLOCK_ROWS]
+        u = np.empty((len(block), 2 * n))
+        u[:, free] = block
+        u[:, face.fixed_index] = face.fixed_value
+        z, cols = _transport_rows(chart, _phi(u, eps),
+                                  _phi_jacobian(u, eps)[:, :, free])
+        yield from zip(z, weights[lo:lo + _BLOCK_ROWS], _hat_minors(cols))
+
+
 def _face_form_integral(chart: CycleChart, face: _Face, eps: float,
                         h: Callable[[DomainPoint], complex],
                         H: Callable[[DomainPoint], np.ndarray]) -> complex:
     """Integral of the (2n-1)-form h H over one boundary face."""
     frame = chart.frame
-    n = frame.n
-    free = [i for i in range(2 * n) if i != face.fixed_index]
-    signs = np.array([hat_sign(n, j + 1) for j in range(n)])
     total = 0.0 + 0.0j
-    u = np.zeros(2 * n)
-    u[face.fixed_index] = face.fixed_value
-    for params, weight in zip(*gauss_legendre_grid(face.axes, face.counts)):
-        u[free] = params
-        point = DomainPoint(frame, _phi(u, eps))
-        cols = _phi_jacobian(u, eps)[:, free]
-        if not chart.is_identity_transport:
-            jac = action_jacobian(chart.transport, point)
-            point, _ = act(frame, chart.transport, point)
-            cols = jac @ cols
+    for z, weight, minor in _face_nodes(chart, face, eps):
+        point = DomainPoint(frame, z)
         hv = h(point)
         if hv == 0:
             continue
-        comps = H(point)
-        stacked = np.vstack([cols, np.conj(cols)])
-        val = 0.0 + 0.0j
-        for j in range(n):
-            rows = [r for r in range(2 * n) if r != n + j]
-            val += comps[j] * signs[j] * np.linalg.det(stacked[rows])
-        total += weight * hv * val
+        total += weight * hv * (H(point) @ minor)
     return face.sign * total
 
 
@@ -447,12 +487,11 @@ def _shell_strips(n: int, e1: float, e2: float) -> list[tuple]:
     ]
 
 
-def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
-                           e1: float, e2: float) -> complex:
-    frame = chart.frame
-    n = frame.n
-    top = _top_sign(n)
-    total = 0.0 + 0.0j
+def _shell_nodes(chart: CycleChart, e1: float, e2: float):
+    """(Z, weight, signed coordinate volume factor) at each quadrature node
+    of the shell strips, the geometry computed as arrays over blocks of grid
+    rows."""
+    n = chart.frame.n
     for strip in _shell_strips(n, e1, e2):
         # u-order: x1', y1', x2', y2', ...; collar axes are x1' (index 0)
         # and y_j' (odd indices >= 3); window axes fill the rest.
@@ -461,18 +500,30 @@ def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
         for j in range(1, n):
             axes += [chart.window[j], strip[j]]
             counts += [chart.nodes[j], chart.collar_nodes]
-        for u, weight in zip(*gauss_legendre_grid(axes, counts)):
-            point = DomainPoint(frame, _phi(u, 1.0))
-            hv = h_field.value(point)
-            dbar_h = h_field.dbar(point)
-            if hv == 0 and not np.any(dbar_h):
-                continue
-            q_factor = measure_factor(n, point.q_y)
-            coeff = hv * dbar_coeff(point) - q_factor * complex(
-                dbar_h @ p_field(point))
+        grid, weights = gauss_legendre_grid(axes, counts)
+        for lo in range(0, len(weights), _BLOCK_ROWS):
+            u = grid[lo:lo + _BLOCK_ROWS]
             dz = _phi_jacobian(u, 1.0)
-            det_full = np.linalg.det(np.vstack([dz, np.conj(dz)]))
-            total += weight * coeff * top * det_full / q_factor
+            dets = _top_sign(n) * np.linalg.det(
+                np.concatenate([dz, np.conj(dz)], axis=1))
+            yield from zip(_phi(u, 1.0), weights[lo:lo + _BLOCK_ROWS], dets)
+
+
+def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
+                           e1: float, e2: float) -> complex:
+    frame = chart.frame
+    n = frame.n
+    total = 0.0 + 0.0j
+    for z, weight, det in _shell_nodes(chart, e1, e2):
+        point = DomainPoint(frame, z)
+        hv = h_field.value(point)
+        dbar_h = h_field.dbar(point)
+        if hv == 0 and not np.any(dbar_h):
+            continue
+        q_factor = measure_factor(n, point.q_y)
+        coeff = hv * dbar_coeff(point) - q_factor * complex(
+            dbar_h @ p_field(point))
+        total += weight * coeff * det / q_factor
     return total
 
 

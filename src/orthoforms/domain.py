@@ -135,10 +135,6 @@ class WittFrame:
         """q of a vector given in frame coordinates."""
         return float(lam[0] * lam[1] + self.q_w(lam[2:]))
 
-    def pair_psi(self, lam: np.ndarray, z: np.ndarray):
-        """(lambda, psi(Z)) for lambda in frame coordinates, Z in W(C)."""
-        return lam[0] - lam[1] * self.q_w(z) + 2.0 * (self.eps * lam[2:] * z).sum()
-
 
 @dataclass(frozen=True)
 class DomainPoint:
@@ -188,11 +184,16 @@ class DomainPoint:
         return self.psi.imag
 
     def pair(self, lam: np.ndarray) -> complex:
-        """(lambda, psi(Z)); lam in frame coordinates."""
-        return complex(self.frame.pair_psi(lam, self.z))
+        """(lambda, psi(Z)) = lambda_e - lambda_e' q(Z) + (lambda_W, Z);
+        lam in frame coordinates."""
+        return complex(lam[0] - lam[1] * self.q_z
+                       + 2.0 * (self.frame.eps * lam[2:] * self.z).sum())
 
     def pair_bar(self, lam: np.ndarray) -> complex:
-        return complex(self.frame.pair_psi(lam, np.conj(self.z)))
+        """(lambda, psi(Zbar)); for real lam every product and sum of the
+        pairing commutes with conjugation, so this is exactly the conjugate
+        of (lambda, psi(Z))."""
+        return self.pair(lam).conjugate()
 
     def replace(self, z: np.ndarray) -> "DomainPoint":
         return DomainPoint(self.frame, z)
@@ -250,13 +251,19 @@ def project(frame: WittFrame, lam_lattice: Sequence,
     return vec_plus, q_plus, q_minus
 
 
+def norm_split(q_lam: float, pair: complex,
+               q_y: float) -> tuple[float, float]:
+    """(q_plus, q_minus) of a vector of norm q_lam with (lambda, psi(Z)) =
+    pair, by the product formula q_plus = |pair|^2 / (4 q(Y))."""
+    q_plus = (pair * pair.conjugate()).real / (4.0 * q_y)
+    return q_plus, q_lam - q_plus
+
+
 def q_plus_minus(frame: WittFrame, lam_frame: np.ndarray,
                  point: DomainPoint) -> tuple[float, float]:
     """(q_plus, q_minus) from the product formula, for frame coordinates."""
-    pair = point.pair(lam_frame)
-    pair_b = point.pair_bar(lam_frame)
-    q_plus = (pair * pair_b).real / (4.0 * point.q_y)
-    return q_plus, frame.q_lambda(lam_frame) - q_plus
+    return norm_split(frame.q_lambda(lam_frame), point.pair(lam_frame),
+                      point.q_y)
 
 
 def majorant_at(frame: WittFrame, point: DomainPoint) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import central_differences, ratio_dbar, star01
-from .domain import DomainPoint, act, q_plus_minus
+from .domain import DomainPoint, act, norm_split
 from .special import hyp2f1
 
 GUARD = 1e-12
@@ -53,10 +53,17 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
     return pair ** (-kappa)
 
 
+def _p_hat(lam: np.ndarray, point: DomainPoint,
+           pair_bar: complex) -> np.ndarray:
+    """p(lambda) in the hat basis, given pair_bar = (lambda, psi(Zbar))."""
+    f = ratio_dbar(lam, point, pair_bar)
+    return point.q_y * star01(f, point.frame.eps, point.y, point.q_y)
+
+
 def p_components(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
     """The (n, n-1)-form xi_1[(lambda, psi(Zbar))/q(Y)] in the hat basis."""
-    f = ratio_dbar(np.asarray(lam_fc, dtype=float), point)
-    return point.q_y * star01(f, point.frame.eps, point.y, point.q_y)
+    lam = np.asarray(lam_fc, dtype=float)
+    return _p_hat(lam, point, point.pair_bar(lam))
 
 
 def xi_image_reference(lam_fc: np.ndarray, kappa: int,
@@ -77,7 +84,9 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
 
     rep selects the hypergeometric representation: "plus" (adapted to
     q(lambda) > 0, argument q/q_plus), "minus" (adapted to q(lambda) < 0,
-    argument q/q_minus), or "auto".
+    argument q/q_minus), or "auto".  The pairing (lambda, psi(Z)) is
+    evaluated once; its conjugate (lambda, psi(Zbar)), q_plus / q_minus and
+    both prefactors are derived from it.
     """
     lam = np.asarray(lam_fc, dtype=float)
     frame = point.frame
@@ -89,9 +98,11 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
         if q_lam == 0.0:
             raise ValueError("q(lambda) = 0 is out of scope")
         rep = "plus" if q_lam > 0 else "minus"
-    q_plus, q_minus = q_plus_minus(frame, lam, point)
+    pair = point.pair(lam)
+    pair_bar = pair.conjugate()
+    q_plus, q_minus = norm_split(q_lam, pair, point.q_y)
     scale = max(1.0, abs(q_lam))
-    p = p_components(lam, point)
+    p = _p_hat(lam, point, pair_bar)
     half = kappa - n / 2.0
 
     if rep == "plus":
@@ -101,7 +112,6 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
         if q_plus < GUARD * scale:
             raise KernelSingularity("kernel singular on the negative-norm "
                                     "cycle", lam, "q_plus", q_plus)
-        pair = point.pair(lam)
         hyp = hyp2f1(1.0 - n / 2.0, half, half + 1.0, q_lam / q_plus)
         pref = (pair ** (kappa - 1)
                 / (-4.0 ** kappa * half * abs(q_minus) ** (n / 2.0))
@@ -109,7 +119,6 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
         return pref * hyp * p
 
     if rep == "minus":
-        pair_bar = point.pair_bar(lam)
         pair_scale = max(1.0, float(np.sqrt(point.q_y * abs(q_lam))))
         if abs(pair_bar) < GUARD * pair_scale:
             raise KernelSingularity("kernel singular on the negative-norm "

@@ -35,7 +35,7 @@ from .quadratic import (GroupData, Isometry, Vec, as_vec, enumerate_majorant,
 __all__ = [
     "SeriesError", "SeriesSpec", "SeriesResult", "enumerate_class",
     "sum_omega", "sum_Omega", "eval_omega", "eval_Omega",
-    "modularity_defect",
+    "modularity_defect", "modularity_check",
 ]
 
 
@@ -194,9 +194,16 @@ def modularity_defect(spec: SeriesSpec, point: DomainPoint,
     contract, exercised by the tests, is that the defect stays below the
     sum of the two tail estimates.
     """
+    return modularity_check(spec, eval_omega(spec, point), point, gamma)[0]
+
+
+def modularity_check(spec: SeriesSpec, base: SeriesResult, point: DomainPoint,
+                     gamma: Isometry) -> tuple[float, SeriesResult]:
+    """The modularity defect for a series already evaluated at the point,
+    base = eval_omega(spec, point), and the series at gamma Z it evaluates
+    on the way."""
     if isinstance(gamma, Isometry) and not gamma.preserves(spec.frame.lattice):
         raise SeriesError("gamma does not preserve the lattice")
-    base = eval_omega(spec, point)
     moved, j = act(spec.frame, gamma, point)
     far = eval_omega(spec, moved)
-    return abs(j ** (-spec.kappa) * far.value - base.value)
+    return abs(j ** (-spec.kappa) * far.value - base.value), far

@@ -48,7 +48,7 @@ from .kernels import (
 )
 from .quadratic import lattice_from_config, standard_lattice, vec_float
 from .series import (
-    SeriesSpec, enumerate_class, eval_Omega, eval_omega, modularity_defect,
+    SeriesSpec, enumerate_class, eval_Omega, eval_omega, modularity_check,
     sum_Omega,
 )
 from .special import limit_constant, radial_integral
@@ -416,6 +416,20 @@ def _offcycle_sample(frame, rng, sign=0):
     raise RuntimeError("sampler failed to leave the singular loci")
 
 
+def _guarded_worst(check_id: str, anchor: str, inputs: dict,
+                   deviation: float, tolerance: float, skipped: int,
+                   total: int, unit: str) -> CheckRecord:
+    """A worst-deviation record over a sweep that skips singular kernels:
+    the note counts the skipped samples, and a sweep that evaluated none
+    fails with deviation infinity."""
+    note = ""
+    if skipped:
+        note = f"{skipped} of {total} {unit} skipped: kernel singular"
+    if skipped == total:
+        deviation = math.inf
+    return _worst(check_id, anchor, inputs, deviation, tolerance, note=note)
+
+
 def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
     out = []
     p = ctx.params
@@ -438,24 +452,30 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                           1e-5 * p.tolerance_scale))
 
         dbar_dev = homog = 0.0
+        skipped = 0
         kappa = n + 2
         for _ in range(points):
             point, lam, fc = _offcycle_sample(frame, ctx.rng)
             field_fn = lambda pt: p_tilde_components(fc, kappa, pt)
-            top = -measure_factor(n, point.q_y) * np.trace(
-                dbar_jacobian(field_fn, point))
+            try:
+                top = -measure_factor(n, point.q_y) * np.trace(
+                    dbar_jacobian(field_fn, point))
+                scaled = p_tilde_components(3.0 * fc, kappa, point)
+                base = p_tilde_components(fc, kappa, point)
+            except KernelSingularity:
+                skipped += 1
+                continue
             ref = dbar_image_reference(fc, kappa, point)
             dbar_dev = max(dbar_dev, abs(top - ref) / max(1.0, abs(ref)))
-            scaled = p_tilde_components(3.0 * fc, kappa, point)
-            base = p_tilde_components(fc, kappa, point)
             homog = max(homog, float(np.max(np.abs(
                 scaled - 3.0 ** (-kappa) * base))) /
                 max(1.0, float(np.max(np.abs(base)))))
-        out.append(_worst(f"kernel/dbar-coefficient/n{n}", "dbar-coefficient",
-                          inputs, dbar_dev, 1e-5 * p.tolerance_scale))
-        out.append(_worst(f"kernel/kernel-homogeneity/n{n}",
-                          "kernel-homogeneity", inputs, homog,
-                          1e-9 * p.tolerance_scale))
+        out.append(_guarded_worst(
+            f"kernel/dbar-coefficient/n{n}", "dbar-coefficient", inputs,
+            dbar_dev, 1e-5 * p.tolerance_scale, skipped, points, "points"))
+        out.append(_guarded_worst(
+            f"kernel/kernel-homogeneity/n{n}", "kernel-homogeneity", inputs,
+            homog, 1e-9 * p.tolerance_scale, skipped, points, "points"))
 
         if n in (2, 4):
             for kappa in p.kappa_values:
@@ -463,18 +483,24 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                     continue
                 for sign, tag in ((+1, "pos"), (-1, "neg")):
                     pre = 0.0
+                    skipped = 0
                     ins = dict(inputs, kappa=kappa, sign=tag)
                     for _ in range(points):
                         point, lam, fc = _offcycle_sample(frame, ctx.rng,
                                                           sign)
                         field_fn = lambda pt: p_tilde_components(fc, kappa,
                                                                  pt)
-                        val = xi_top(field_fn, kappa, point)
+                        try:
+                            val = xi_top(field_fn, kappa, point)
+                        except KernelSingularity:
+                            skipped += 1
+                            continue
                         ref = xi_image_reference(fc, kappa, point)
                         pre = max(pre, abs(val - ref) / max(1e-6, abs(ref)))
-                    out.append(_worst(
+                    out.append(_guarded_worst(
                         f"kernel/xi-preimage/n{n}-kappa{kappa}-{tag}",
-                        "xi-preimage", ins, pre, 1e-6 * p.tolerance_scale))
+                        "xi-preimage", ins, pre, 1e-6 * p.tolerance_scale,
+                        skipped, points, "points"))
 
         slash = 0.0
         skipped = 0
@@ -494,15 +520,10 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                     continue
                 slash = max(slash, float(np.max(np.abs(left - right)))
                             / max(1.0, float(np.max(np.abs(left)))))
-        note = ""
-        if skipped:
-            note = (f"{skipped} of {2 * points} (point, generator) pairs "
-                    f"skipped: kernel singular")
-        if skipped == 2 * points:
-            slash = math.inf
-        out.append(_worst(f"kernel/slash-equivariance/n{n}",
-                          "slash-equivariance", inputs, slash,
-                          1e-6 * p.tolerance_scale, note=note))
+        out.append(_guarded_worst(
+            f"kernel/slash-equivariance/n{n}", "slash-equivariance", inputs,
+            slash, 1e-6 * p.tolerance_scale, skipped, 2 * points,
+            "(point, generator) pairs"))
     return out
 
 
@@ -583,9 +604,8 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
                 ins, abs(r1b.value - r1.value) + abs(r1b.tail - r1.tail)
                 + abs(r1b.count - r1.count), 0.0))
             for idx, gamma in enumerate(group):
-                defect = modularity_defect(spec, point, gamma)
-                moved, _ = act(frame, gamma, point)
-                tol = r1.tail + eval_omega(spec, moved).tail + 1e-12
+                defect, far = modularity_check(spec, r1, point, gamma)
+                tol = r1.tail + far.tail + 1e-12
                 out.append(_worst(
                     f"series/series-modularity/n{n}-m{m}-g{idx}",
                     "series-modularity", dict(ins, generator=idx), defect,
@@ -638,23 +658,27 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
         delta = cycle_integral_C(mu, h, kappa, chart, target=1e-9)
         c_lim = limit_constant(2, kappa)
         values = []
-        # eps -> note on the unconfirmed node doubling whose fine value is used
-        unsettled = {}
+        target = 1e-4
+        # eps -> the unconfirmed node doubling whose fine value is used
+        unsettled: dict[float, QuadratureError] = {}
         for eps in p.eps_schedule:
             try:
                 values.append(tube_boundary_integral(mu, h, H, eps, chart,
-                                                     target=1e-4))
+                                                     target=target))
             except QuadratureError as exc:
                 values.append(complex(exc.fine))
-                unsettled[eps] = (
-                    f"quadrature unconfirmed at eps={eps}: coarse = "
-                    f"{complex(exc.coarse)}, fine = {complex(exc.fine)} (fine "
-                    f"value used)")
+                unsettled[eps] = exc
         extrapolated = (richardson(values[-2], values[-1])
                         if len(values) >= 2 else values[-1])
 
+        def unconfirmed(eps) -> str:
+            exc = unsettled[eps]
+            return (f"quadrature unconfirmed at eps={eps}: coarse = "
+                    f"{complex(exc.coarse)}, fine = {complex(exc.fine)} (fine "
+                    f"value used)")
+
         def noted(text: str, at) -> str:
-            return text + "".join(f"; {unsettled[e]}" for e in at
+            return text + "".join(f"; {unconfirmed(e)}" for e in at
                                   if e in unsettled)
 
         stated = -c_lim * delta
@@ -677,6 +701,13 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
                 "tube-limit-curve", dict(ins, at=eps), complex(val),
                 complex(2.0 * stated), 1.0, diagnostic=True,
                 note=noted("convergence curve sample", [eps])))
+        for eps, exc in unsettled.items():
+            fine = complex(exc.fine)
+            gap = abs(fine - complex(exc.coarse)) / max(abs(fine), 1e-14)
+            out.append(_worst(
+                f"tube_limit/quadrature-gap/kappa{kappa}-eps{eps}",
+                "tube-limit-quadrature-gap", dict(ins, at=eps), gap, target,
+                diagnostic=True, note=unconfirmed(eps)))
     return out
 
 

@@ -8,7 +8,8 @@ from orthoforms.calculus import (PairBarField, QYField,
                                  laplace_scalar,
                                  measure_factor, ratio_field, star01, star_nn1,
                                  star_pair, star_top, xi_scalar, xi_top)
-from orthoforms.domain import q_plus_minus, sample_point, sample_vector
+from orthoforms.domain import (metric_upper, q_plus_minus, sample_point,
+                               sample_vector)
 from orthoforms.quadratic import vec_float
 
 
@@ -101,6 +102,19 @@ def test_star_roundtrips(setup_n, rng):
     weighted = qy ** kappa * star01(f, eps, y, qy)
     back = qy ** (-kappa) * star_nn1(weighted * qy ** kappa, eps, y, qy) / qy ** kappa
     assert np.allclose(back, f, atol=1e-10)
+
+
+def test_star01_closed_form_matches_metric_contraction(setup_n, rng):
+    """star01 written out equals conj(f) h^{ij} contracted with the full
+    inverse metric."""
+    lattice, frame, n, p, lam, fc = _setup(setup_n, rng)
+    eps, y, qy = frame.eps, p.y, p.q_y
+    for _ in range(50):
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = -(np.conj(f) @ metric_upper(eps, y, qy)) / (
+            2.0 * measure_factor(n, qy))
+        dev = np.max(np.abs(star01(f, eps, y, qy) - ref))
+        assert dev <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_wedge_against_star_is_pairing(setup_n, rng):

@@ -10,6 +10,7 @@ from orthoforms import suites
 from orthoforms.cli import main
 from orthoforms.cycles import QuadratureError
 from orthoforms.kernels import KernelSingularity
+from orthoforms.quadratic import lattice_from_config, standard_lattice
 from orthoforms.special import limit_constant
 from orthoforms.suites import (
     ConfigError, RunConfig, RunParams, parse_config, run,
@@ -203,6 +204,20 @@ def test_tube_limit_notes_unconfirmed_quadrature(monkeypatch):
         note = records[f"tube_limit/{kind}/kappa3"].note
         assert "eps=0.05:" in note and "eps=0.025:" in note
         assert "eps=0.1:" not in note
+    # each substituted value leaves a diagnostic record of its doubling gap
+    for eps in (0.1, 0.05, 0.025):
+        gap = records[f"tube_limit/quadrature-gap/kappa3-eps{eps}"]
+        fine = 2.0 + eps * 1j
+        assert gap.diagnostic and not gap.passed
+        assert gap.value == abs(fine - 1.0) / abs(fine)
+        assert gap.tolerance == 1e-4
+        assert f"eps={eps}:" in gap.note
+    # a confirmed doubling leaves none
+    monkeypatch.setattr(suites, "tube_boundary_integral",
+                        lambda mu, h, H, eps, chart, target: 1.0 + 0j)
+    report = run(RunConfig(suite="tube_limit", params=RunParams(
+        kappa_values=(3,), eps_schedule=(0.1, 0.05, 0.025))))
+    assert not any("quadrature-gap" in r.check_id for r in report.records)
 
 
 @pytest.mark.parametrize("singular_every", [2, 1], ids=["some", "all"])
@@ -231,6 +246,53 @@ def test_kernel_suite_counts_skipped_slash_pairs(monkeypatch, singular_every):
         assert not report.passed
     else:
         assert record.passed and report.passed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_suite_reports_singular_pointwise_loops(tmp_path, capsys,
+                                                       monkeypatch, n):
+    """A kernel that is singular at every sample point gives a report, not
+    a traceback: each pointwise record counts its skipped points and fails,
+    and the run exits 1."""
+    def singular(lam, kappa, point, rep="auto"):
+        raise KernelSingularity("forced", lam, "test", 0.0)
+
+    monkeypatch.setattr(suites, "p_tilde_components", singular)
+    cfg = _write_config(tmp_path, {"suite": "kernel", "parameters": {
+        "n_values": [n], "samples": 8}})
+    assert main(["verify", "--config", cfg, "--json"]) == 1
+    records = {r["check_id"]: r for r in map(
+        json.loads, capsys.readouterr().out.splitlines()[1:])}
+    pointwise = [f"kernel/dbar-coefficient/n{n}",
+                 f"kernel/kernel-homogeneity/n{n}"]
+    if n == 2:
+        pointwise += [f"kernel/xi-preimage/n2-kappa{k}-{tag}"
+                      for k in (3, 4) for tag in ("pos", "neg")]
+    for check_id in pointwise:
+        assert records[check_id]["note"] == (
+            "2 of 2 points skipped: kernel singular")
+        assert records[check_id]["value"] == math.inf
+        assert not records[check_id]["pass"]
+    assert records[f"kernel/laplace-eigenvalue/n{n}"]["pass"]
+
+
+def test_series_suite_evaluates_each_series_once(monkeypatch):
+    """A default series run enumerates each (class, point) once per use:
+    per (n, m) the bound B and 2B series, the determinism re-run, one
+    series per generator image, and the form series with its vector list."""
+    from orthoforms import series
+    calls = []
+    enumerate_majorant = series.enumerate_majorant
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_majorant(*args)
+
+    monkeypatch.setattr(series, "enumerate_majorant", counted)
+    assert run(RunConfig(suite="series")).passed
+    generators = sum(len(list(lattice_from_config(standard_lattice(n))[2]))
+                     for n in (1, 2))
+    assert len(calls) == 2 * (2 * 5 + generators) == 32
 
 
 def test_tube_limit_overrides_match_config_file(tmp_path, monkeypatch):

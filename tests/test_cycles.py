@@ -7,13 +7,14 @@ import pytest
 from orthoforms import kernels
 from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
-    CycleChart, CycleError, QuadratureError, WindowBump, cycle_integral_C,
-    cycle_integral_T, restrict_T, restrict_samples, shell_stokes,
+    CycleChart, CycleError, QuadratureError, WindowBump, _face_form_integral,
+    _shell_strips, _shell_volume_integral, _tube_faces, cycle_integral_C,
+    cycle_integral_T, hat_sign, restrict_T, restrict_samples, shell_stokes,
     transport_to, tube_boundary_integral,
 )
 from orthoforms.domain import DomainPoint, WittFrame, act
 from orthoforms.quadratic import lattice_from_config, standard_lattice
-from orthoforms.special import limit_constant
+from orthoforms.special import gauss_legendre_grid, limit_constant
 
 MU = {1: (0, 0, 1), 2: (0, 0, 1, 1), 3: (0, 0, 1, 1, 0)}
 NU2 = (0, 0, -1, 1)
@@ -259,6 +260,127 @@ def test_tube_boundary_tracks_doubled_window_density(geo):
     assert abs(r2 + 2.0) <= 0.35 * abs(r1 + 2.0)
     extrapolated = richardson(v1, v2)
     assert abs(extrapolated - (-2.0) * c_lim * delta) <= 5e-3 * abs(c_lim * delta)
+
+
+# ---------------------------------------------------------------------------
+# the collar drivers against a per-node reference
+
+
+def _phi_node(u, eps):
+    """The collar map at one node u = (x1', y1', x2', y2', ...)."""
+    n = len(u) // 2
+    x, y = u[0::2], u[1::2]
+    z = np.empty(n, dtype=complex)
+    z[0] = eps * y[0] * x[0] + 1j * y[0]
+    for j in range(1, n):
+        z[j] = x[j] + 1j * eps * y[0] * y[j]
+    return z
+
+
+def _phi_jacobian_node(u, eps):
+    """d z_a / d u_k at one node, an (n x 2n) matrix."""
+    n = len(u) // 2
+    x, y = u[0::2], u[1::2]
+    dz = np.zeros((n, 2 * n), dtype=complex)
+    dz[0, 0] = eps * y[0]
+    dz[0, 1] = eps * x[0] + 1j
+    for j in range(1, n):
+        dz[j, 1] = 1j * eps * y[j]
+        dz[j, 2 * j] = 1.0
+        dz[j, 2 * j + 1] = 1j * eps * y[0]
+    return dz
+
+
+def _face_integral_per_node(chart, face, eps, h, H):
+    """The face integral rebuilt node by node: geometry, transport and
+    every hat minor recomputed at each node (test-only reference)."""
+    frame = chart.frame
+    n = frame.n
+    free = [i for i in range(2 * n) if i != face.fixed_index]
+    signs = np.array([hat_sign(n, j + 1) for j in range(n)])
+    identity = np.max(np.abs(chart.transport - np.eye(n + 2))) < 1e-14
+    total = 0.0 + 0.0j
+    u = np.zeros(2 * n)
+    u[face.fixed_index] = face.fixed_value
+    for params, weight in zip(*gauss_legendre_grid(face.axes, face.counts)):
+        u[free] = params
+        point = DomainPoint(frame, _phi_node(u, eps))
+        cols = _phi_jacobian_node(u, eps)[:, free]
+        if not identity:
+            jac = kernels.action_jacobian(chart.transport, point)
+            point, _ = act(frame, chart.transport, point)
+            cols = jac @ cols
+        hv = h(point)
+        if hv == 0:
+            continue
+        comps = H(point)
+        stacked = np.vstack([cols, np.conj(cols)])
+        val = 0.0 + 0.0j
+        for j in range(n):
+            rows = [r for r in range(2 * n) if r != n + j]
+            val += comps[j] * signs[j] * np.linalg.det(stacked[rows])
+        total += weight * hv * val
+    return face.sign * total
+
+
+def _shell_volume_per_node(chart, h_field, p_field, dbar_coeff, e1, e2):
+    """The shell volume integral rebuilt node by node (test-only
+    reference)."""
+    frame = chart.frame
+    n = frame.n
+    top = -1.0 if ((n * (n - 1)) // 2) % 2 else 1.0
+    total = 0.0 + 0.0j
+    for strip in _shell_strips(n, e1, e2):
+        axes = [strip[0], chart.window[0]]
+        counts = [chart.collar_nodes, chart.nodes[0]]
+        for j in range(1, n):
+            axes += [chart.window[j], strip[j]]
+            counts += [chart.nodes[j], chart.collar_nodes]
+        for u, weight in zip(*gauss_legendre_grid(axes, counts)):
+            point = DomainPoint(frame, _phi_node(u, 1.0))
+            hv = h_field.value(point)
+            dbar_h = h_field.dbar(point)
+            if hv == 0 and not np.any(dbar_h):
+                continue
+            q_factor = measure_factor(n, point.q_y)
+            coeff = hv * dbar_coeff(point) - q_factor * complex(
+                dbar_h @ p_field(point))
+            dz = _phi_jacobian_node(u, 1.0)
+            det_full = np.linalg.det(np.vstack([dz, np.conj(dz)]))
+            total += weight * coeff * top * det_full / q_factor
+    return total
+
+
+# a model chart and a transported one per rank
+_REFERENCE_VECTORS = {1: (MU[1], (1, 1, 0)), 2: (MU[2], (1, 1, 0, 0))}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("which", [0, 1], ids=["identity", "transported"])
+def test_collar_drivers_match_per_node_reference(geo, n, which):
+    """The per-grid face and shell-volume drivers reproduce the per-node
+    loop to 1e-13 relative, on every face, at both node scales."""
+    _, frame, _ = geo[n]
+    vec = _REFERENCE_VECTORS[n][which]
+    window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
+    chart = CycleChart.create(frame, vec, window, [4] * n, collar_nodes=4)
+    assert chart.is_identity_transport == (which == 0)
+    fc = frame.frame_coords(vec)
+    kappa = n + 2
+    H = lambda pt: kernels.p_tilde_components(fc, kappa, pt)
+    h = lambda pt: 1.0 + 0.25j * complex(pt.z.sum())
+    for scale in (1, 2):
+        for face in _tube_faces(chart, scale):
+            ref = _face_integral_per_node(chart, face, 0.1, h, H)
+            val = _face_form_integral(chart, face, 0.1, h, H)
+            assert ref != 0
+            assert abs(val - ref) <= 1e-13 * abs(ref)
+    bump = WindowBump(chart)
+    dbar_coeff = lambda pt: kernels.dbar_image_reference(fc, kappa, pt)
+    ref = _shell_volume_per_node(chart, bump, H, dbar_coeff, 0.05, 0.1)
+    val = _shell_volume_integral(chart, bump, H, dbar_coeff, 0.05, 0.1)
+    assert ref != 0
+    assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
 # ---------------------------------------------------------------------------

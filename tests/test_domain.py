@@ -56,6 +56,24 @@ def test_pair_formula_dual_route(setup_n, rng):
         assert abs(p.pair_bar(fc) - np.conj(direct)) < 1e-9 * max(1.0, abs(direct))
 
 
+def _pair_psi(frame, lam, z):
+    """(lambda, psi(Z)) written out for any Z in W(C): the formula the
+    pairing and its conjugate were once evaluated by separately."""
+    return lam[0] - lam[1] * frame.q_w(z) + 2.0 * (frame.eps * lam[2:] * z).sum()
+
+
+def test_pair_bar_is_conjugate_bit_for_bit(setup_n, rng):
+    """For real lambda, conjugating (lambda, psi(Z)) gives exactly the
+    pairing evaluated at conj(Z)."""
+    lattice, frame, _, n = setup_n
+    for _ in range(200):
+        p = sample_point(frame, rng)
+        fc = frame.frame_coords(sample_vector(frame, rng))
+        assert p.pair(fc) == complex(_pair_psi(frame, fc, p.z))
+        assert p.pair_bar(fc) == p.pair(fc).conjugate()
+        assert p.pair_bar(fc) == complex(_pair_psi(frame, fc, np.conj(p.z)))
+
+
 def test_q_lambda_matches_exact(setup_n, rng):
     lattice, frame, _, n = setup_n
     for _ in range(10):

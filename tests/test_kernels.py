@@ -221,6 +221,24 @@ def test_p_tilde_dbar_closed_form(setup_n, rng):
     assert abs(val - ref) < 5e-6 * max(1e-6, abs(ref))
 
 
+@pytest.mark.parametrize("rep", ["plus", "minus"])
+def test_p_tilde_evaluates_the_pairing_once(setup_n, rng, monkeypatch, rep):
+    """One evaluation of (lambda, psi(Z)) or its conjugate per call; the
+    conjugate, q_plus / q_minus and the prefactor are derived from it."""
+    _, frame, _, n = setup_n
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    kappa = n + 1
+    p = _regular_point(frame, fc, rng, kappa)
+    calls = []
+    for name in ("pair", "pair_bar"):
+        method = getattr(DomainPoint, name)
+        monkeypatch.setattr(DomainPoint, name,
+                            lambda self, lam, method=method:
+                            calls.append(lam) or method(self, lam))
+    p_tilde_components(fc, kappa, p, rep=rep)
+    assert len(calls) == 1
+
+
 def test_p_tilde_homogeneity(setup_n, rng):
     """ptilde(r lambda) = r^-kappa ptilde(lambda) for r > 0."""
     _, frame, _, n = setup_n
