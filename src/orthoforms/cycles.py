@@ -24,8 +24,14 @@ node-doubling error estimate.
 The geometry of a face or shell strip is computed once per quadrature grid,
 as arrays over its node rows: the collar map, its closed-form Jacobian
 (pushed forward by the action Jacobian on a transported chart) and the
-signed hat minors from one stacked determinant.  Only the callbacks h and
-H, which take one DomainPoint each, run per node.
+signed hat minors from one stacked determinant.  The restriction to the
+algebraic family integrates over circle fibers |z_n| = eps sqrt(q(Y'))
+above the window nodes; each fiber is one trapezoid rule whose angles,
+phases, Z rows, denominators and slot weights are arrays, and the coarse
+rule of its error estimate is the even-indexed fine nodes.  Every
+quadrature builds its points from the node rows in one batch
+(DomainPoint.rows; a transported chart then moves them node by node), and
+only the callbacks h and H, which take one DomainPoint each, run per node.
 
 All quadrature faces are oriented against the parameter order
 (x1', y1', x2', y2', ...), which is orientation-positive for the domain;
@@ -37,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,8 +218,7 @@ class CycleChart:
         fc = self.frame.frame_coords(self.vector)
         worst = 0.0
         samples = [np.linspace(a, b, 5)[1:-1] for a, b in self.window]
-        for params in itertools.product(*samples):
-            point = self.base_point(np.asarray(params))
+        for point in self.points(np.array(list(itertools.product(*samples)))):
             q_plus, q_minus = q_plus_minus(self.frame, fc, point)
             worst = max(worst, abs(q_minus if self.norm > 0 else q_plus))
         return worst
@@ -226,22 +231,27 @@ class CycleChart:
                                   np.eye(self.frame.lattice.dim))) < 1e-14)
 
     def model_z(self, params: np.ndarray) -> np.ndarray:
+        """Model-chart coordinates Z of window parameters, one row per
+        parameter row: (..., axes) -> (..., n)."""
+        params = np.asarray(params, dtype=float)
         n = self.frame.n
-        z = np.zeros(n, dtype=complex)
+        z = np.zeros(params.shape[:-1] + (n,), dtype=complex)
         if self.kind == "real_analytic":
-            z[0] = 1j * params[0]
-            z[1:] = params[1:]
+            z[..., 0] = 1j * params[..., 0]
+            z[..., 1:] = params[..., 1:]
         else:
-            pairs = np.asarray(params, dtype=float).reshape(n - 1, 2)
-            z[:n - 1] = pairs[:, 0] + 1j * pairs[:, 1]
+            pairs = params.reshape(params.shape[:-1] + (n - 1, 2))
+            z[..., :n - 1] = pairs[..., 0] + 1j * pairs[..., 1]
         return z
 
-    def base_point(self, params: np.ndarray) -> DomainPoint:
-        point = DomainPoint(self.frame, self.model_z(params))
+    def points(self, params: np.ndarray) -> Iterator[DomainPoint]:
+        """The chart's points at the parameter rows (N, axes): the model
+        points built as one block, then carried node by node by the
+        transport unless it is the identity."""
+        model = DomainPoint.rows(self.frame, self.model_z(params))
         if self.is_identity_transport:
-            return point
-        moved, _ = act(self.frame, self.transport, point)
-        return moved
+            return model
+        return (act(self.frame, self.transport, point)[0] for point in model)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +303,20 @@ def _hat_minors(cols: np.ndarray) -> np.ndarray:
     return np.linalg.det(blocks) * signs
 
 
-def _transport_rows(chart: CycleChart, z: np.ndarray,
-                    cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
+                    ) -> tuple[Iterable[DomainPoint], np.ndarray]:
     """Model-chart rows z (N, n) and tangent columns cols (N, n, k) carried
     by the chart transport: the image points, and the columns multiplied by
-    the action Jacobian at each node.  The identity returns them as given."""
+    the action Jacobian at each node.  The identity returns the model points
+    and the columns as given."""
+    points = DomainPoint.rows(chart.frame, z)
     if chart.is_identity_transport:
-        return z, cols
-    moved = np.empty_like(z)
+        return points, cols
+    moved = []
     pushed = np.empty_like(cols)
-    for i, zi in enumerate(z):
-        point = DomainPoint(chart.frame, zi)
+    for i, point in enumerate(points):
+        moved.append(act(chart.frame, chart.transport, point)[0])
         pushed[i] = action_jacobian(chart.transport, point) @ cols[i]
-        moved[i] = act(chart.frame, chart.transport, point)[0].z
     return moved, pushed
 
 
@@ -342,8 +353,8 @@ def _tube_faces(chart: CycleChart, scale: int = 1) -> list[_Face]:
 
 
 def _face_nodes(chart: CycleChart, face: _Face, eps: float):
-    """(Z, weight, signed hat minors) at each quadrature node of a face, the
-    geometry computed as arrays over blocks of grid rows."""
+    """(point, weight, signed hat minors) at each quadrature node of a face,
+    the geometry computed as arrays over blocks of grid rows."""
     n = chart.frame.n
     free = [i for i in range(2 * n) if i != face.fixed_index]
     params, weights = gauss_legendre_grid(face.axes, face.counts)
@@ -352,19 +363,18 @@ def _face_nodes(chart: CycleChart, face: _Face, eps: float):
         u = np.empty((len(block), 2 * n))
         u[:, free] = block
         u[:, face.fixed_index] = face.fixed_value
-        z, cols = _transport_rows(chart, _phi(u, eps),
-                                  _phi_jacobian(u, eps)[:, :, free])
-        yield from zip(z, weights[lo:lo + _BLOCK_ROWS], _hat_minors(cols))
+        points, cols = _transport_rows(chart, _phi(u, eps),
+                                       _phi_jacobian(u, eps)[:, :, free])
+        yield from zip(points, weights[lo:lo + _BLOCK_ROWS],
+                       _hat_minors(cols))
 
 
 def _face_form_integral(chart: CycleChart, face: _Face, eps: float,
                         h: Callable[[DomainPoint], complex],
                         H: Callable[[DomainPoint], np.ndarray]) -> complex:
     """Integral of the (2n-1)-form h H over one boundary face."""
-    frame = chart.frame
     total = 0.0 + 0.0j
-    for z, weight, minor in _face_nodes(chart, face, eps):
-        point = DomainPoint(frame, z)
+    for point, weight, minor in _face_nodes(chart, face, eps):
         hv = h(point)
         if hv == 0:
             continue
@@ -377,7 +387,8 @@ def _doubling(compute: Callable[[int], complex], target: float,
     coarse = compute(1)
     fine = compute(2)
     scale = max(abs(fine), 1e-14)
-    if abs(fine - coarse) > target * scale:
+    # written so that a NaN on either side fails the check
+    if not abs(fine - coarse) <= target * scale:
         raise QuadratureError(f"{label} did not converge to {target:.1e}",
                               coarse, fine)
     return fine
@@ -426,10 +437,10 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
     power = chart.norm ** (0.5 * n - kappa)
 
     def compute(scale: int) -> complex:
+        params, weights = gauss_legendre_grid(
+            chart.window, [scale * c for c in chart.nodes])
         total = 0.0 + 0.0j
-        for params, weight in zip(*gauss_legendre_grid(
-                chart.window, [scale * c for c in chart.nodes])):
-            point = chart.base_point(params)
+        for point, weight in zip(chart.points(params), weights):
             total += weight * h(point) * point.pair(fc) ** (kappa - n)
         return power * total
 
@@ -488,9 +499,9 @@ def _shell_strips(n: int, e1: float, e2: float) -> list[tuple]:
 
 
 def _shell_nodes(chart: CycleChart, e1: float, e2: float):
-    """(Z, weight, signed coordinate volume factor) at each quadrature node
-    of the shell strips, the geometry computed as arrays over blocks of grid
-    rows."""
+    """(point, weight, signed coordinate volume factor) at each quadrature
+    node of the shell strips, the geometry computed as arrays over blocks of
+    grid rows."""
     n = chart.frame.n
     for strip in _shell_strips(n, e1, e2):
         # u-order: x1', y1', x2', y2', ...; collar axes are x1' (index 0)
@@ -506,16 +517,15 @@ def _shell_nodes(chart: CycleChart, e1: float, e2: float):
             dz = _phi_jacobian(u, 1.0)
             dets = _top_sign(n) * np.linalg.det(
                 np.concatenate([dz, np.conj(dz)], axis=1))
-            yield from zip(_phi(u, 1.0), weights[lo:lo + _BLOCK_ROWS], dets)
+            yield from zip(DomainPoint.rows(chart.frame, _phi(u, 1.0)),
+                           weights[lo:lo + _BLOCK_ROWS], dets)
 
 
 def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
                            e1: float, e2: float) -> complex:
-    frame = chart.frame
-    n = frame.n
+    n = chart.frame.n
     total = 0.0 + 0.0j
-    for z, weight, det in _shell_nodes(chart, e1, e2):
-        point = DomainPoint(frame, z)
+    for point, weight, det in _shell_nodes(chart, e1, e2):
         hv = h_field.value(point)
         dbar_h = h_field.dbar(point)
         if hv == 0 and not np.any(dbar_h):
@@ -598,56 +608,56 @@ class WindowBump:
         return self.value(point)
 
 
-def _circle_point(chart: CycleChart, params: np.ndarray,
-                  radius: float, theta: float) -> DomainPoint:
-    z = chart.model_z(params)
-    z[-1] = radius * np.exp(1j * theta)
-    return DomainPoint(chart.frame, z)
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum of the rows of terms in index order, rounded as the loop
+    `acc = 0; acc += row` rounds it (np.sum may add pairwise); the `+ 0.0`
+    gives an exact zero the loop's sign."""
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
                     eps: float, sector: str, angle_nodes: int,
                     target: float) -> np.ndarray:
-    """Per-slot circle integrals of H / (nu, psi)^kappa at one base node."""
+    """Per-slot circle integrals of H / (nu, psi)^kappa at one base node.
+
+    One trapezoid rule of 2 angle_nodes angles, its geometry held as arrays
+    and H run once per angle; the coarse rule of angle_nodes angles is the
+    even-indexed terms at twice the step.  Its angles are bit-identical to
+    those of a separate coarse rule, since (2 pi / 2N) 2k = (2 pi / N) k
+    exactly, so the error estimate compares the same two sums."""
     frame = chart.frame
     n = frame.n
     s = np.sqrt(abs(chart.norm))
-    y_prime = np.zeros(n)
     pairs = np.asarray(params, dtype=float).reshape(n - 1, 2)
-    y_prime[:n - 1] = pairs[:, 1]
     q_y_prime = float(frame.eps[:n - 1] @ (pairs[:, 1] ** 2))
     if q_y_prime <= 0:
         raise CycleError("window node leaves the domain (q(Y') <= 0)")
     radius = eps * np.sqrt(q_y_prime)
 
-    def trapezoid(count: int) -> tuple[np.ndarray, np.ndarray]:
-        acc = np.zeros(n, dtype=complex)
-        mass = np.zeros(n)
-        step = 2.0 * np.pi / count
-        for k in range(count):
-            theta = step * k
-            point = _circle_point(chart, params, radius, theta)
-            z_n = radius * np.exp(1j * theta)
-            comps = np.asarray(H(point), dtype=complex)
-            denom = (2.0 * s * z_n) ** kappa
-            if sector == "holomorphic":
-                slot_weight = 1j * radius * np.exp(1j * theta)
-            else:
-                slot_weight = -1j * radius * np.exp(-1j * theta)
-            area_weight = 2j * radius
-            weights = np.full(n, area_weight, dtype=complex)
-            weights[-1] = slot_weight
-            term = comps * weights / denom
-            acc += term
-            mass += np.abs(term)
-        return acc * step, mass * step
+    step = 2.0 * np.pi / (2 * angle_nodes)
+    theta = step * np.arange(2 * angle_nodes)
+    turn = np.exp(1j * theta)
+    z_n = radius * turn
+    z = np.empty((len(theta), n), dtype=complex)
+    z[:] = chart.model_z(params)
+    z[:, -1] = z_n
+    comps = np.array([H(point) for point in DomainPoint.rows(frame, z)],
+                     dtype=complex)
+    weights = np.full((len(theta), n), 2j * radius, dtype=complex)
+    if sector == "holomorphic":
+        weights[:, -1] = 1j * radius * turn
+    else:
+        weights[:, -1] = -1j * radius * np.exp(-1j * theta)
+    terms = comps * weights / ((2.0 * s * z_n) ** kappa)[:, None]
 
-    coarse, _ = trapezoid(angle_nodes)
-    fine, mass = trapezoid(2 * angle_nodes)
+    coarse = _sum_in_order(terms[::2]) * (2.0 * step)
+    fine = _sum_in_order(terms) * step
+    mass = _sum_in_order(np.abs(terms)) * step
     # tolerate pure-cancellation slots: the achievable accuracy is bounded
-    # below by roundoff on the accumulated L1 mass
+    # below by roundoff on the accumulated L1 mass; written so that a NaN
+    # on either side fails the check
     floor = np.maximum(target * np.abs(fine), 1e-13 * mass + 1e-16)
-    if np.any(np.abs(fine - coarse) > floor):
+    if not np.all(np.abs(fine - coarse) <= floor):
         raise QuadratureError("circle integral did not converge",
                               coarse, fine)
     return fine
@@ -660,6 +670,12 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
     """Circle integrals of H / (nu, psi(Z))^kappa at the chart's window
     nodes, for radius eps sqrt(q(Y')) and the halved radius, with one
     Richardson level on the slot-n value.
+
+    Each circle fiber is a trapezoid rule of 2 angle_nodes angles, so H runs
+    2 angle_nodes times per fiber and 4 angle_nodes times per window node;
+    the coarse rule of the error estimate is the even-indexed fine nodes.
+    A fiber whose coarse and fine sums disagree, or either is not finite,
+    raises QuadratureError.  Needs 0 < eps < 1 and angle_nodes >= 2.
 
     sector selects the fiber 1-form factor: "holomorphic" pairs the last
     slot with dz_n (residue-type integrals survive), "conjugate" pairs it
@@ -676,6 +692,10 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
         raise CycleError("nu does not match the chart vector")
     if sector not in ("holomorphic", "conjugate"):
         raise CycleError("sector must be 'holomorphic' or 'conjugate'")
+    if not 0 < eps < 1:
+        raise CycleError("eps must lie in (0, 1)")
+    if angle_nodes < 2:
+        raise CycleError("angle_nodes must be at least 2")
     out: list[RestrictSample] = []
     for params, weight in zip(*gauss_legendre_grid(chart.window, chart.nodes)):
         slots = _fiber_integral(chart, H, kappa, params, eps, sector,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,6 +153,33 @@ class DomainPoint:
         if z[0].imag <= 0:
             raise ComponentError("point lies in the wrong component (y_1 <= 0)")
 
+    @classmethod
+    def rows(cls, frame: WittFrame, z: np.ndarray) -> Iterator["DomainPoint"]:
+        """One point per row of an (N, n) array, checked as one block.
+
+        The checks and messages are those of the single constructor, raised
+        here for the first failing row; q(Y) is computed for all rows by one
+        q_w and cached on each point, equal to the value the single
+        constructor computes.  Each point's z is a view of its row."""
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 2 or z.shape[1] != frame.n:
+            raise ValueError("dimension mismatch")
+        q_y = frame.q_w(z.imag)
+        bad_q = q_y <= 0
+        bad = bad_q | (z[:, 0].imag <= 0)
+        if bad.any():
+            if bad_q[np.argmax(bad)]:
+                raise ComponentError("q(Y) must be positive")
+            raise ComponentError("point lies in the wrong component (y_1 <= 0)")
+        new = object.__new__
+
+        def make(row: np.ndarray, q: float) -> "DomainPoint":
+            point = new(cls)
+            point.__dict__.update(frame=frame, z=row, q_y=q)
+            return point
+
+        return map(make, z, q_y.tolist())
+
     @property
     def x(self) -> np.ndarray:
         return self.z.real
@@ -203,11 +230,17 @@ class DomainPoint:
 # group action
 
 
+def isometry_matrix(sigma) -> np.ndarray:
+    """The float lattice-coordinate matrix of an Isometry or a matrix."""
+    if isinstance(sigma, Isometry):
+        return sigma.float_matrix()
+    return np.asarray(sigma, dtype=float)
+
+
 def act(frame: WittFrame, sigma, point: DomainPoint) -> tuple[DomainPoint, complex]:
     """Apply an isometry to a point; returns (sigma Z, j(sigma, Z)) where
     j(sigma, Z) = (e, sigma psi(Z)) is the factor of automorphy."""
-    mat = sigma.float_matrix() if isinstance(sigma, Isometry) else np.asarray(sigma, dtype=float)
-    w = mat.astype(complex) @ point.psi
+    w = isometry_matrix(sigma).astype(complex) @ point.psi
     j = complex(frame.e_float @ frame.gram_float @ w)
     if abs(j) < 1e-12:
         raise BoundaryError("isometry maps the point to the boundary")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import central_differences, ratio_dbar, star01
-from .domain import DomainPoint, act, norm_split
+from .calculus import ratio_dbar, star01
+from .domain import DomainPoint, act, isometry_matrix, norm_split
 from .special import hyp2f1
 
 GUARD = 1e-12
@@ -140,16 +140,25 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
 
 
 def action_jacobian(sigma, point: DomainPoint) -> np.ndarray:
-    """Holomorphic Jacobian J[i, k] = d(sigma Z)_i / d z_k of the action,
-    by Richardson central differences along real directions."""
+    """Holomorphic Jacobian J[i, k] = d(sigma Z)_i / d z_k of the action, in
+    closed form.
+
+    In frame coordinates psi(Z) = (-q(Z), 1, Z) and
+    d psi / d z_k = (-2 eps_k z_k, 0, e_k); one matrix product gives
+    w = sigma psi(Z) and its partials.  j = (e, w) is the e~'-coordinate of
+    w and sigma Z = w_W / j, so by the quotient rule
+    J = (d w_W - (sigma Z) d j) / j."""
     frame = point.frame
-
-    def image(z):
-        moved, _ = act(frame, sigma, point.replace(z))
-        return moved.z
-
-    return central_differences(image, point.z,
-                               np.eye(frame.n, dtype=complex), 1e-5)
+    n = frame.n
+    lift = np.zeros((n + 2, n + 1), dtype=complex)
+    lift[0, 0] = -point.q_z
+    lift[1, 0] = 1.0
+    lift[2:, 0] = point.z
+    lift[0, 1:] = -2.0 * frame.eps * point.z
+    lift[2:, 1:] = np.eye(n)
+    w = (frame.to_frame @ isometry_matrix(sigma) @ frame.from_frame) @ lift
+    j = w[1, 0]
+    return (w[2:, 1:] - np.outer(w[2:, 0] / j, w[1, 1:])) / j
 
 
 def form_pullback(sigma, vec_func, point: DomainPoint) -> np.ndarray:

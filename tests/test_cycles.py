@@ -527,6 +527,137 @@ def test_restrict_validation(geo):
         restrict_T(MU[2], H, 4, 0.1, pos)
 
 
+@pytest.mark.parametrize("eps,angle_nodes,name", [
+    (0.0, 256, "eps"), (-0.1, 256, "eps"), (1.0, 256, "eps"),
+    (1.5, 256, "eps"), (0.1, 0, "angle_nodes"), (0.1, 1, "angle_nodes"),
+])
+def test_restrict_rejects_bad_arguments(geo, eps, angle_nodes, name):
+    """eps must lie in (0, 1): eps = 0 gives a zero radius and NaN samples,
+    and q(Y) >= q(Y')(1 - eps^2) leaves the domain for eps >= 1; a
+    trapezoid needs at least 2 angles."""
+    _, frame, _ = geo[2]
+    chart = _chart_T2(frame, nodes=2)
+    H = lambda pt: np.ones(2, complex)
+    with pytest.raises(CycleError, match=name):
+        restrict_samples(NU2, H, 4, eps, chart, angle_nodes=angle_nodes)
+
+
+def _circle_point_per_angle(chart, params, radius, theta):
+    z = chart.model_z(params)
+    z[-1] = radius * np.exp(1j * theta)
+    return DomainPoint(chart.frame, z)
+
+
+def _fiber_integral_per_angle(chart, H, kappa, params, eps, sector,
+                              angle_nodes, target):
+    """The circle integral with a separate coarse and fine trapezoid, every
+    sample rebuilt angle by angle (test-only reference)."""
+    frame = chart.frame
+    n = frame.n
+    s = np.sqrt(abs(chart.norm))
+    pairs = np.asarray(params, dtype=float).reshape(n - 1, 2)
+    radius = eps * np.sqrt(float(frame.eps[:n - 1] @ (pairs[:, 1] ** 2)))
+
+    def trapezoid(count):
+        acc = np.zeros(n, dtype=complex)
+        mass = np.zeros(n)
+        step = 2.0 * np.pi / count
+        for k in range(count):
+            theta = step * k
+            point = _circle_point_per_angle(chart, params, radius, theta)
+            z_n = radius * np.exp(1j * theta)
+            comps = np.asarray(H(point), dtype=complex)
+            denom = (2.0 * s * z_n) ** kappa
+            if sector == "holomorphic":
+                slot_weight = 1j * radius * np.exp(1j * theta)
+            else:
+                slot_weight = -1j * radius * np.exp(-1j * theta)
+            weights = np.full(n, 2j * radius, dtype=complex)
+            weights[-1] = slot_weight
+            term = comps * weights / denom
+            acc += term
+            mass += np.abs(term)
+        return acc * step, mass * step
+
+    coarse, _ = trapezoid(angle_nodes)
+    fine, mass = trapezoid(2 * angle_nodes)
+    floor = np.maximum(target * np.abs(fine), 1e-13 * mass + 1e-16)
+    assert np.all(np.abs(fine - coarse) <= floor)
+    return fine
+
+
+def _restrict_per_angle(chart, H, kappa, eps, sector, angle_nodes=256,
+                        target=1e-9):
+    out = []
+    for params, weight in zip(*gauss_legendre_grid(chart.window,
+                                                   chart.nodes)):
+        slots = _fiber_integral_per_angle(chart, H, kappa, params, eps,
+                                          sector, angle_nodes, target)
+        half = _fiber_integral_per_angle(chart, H, kappa, params, eps / 2.0,
+                                         sector, angle_nodes, target)
+        value = complex(slots[-1])
+        out.append((tuple(params), weight, value,
+                    complex(richardson(value, half[-1])), slots))
+    return out
+
+
+def _h_residue(pt):
+    z = pt.z
+    return np.array([0.0j, z[1] ** 3 * (1.0 + z[0] ** 2)])
+
+
+def _h_decaying(pt):
+    z = pt.z
+    return np.array([z[1] ** 4 + z[0] * z[1] ** 4,
+                     z[1] ** 5 + z[1] ** 6 * np.conj(z[1])])
+
+
+def _h_cancelling(pt):
+    z = pt.z
+    return np.array([z[1] ** 4 + z[0] * np.conj(z[1]),
+                     z[1] ** 5 + np.conj(z[0])])
+
+
+@pytest.mark.parametrize("sector,H,eps", [
+    ("holomorphic", _h_residue, 0.05),
+    ("holomorphic", _h_decaying, 0.1),
+    ("conjugate", _h_decaying, 0.01),
+    ("conjugate", _h_cancelling, 0.001),
+], ids=["holomorphic-residue", "holomorphic-decaying", "conjugate-decaying",
+        "conjugate-cancelling"])
+def test_restrict_matches_per_angle_reference(geo, sector, H, eps):
+    """The array fiber rule reproduces the per-angle trapezoid pair bit for
+    bit: the coarse sum read off the even fine nodes is the same sum."""
+    _, frame, _ = geo[2]
+    chart = _chart_T2(frame, nodes=2)
+    samples = restrict_samples(NU2, H, 4, eps, chart, sector=sector)
+    reference = _restrict_per_angle(chart, H, 4, eps, sector)
+    assert len(samples) == len(reference)
+    for got, (params, weight, value, extr, slots) in zip(samples, reference):
+        assert got.params == params and got.weight == weight
+        assert got.value == value and got.extrapolated == extr
+        assert np.array_equal(got.all_slots, slots)
+        assert got.all_slots.tobytes() == slots.tobytes()
+
+
+@pytest.mark.parametrize("angle_nodes", [256, 8])
+def test_restrict_runs_H_once_per_fine_angle(geo, angle_nodes):
+    """Each window node runs two fibers of 2 angle_nodes angles: 4
+    angle_nodes calls of H (a separate coarse rule would make 6)."""
+    _, frame, _ = geo[2]
+    chart = _chart_T2(frame, nodes=2)
+    calls = []
+
+    def H(pt):
+        calls.append(pt)
+        return _h_residue(pt)
+
+    samples = restrict_samples(NU2, H, 4, 0.05, chart,
+                               angle_nodes=angle_nodes)
+    assert len(samples) == 4
+    assert len(calls) == 4 * angle_nodes * len(samples)
+
+
 def test_cycle_integral_T_residue_oracles(geo):
     """The window integral of the restriction, assembled by hand from the
     residue and the base wedge dz_1 dzbar_1 -> -2i dx dy."""
@@ -580,3 +711,36 @@ def test_quadrature_error_reports_both_values(geo):
 
     with pytest.raises(QuadratureError):
         restrict_samples(NU2, aliased, 3, 0.1, neg, angle_nodes=3)
+
+
+def _nan_at_call(field, index):
+    """field, except that call number index returns NaN components."""
+    calls = []
+
+    def wrapped(pt):
+        calls.append(pt)
+        value = np.asarray(field(pt), dtype=complex)
+        return value * np.nan if len(calls) == index + 1 else value
+    return wrapped
+
+
+def test_tube_boundary_raises_on_a_nan_node(geo):
+    """A NaN at one node must fail the doubling check, not pass it."""
+    _, frame, _ = geo[2]
+    chart = _chart_C(frame, 2, nodes=3, collar=3)
+    fc = frame.frame_coords(MU[2])
+    H = _nan_at_call(lambda pt: kernels.p_tilde_components(fc, 4, pt), 0)
+    with pytest.raises(QuadratureError):
+        tube_boundary_integral(MU[2], lambda pt: 1.0, H, 0.1, chart,
+                               target=1e-2)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_restrict_raises_on_a_nan_node(geo, index):
+    """A NaN sample on a fiber must fail its convergence check, whether it
+    lies on a coarse (even) node or on a fine-only one."""
+    _, frame, _ = geo[2]
+    chart = _chart_T2(frame, nodes=2)
+    with pytest.raises(QuadratureError):
+        restrict_samples(NU2, _nan_at_call(_h_residue, index), 4, 0.05,
+                         chart)

@@ -97,6 +97,60 @@ def test_component_validation(setup_n):
             DomainPoint(frame, bad)  # q(Y) < 0
 
 
+def _seeded_rows(frame, rng, count):
+    return np.array([sample_point(frame, rng).z for _ in range(count)])
+
+
+def test_rows_match_single_constructor(setup_n, rng):
+    """Row-built points carry the same z and the same cached q(Y), bit for
+    bit, as points built one at a time."""
+    _, frame, _, n = setup_n
+    block = _seeded_rows(frame, rng, 64)
+    points = list(DomainPoint.rows(frame, block))
+    assert len(points) == len(block)
+    for point, z in zip(points, block):
+        single = DomainPoint(frame, z)
+        assert np.array_equal(point.z, single.z)
+        assert point.q_y == single.q_y
+        assert type(point.q_y) is float
+        assert point.pair(np.arange(n + 2.0)) == single.pair(np.arange(n + 2.0))
+
+
+def _bad_rows(n):
+    """One row failing each component check of the single constructor."""
+    wrong_half = np.zeros(n, dtype=complex)
+    wrong_half[0] = -1j                      # q(Y) = 1 > 0 but y_1 < 0
+    null = np.zeros(n, dtype=complex)        # q(Y) = 0
+    if n > 1:
+        null[0], null[1] = 0.1j, 1.0j        # q(Y) < 0
+    return {"y1": wrong_half, "q_y": null}
+
+
+@pytest.mark.parametrize("kind", ["q_y", "y1"])
+def test_rows_reject_a_bad_row_like_the_single_constructor(setup_n, rng,
+                                                           kind):
+    _, frame, _, n = setup_n
+    bad = _bad_rows(n)[kind]
+    with pytest.raises(ComponentError) as single:
+        DomainPoint(frame, bad)
+    block = _seeded_rows(frame, rng, 9)
+    block[4] = bad
+    with pytest.raises(ComponentError) as batch:
+        DomainPoint.rows(frame, block)
+    assert str(batch.value) == str(single.value)
+    expected = "q(Y)" if kind == "q_y" else "y_1"
+    assert expected in str(batch.value)
+
+
+def test_rows_reject_wrong_width(setup_n, rng):
+    _, frame, _, n = setup_n
+    block = _seeded_rows(frame, rng, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DomainPoint.rows(frame, np.hstack([block, block[:, :1]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DomainPoint.rows(frame, block[0])
+
+
 def test_metric_inverse_and_det(setup_n, rng):
     _, frame, _, n = setup_n
     p = sample_point(frame, rng)

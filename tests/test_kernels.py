@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthoforms.calculus import (dbar_jacobian, dbar_top, ratio_field, star01,
-                                 xi_scalar, xi_top, measure_factor)
-from orthoforms.domain import DomainPoint, q_plus_minus, sample_point
+from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
+                                 ratio_field, star01, xi_scalar, xi_top,
+                                 measure_factor)
+from orthoforms.cycles import transport_to
+from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint, act,
+                               q_plus_minus, sample_point)
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -290,6 +293,29 @@ def test_action_jacobian_translation_is_identity(setup_n, rng):
     p = sample_point(frame, rng)
     jac = action_jacobian(list(group)[0], p)  # translation along e
     assert np.allclose(jac, np.eye(n), atol=1e-9)
+
+
+def test_action_jacobian_closed_form_matches_differences(setup_n, rng):
+    """The closed-form Jacobian agrees with Richardson central differences
+    of the action, for every group generator and a chart transport."""
+    _, frame, group, n = setup_n
+    sigmas = list(group) + [transport_to(frame, (1, 1) + (0,) * n)]
+    checked = 0
+    for sigma in sigmas:
+        for _ in range(4):
+            p = sample_point(frame, rng)
+            try:
+                act(frame, sigma, p)
+            except (BoundaryError, ComponentError):
+                continue
+            ref = central_differences(
+                lambda z: act(frame, sigma, p.replace(z))[0].z, p.z,
+                np.eye(n, dtype=complex), 1e-5)
+            jac = action_jacobian(sigma, p)
+            assert jac.shape == (n, n)
+            assert np.max(np.abs(jac - ref)) <= 1e-8 * np.max(np.abs(ref))
+            checked += 1
+    assert checked >= 2 * len(sigmas)
 
 
 def test_p_tilde_singularity_guards(setup_n):
