@@ -324,10 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LatticeError, SeriesError) as exc:
+    except (ConfigError, LatticeError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

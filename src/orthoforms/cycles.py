@@ -57,7 +57,7 @@ from .special import gauss_legendre_grid
 __all__ = [
     "CycleError", "QuadratureError", "CycleChart", "RestrictSample",
     "WindowBump", "transport_to", "tube_boundary_integral",
-    "cycle_integral_C", "shell_stokes", "restrict_samples", "restrict_T",
+    "cycle_integral_C", "shell_stokes", "restrict_samples",
     "cycle_integral_T", "hat_sign",
 ]
 
@@ -708,15 +708,6 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
     return out
 
 
-def restrict_T(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
-               eps: float, chart: CycleChart,
-               target: float = 1e-9) -> list[RestrictSample]:
-    """Restriction samples of the (n, n-1)-form field H on the window of a
-    negative-norm cycle: at each node, the circle integral at radius
-    eps sqrt(q(Y')) and its Richardson eps -> 0 extrapolation."""
-    return restrict_samples(nu, H, kappa, eps, chart, target=target)
-
-
 def cycle_integral_T(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
                      eps: float, chart: CycleChart,
                      target: float = 1e-8) -> complex:
@@ -726,7 +717,7 @@ def cycle_integral_T(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
     form it multiplies is dz_1..dz_{n-1} dzbar_1..dzbar_{n-1} up to the
     hat-basis sign, converted to the real window measure."""
     n = chart.frame.n
-    samples = restrict_T(nu, H, kappa, eps, chart, target)
+    samples = restrict_samples(nu, H, kappa, eps, chart, target=target)
     base = sum(s.weight * s.extrapolated for s in samples)
     m = n - 1
     reorder = hat_sign(n, n) * (-1.0) ** m * _top_sign(m)

@@ -11,9 +11,8 @@ psi(Z) = Z - q(Z) e + e~'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -233,7 +232,7 @@ class DomainPoint:
 def isometry_matrix(sigma) -> np.ndarray:
     """The float lattice-coordinate matrix of an Isometry or a matrix."""
     if isinstance(sigma, Isometry):
-        return sigma.float_matrix()
+        return sigma.float_matrix
     return np.asarray(sigma, dtype=float)
 
 
@@ -253,13 +252,6 @@ def act(frame: WittFrame, sigma, point: DomainPoint) -> tuple[DomainPoint, compl
             f"isometry leaves the fixed component: {exc}") from exc
 
 
-def slash(frame: WittFrame, sigma, h: Callable[[DomainPoint], complex],
-          kappa: int, point: DomainPoint) -> complex:
-    """(h |_kappa sigma)(Z) = j(sigma, Z)^-kappa h(sigma Z)."""
-    moved, j = act(frame, sigma, point)
-    return j ** (-kappa) * h(moved)
-
-
 # ---------------------------------------------------------------------------
 # projections and the majorant at a point
 
@@ -270,8 +262,8 @@ def project(frame: WittFrame, lam_lattice: Sequence,
     plane attached to the point.
 
     Returns (vec_plus in lattice coordinates, q_plus, q_minus), computed from
-    the real/imaginary parts of psi(Z); q_plus is also cross-checked against
-    the product formula (pair * pair_bar) / (4 q(Y)) by the geometry suite.
+    the real/imaginary parts of psi(Z): a route independent of the product
+    formula of norm_split, against which the tests compare it.
     """
     lam = vec_float(as_vec(lam_lattice))
     g = frame.gram_float

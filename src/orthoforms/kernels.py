@@ -161,19 +161,13 @@ def action_jacobian(sigma, point: DomainPoint) -> np.ndarray:
     return (w[2:, 1:] - np.outer(w[2:, 0] / j, w[1, 1:])) / j
 
 
-def form_pullback(sigma, vec_func, point: DomainPoint) -> np.ndarray:
-    """Pullback of an (n, n-1)-form along Z -> sigma Z, in hat coefficients:
-    (sigma^* g)(Z) = |det J|^2 conj(J)^{-1} g(sigma Z)."""
-    frame = point.frame
-    moved, _ = act(frame, sigma, point)
+def form_slash(sigma, vec_func, weight: int, point: DomainPoint) -> np.ndarray:
+    """(H |_w sigma)(Z) = j(sigma, Z)^-w (sigma^* H)(Z) on (n, n-1)-forms,
+    with the pullback along Z -> sigma Z in hat coefficients
+    (sigma^* H)(Z) = |det J|^2 conj(J)^{-1} H(sigma Z).  One act gives
+    sigma Z and j."""
+    moved, j = act(point.frame, sigma, point)
     jac = action_jacobian(sigma, point)
     det = np.linalg.det(jac)
     g = np.asarray(vec_func(moved), dtype=complex)
-    return abs(det) ** 2 * np.linalg.solve(np.conj(jac), g)
-
-
-def form_slash(sigma, vec_func, weight: int, point: DomainPoint) -> np.ndarray:
-    """(H |_w sigma)(Z) = j(sigma, Z)^-w (sigma^* H)(Z) on (n, n-1)-forms."""
-    frame = point.frame
-    _, j = act(frame, sigma, point)
-    return j ** (-weight) * form_pullback(sigma, vec_func, point)
+    return j ** (-weight) * (abs(det) ** 2 * np.linalg.solve(np.conj(jac), g))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,7 +129,7 @@ class Isometry:
             for i in range(d)))
 
     def inverse(self) -> "Isometry":
-        m = np.array([[float(x) for x in row] for row in self.matrix])
+        m = self.float_matrix
         inv = np.linalg.inv(m)
         # entries of the inverse of an integral isometry are rational with
         # denominator dividing det; recover them exactly via rounding
@@ -140,8 +141,12 @@ class Isometry:
             raise LatticeError("could not invert isometry exactly")
         return out
 
+    @cached_property
     def float_matrix(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
+        """The matrix in floats, converted once and read-only."""
+        m = np.array([[float(x) for x in row] for row in self.matrix])
+        m.flags.writeable = False
+        return m
 
     def preserves(self, lattice: QuadraticLattice) -> bool:
         """Exact check of M^T G M == G."""
@@ -155,16 +160,6 @@ class Isometry:
                 if val != g[i][j]:
                     return False
         return True
-
-
-@dataclass(frozen=True)
-class GroupData:
-    """Generators of a finite-index subgroup of the integral orthogonal group."""
-
-    generators: tuple[Isometry, ...]
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +229,15 @@ def eichler_isometry(lattice: QuadraticLattice, iso_vec: Sequence,
     return Isometry.from_rows(rows)
 
 
-def standard_group(lattice: QuadraticLattice, config: dict) -> GroupData:
-    """Eichler transvections along e and e' in the K-directions."""
+def standard_group(lattice: QuadraticLattice,
+                   config: dict) -> tuple[Isometry, ...]:
+    """Generators of a finite-index subgroup of the integral orthogonal
+    group: Eichler transvections along e and e' in the K-directions."""
     gens = []
     for k in config["k_basis"]:
         gens.append(eichler_isometry(lattice, config["e"], k))
         gens.append(eichler_isometry(lattice, config["e_prime"], k))
-    return GroupData(tuple(gens))
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +373,9 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
 
 
 def lattice_from_config(cfg: dict):
-    """Build (lattice, config-dict) from either {"standard": n} or an explicit
-    {"gram": ..., "e": ..., "e_prime": ..., [cosets], [group_generators]}."""
+    """Build (lattice, config-dict, generators) from either {"standard": n}
+    or an explicit {"gram": ..., "e": ..., "e_prime": ..., [cosets],
+    [group_generators]}; the generators are a tuple of Isometry."""
     if "standard" in cfg:
         data = standard_lattice(int(cfg["standard"]))
     else:
@@ -389,12 +387,12 @@ def lattice_from_config(cfg: dict):
         raise LatticeError(f"expected signature (2, n), got {sig}")
     data.setdefault("cosets", [[0] * lattice.dim])
     if "group_generators" in data:
-        gens = GroupData(tuple(Isometry.from_rows(mat)
-                               for mat in data["group_generators"]))
+        gens = tuple(Isometry.from_rows(mat)
+                     for mat in data["group_generators"])
     elif "k_basis" in data:
         gens = standard_group(lattice, data)
     else:
-        gens = GroupData(())
+        gens = ()
     for gen in gens:
         if not gen.preserves(lattice):
             raise LatticeError("group generator does not preserve the form")

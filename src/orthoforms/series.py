@@ -21,7 +21,7 @@ Two deliberate contracts:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .domain import DomainPoint, WittFrame, act, majorant_at
 from .kernels import KernelSingularity, omega_kernel, p_tilde_components
-from .quadratic import (GroupData, Isometry, Vec, as_vec, enumerate_majorant,
+from .quadratic import (Isometry, Vec, as_vec, enumerate_majorant,
                         majorant_value)
 
 __all__ = [
@@ -52,11 +52,11 @@ class SeriesSpec:
     m: Fraction
     kappa: int
     bound: float
-    group: GroupData = field(default_factory=lambda: GroupData(()))
+    group: tuple[Isometry, ...] = ()
 
     @classmethod
     def create(cls, frame: WittFrame, coset, m, kappa: int, bound: float,
-               group: GroupData | None = None) -> "SeriesSpec":
+               group: tuple[Isometry, ...] = ()) -> "SeriesSpec":
         m = Fraction(m)
         kappa = int(kappa)
         bound = float(bound)
@@ -71,8 +71,7 @@ class SeriesSpec:
         coset_v = as_vec(coset)
         if len(coset_v) != frame.lattice.dim:
             raise SeriesError("coset vector has the wrong dimension")
-        return cls(frame, coset_v, m, kappa, bound,
-                   group if group is not None else GroupData(()))
+        return cls(frame, coset_v, m, kappa, bound, group)
 
     @property
     def cusp_type(self) -> bool:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import (
-    PairBarField, QYField, dbar_jacobian, laplace_scalar, measure_factor,
+    PairBarField, QYField, dbar_top, laplace_scalar, measure_factor,
     ratio_field, richardson, star_nn1, star_pair, xi_top,
 )
 from .cycles import (
@@ -266,6 +266,7 @@ def suite_geometry(ctx: SuiteContext) -> list[CheckRecord]:
         lattice, frame, group = ctx.standard(n)
         inputs = {"n": n, "samples": p.samples, "seed": p.seed}
         null = conj = halves = equiv = autom = 0.0
+        pairs = [(gamma, gamma.inverse()) for gamma in group]
         for _ in range(p.samples):
             point, lam = _sample_pair(frame, ctx.rng)
             psi = point.psi
@@ -276,9 +277,9 @@ def suite_geometry(ctx: SuiteContext) -> list[CheckRecord]:
             qy = float(point.psi_y @ g @ point.psi_y) / 2.0
             halves = max(halves, abs(qx - point.q_y), abs(qy - point.q_y))
             fc = frame.frame_coords(lam)
-            for gamma in group:
+            for gamma, inverse in pairs:
                 moved, j = act(frame, gamma, point)
-                back = frame.frame_coords(gamma.inverse().apply(lam))
+                back = frame.frame_coords(inverse.apply(lam))
                 lhs = moved.pair(fc) * j
                 equiv = max(equiv, abs(lhs - point.pair(back))
                             / max(1.0, abs(lhs)))
@@ -458,8 +459,7 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
             point, lam, fc = _offcycle_sample(frame, ctx.rng)
             field_fn = lambda pt: p_tilde_components(fc, kappa, pt)
             try:
-                top = -measure_factor(n, point.q_y) * np.trace(
-                    dbar_jacobian(field_fn, point))
+                top = dbar_top(field_fn, point)
                 scaled = p_tilde_components(3.0 * fc, kappa, point)
                 base = p_tilde_components(fc, kappa, point)
             except KernelSingularity:
@@ -505,11 +505,11 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
         slash = 0.0
         skipped = 0
         kappa = n + 2
-        gens = list(group)
+        pairs = [(gamma, gamma.inverse()) for gamma in (group[0], group[-1])]
         for _ in range(points):
             point, lam, fc = _offcycle_sample(frame, ctx.rng)
-            for gamma in (gens[0], gens[-1]):
-                fc_back = frame.frame_coords(gamma.inverse().apply(lam))
+            for gamma, inverse in pairs:
+                fc_back = frame.frame_coords(inverse.apply(lam))
                 try:
                     left = p_tilde_components(fc_back, kappa, point)
                     right = form_slash(
@@ -938,7 +938,7 @@ class Report:
 
 def _csv_number(v) -> str:
     if isinstance(v, complex):
-        return f"{v.real!r}{v.imag:+}j".replace("+", "+").replace(" ", "")
+        return f"{v.real!r}{v.imag:+}j".replace(" ", "")
     return repr(float(v))
 
 

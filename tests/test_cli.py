@@ -295,6 +295,25 @@ def test_series_suite_evaluates_each_series_once(monkeypatch):
     assert len(calls) == 2 * (2 * 5 + generators) == 32
 
 
+def test_geometry_suite_inverts_each_generator_once(monkeypatch):
+    """A default geometry run inverts each generator once per rank, not
+    once per sample."""
+    from orthoforms.quadratic import Isometry
+    calls = []
+    inverse = Isometry.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Isometry, "inverse", counted)
+    assert run(RunConfig(suite="geometry")).passed
+    generators = [g for n in RunParams().n_values
+                  for g in lattice_from_config(standard_lattice(n))[2]]
+    assert calls == generators
+    assert len(calls) == 20
+
+
 def test_tube_limit_overrides_match_config_file(tmp_path, monkeypatch):
     """tube-limit --kappa/--eps build the config the equivalent file does."""
     seen = []

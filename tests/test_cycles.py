@@ -9,7 +9,7 @@ from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
     CycleChart, CycleError, QuadratureError, WindowBump, _face_form_integral,
     _shell_strips, _shell_volume_integral, _tube_faces, cycle_integral_C,
-    cycle_integral_T, hat_sign, restrict_T, restrict_samples, shell_stokes,
+    cycle_integral_T, hat_sign, restrict_samples, shell_stokes,
     transport_to, tube_boundary_integral,
 )
 from orthoforms.domain import DomainPoint, WittFrame, act
@@ -458,7 +458,7 @@ def test_restrict_residue_oracle(geo):
         def H(pt, G=G):
             z = pt.z
             return np.array([0.0j, z[1] ** (kappa - 1) * G(z[0])])
-        for s in restrict_T(NU2, H, kappa, 0.05, chart):
+        for s in restrict_samples(NU2, H, kappa, 0.05, chart):
             z1 = complex(s.params[0], s.params[1])
             oracle = G(z1) * 2j * np.pi / 2 ** kappa
             assert abs(s.value - oracle) <= 1e-12 * max(1.0, abs(oracle))
@@ -524,7 +524,7 @@ def test_restrict_validation(geo):
         restrict_samples((0, 0, -2, 2), H, 4, 0.1, chart)
     pos = _chart_C(frame, 2, nodes=4)
     with pytest.raises(CycleError, match="negative-norm"):
-        restrict_T(MU[2], H, 4, 0.1, pos)
+        restrict_samples(MU[2], H, 4, 0.1, pos)
 
 
 @pytest.mark.parametrize("eps,angle_nodes,name", [

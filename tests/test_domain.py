@@ -6,7 +6,7 @@ import pytest
 from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint,
                                act, majorant_at, metric_det, metric_lower,
                                metric_upper, project, q_plus_minus,
-                               sample_point, sample_vector, slash)
+                               sample_point, sample_vector)
 from orthoforms.quadratic import as_vec, majorant_value, vec_float
 
 TOL = 1e-10
@@ -206,24 +206,6 @@ def test_pair_equivariance(setup_n, rng):
         pulled = g.inverse().apply(lam)
         rhs = p.pair(frame.frame_coords(pulled)) / j
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
-
-
-def test_slash_composition(setup_n, rng):
-    _, frame, group, n = setup_n
-    gens = list(group)
-    p = sample_point(frame, rng)
-    kappa = 3
-    lam_fc = frame.frame_coords(sample_vector(frame, rng))
-
-    def h(pt):
-        return pt.pair(lam_fc) ** 2 / pt.q_y
-
-    a, b = gens[1], gens[-1]
-    ab = a.compose(b)
-    val1 = slash(frame, ab, h, kappa, p)
-    inner = lambda pt: slash(frame, a, h, kappa, pt)
-    val2 = slash(frame, b, inner, kappa, p)
-    assert abs(val1 - val2) < 1e-8 * max(1.0, abs(val1))
 
 
 def test_inversion_or_boundary(setup_n, rng):

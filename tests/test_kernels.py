@@ -288,6 +288,43 @@ def test_form_slash_equivariance_p_tilde(setup_n, rng, sign):
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * scale
 
 
+def test_form_slash_acts_once(setup_n, rng, monkeypatch):
+    """form_slash takes sigma Z and j(sigma, Z) from a single act."""
+    from orthoforms import kernels
+    _, frame, group, n = setup_n
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    p = _regular_point(frame, fc, rng, n + 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return act(*args)
+
+    monkeypatch.setattr(kernels, "act", counted)
+    form_slash(group[-1], lambda pt: p_components(fc, pt), -1, p)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["isometry", "matrix"])
+def test_form_slash_equals_separate_action_calls(setup_n, rng, kind):
+    """form_slash is, bit for bit, j^-w |det J|^2 conj(J)^-1 H(sigma Z)
+    built from separate act and action_jacobian calls, for an Isometry
+    and for a float matrix."""
+    _, frame, group, n = setup_n
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    kappa = n + 1
+    p = _regular_point(frame, fc, rng, kappa)
+    sigma = group[0].compose(group[-1])
+    if kind == "matrix":
+        sigma = np.array(sigma.matrix, dtype=float)
+    vec_func = lambda pt: p_components(fc, pt)
+    moved, j = act(frame, sigma, p)
+    jac = action_jacobian(sigma, p)
+    pulled = np.linalg.solve(np.conj(jac), vec_func(moved))
+    ref = j ** kappa * (abs(np.linalg.det(jac)) ** 2 * pulled)
+    assert np.array_equal(form_slash(sigma, vec_func, -kappa, p), ref)
+
+
 def test_action_jacobian_translation_is_identity(setup_n, rng):
     _, frame, group, n = setup_n
     p = sample_point(frame, rng)

@@ -84,15 +84,28 @@ def test_even_lattice_integral_norms(entries):
     assert q.denominator == 1  # q is integer-valued on an even lattice
 
 
+def test_float_matrix_is_converted_once_and_read_only():
+    cfg = standard_lattice(3)
+    lat = QuadraticLattice(tuple(tuple(r) for r in cfg["gram"]))
+    g = standard_group(lat, cfg)[-1]
+    first = g.float_matrix
+    assert g.float_matrix is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 2.0
+    assert [[Fraction(x) for x in row] for row in first.tolist()] == \
+        [list(row) for row in g.matrix]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_eichler_generators_are_isometries(n):
     cfg = standard_lattice(n)
     lat = QuadraticLattice(tuple(tuple(r) for r in cfg["gram"]))
     group = standard_group(lat, cfg)
-    assert len(group.generators) == 2 * n
+    assert len(group) == 2 * n
     for g in group:
         assert g.preserves(lat)
-        assert round(np.linalg.det(g.float_matrix())) == 1
+        assert round(np.linalg.det(g.float_matrix)) == 1
         inv = g.inverse()
         assert inv.compose(g).matrix == Isometry.identity(lat.dim).matrix
     # transvections along e fix e
@@ -250,4 +263,4 @@ def test_config_standard_roundtrip():
     lat, data, gens = lattice_from_config({"standard": 2})
     assert lat.signature() == (2, 2)
     assert data["cosets"] == [[0, 0, 0, 0]]
-    assert len(gens.generators) == 4
+    assert len(gens) == 4
