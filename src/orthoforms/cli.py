@@ -27,11 +27,12 @@ from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame
 from .kernels import (
     KernelSingularity, omega_kernel, p_components, p_tilde_components,
 )
-from .quadratic import LatticeError, lattice_from_config
+from .quadratic import LatticeError
 from .series import SeriesError, SeriesSpec, eval_Omega, eval_omega
 from .special import limit_constant
 from .suites import (
-    ConfigError, RunConfig, check_config_fields, parse_config, run,
+    ConfigError, RunConfig, check_config_fields, load_frame, parse_config,
+    run,
 )
 
 __all__ = ["main"]
@@ -121,12 +122,7 @@ def cmd_duality(args) -> int:
 def _frame_from_args(args) -> tuple:
     data = _read_config(args.config)
     check_config_fields(data)
-    cfg = data.get("lattice", {"standard": args.n})
-    if not isinstance(cfg, dict):
-        raise ConfigError("lattice", "must be a mapping")
-    lattice, fd, group = lattice_from_config(cfg)
-    frame = WittFrame.build(lattice, fd["e"], fd["e_prime"])
-    return lattice, frame, group
+    return load_frame(data.get("lattice", {"standard": args.n}))
 
 
 def _parse_vec(text: str, dim: int, name: str):

@@ -373,19 +373,20 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
 
 
 def lattice_from_config(cfg: dict):
-    """Build (lattice, config-dict, generators) from either {"standard": n}
-    or an explicit {"gram": ..., "e": ..., "e_prime": ..., [cosets],
-    [group_generators]}; the generators are a tuple of Isometry."""
+    """(lattice, data, generators) of {"standard": n}, whose data is
+    standard_lattice(n), or of explicit data {"gram", "e", "e_prime",
+    [k_basis], [group_generators]}; the generators (a tuple of Isometry) are
+    group_generators, else the Eichler transvections along k_basis, else
+    none."""
     if "standard" in cfg:
         data = standard_lattice(int(cfg["standard"]))
     else:
-        data = dict(cfg)
+        data = cfg
     lattice = QuadraticLattice(tuple(tuple(int(x) for x in row)
                                      for row in data["gram"]))
     sig = lattice.signature()
     if sig[0] != 2:
         raise LatticeError(f"expected signature (2, n), got {sig}")
-    data.setdefault("cosets", [[0] * lattice.dim])
     if "group_generators" in data:
         gens = tuple(Isometry.from_rows(mat)
                      for mat in data["group_generators"])

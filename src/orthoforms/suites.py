@@ -8,10 +8,16 @@ generator, every loop runs in a fixed order, and no record contains
 wall-clock data, so a report for a fixed configuration is byte-identical
 across runs.
 
-``rel_err`` is the deviation divided by max(1, |reference|): genuinely
-relative for large references, absolute for identities whose reference is
-zero.  Records flagged ``diagnostic`` document behavior without counting
-toward the exit status.
+Every check scores its deviation by one rule: |value - reference| over
+max(floor, |scale|), a max-norm over arrays, where the floor is 1 and the
+scale is the reference unless the check names others.  So ``rel_err`` is
+relative for references above 1 and absolute below.  Each tolerance is the
+constant written beside its check.  A sweep check records the worst scaled
+deviation over its samples as ``value`` against ``reference`` 0, so its
+``abs_err`` equals its ``rel_err``; its note counts the samples skipped as
+kernel-singular, and a sweep with none evaluated fails with deviation
+infinity.  Records flagged ``diagnostic`` do not count toward the exit
+status.
 
 The ``lattice`` config block selects the lattice for the single-lattice
 suites (series, tube_limit, restrict, current_eq, duality); the sweep suites
@@ -55,7 +61,7 @@ from .special import limit_constant, radial_integral
 
 __all__ = [
     "CheckRecord", "ConfigError", "RunConfig", "RunParams", "Report",
-    "SUITES", "parse_config", "run",
+    "SUITES", "load_frame", "parse_config", "run",
 ]
 
 
@@ -112,28 +118,58 @@ def _digest(inputs: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _magnitude(x) -> float:
+    """|x|, the max-norm for arrays."""
+    if isinstance(x, np.ndarray):
+        return float(np.max(np.abs(x)))
+    return abs(x)  # np.abs of a complex scalar can differ in the last bit
+
+
+def _error(value, reference, scale=None, floor: float = 1.0) -> tuple:
+    """The error rule of every check: (|value - reference|, that deviation
+    divided by max(floor, |scale|)); the scale defaults to the reference."""
+    abs_err = _magnitude(value - reference)
+    scale = reference if scale is None else scale
+    return abs_err, abs_err / max(floor, _magnitude(scale))
+
+
 def _record(check_id: str, anchor: str, inputs: dict, value, reference,
-            tolerance: float, diagnostic: bool = False,
-            note: str = "") -> CheckRecord:
-    if isinstance(value, complex) and isinstance(reference, complex):
-        abs_err = abs(value - reference)
-        scale = max(1.0, abs(reference))
-    else:
-        abs_err = abs(float(np.real_if_close(value)) -
-                      float(np.real_if_close(reference)))
-        scale = max(1.0, abs(float(np.real_if_close(reference))))
-    rel_err = abs_err / scale
+            tolerance: float, diagnostic: bool = False, note: str = "",
+            scale=None, floor: float = 1.0) -> CheckRecord:
+    abs_err, rel_err = _error(value, reference, scale, floor)
     return CheckRecord(check_id, anchor, _digest(inputs), value, reference,
                        float(abs_err), float(rel_err), float(tolerance),
                        bool(rel_err <= tolerance), diagnostic, note)
 
 
-def _worst(check_id: str, anchor: str, inputs: dict, deviation: float,
-           tolerance: float, diagnostic: bool = False,
-           note: str = "") -> CheckRecord:
-    """A record for 'worst deviation over a sample sweep' checks."""
-    return _record(check_id, anchor, inputs, float(deviation), 0.0,
-                   tolerance, diagnostic, note)
+class _Sweep:
+    """The worst scaled deviation of one check over a sample sweep.  ``add``
+    scores a sample (``scale`` defaults to the reference; ``scale=0`` makes
+    the deviation absolute) and ``skip`` counts a kernel-singular one."""
+
+    def __init__(self, floor: float = 1.0):
+        self.floor = floor
+        self.worst = 0.0
+        self.evaluated = self.skipped = 0
+
+    def add(self, value, reference, scale=None) -> None:
+        self.evaluated += 1
+        _, dev = _error(value, reference, scale, self.floor)
+        if math.isnan(dev) or dev > self.worst:  # a NaN sample sticks
+            self.worst = dev
+
+    def skip(self) -> None:
+        self.skipped += 1
+
+    def record(self, check_id: str, anchor: str, inputs: dict,
+               tolerance: float, unit: str = "points") -> CheckRecord:
+        note = ""
+        if self.skipped:
+            note = (f"{self.skipped} of {self.evaluated + self.skipped} "
+                    f"{unit} skipped: kernel singular")
+        worst = self.worst if self.evaluated else math.inf
+        return _record(check_id, anchor, inputs, worst, 0.0, tolerance,
+                       note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +184,6 @@ class RunParams:
     eps_schedule: tuple[float, ...] = (0.1, 0.05, 0.025)
     bound: float = 12.0
     seed: int = 20240811
-    tolerance_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -160,22 +195,23 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
 
+def _integer(raw) -> int:
+    """An integral config number; a fractional one is refused, not cut."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
+
+
 def parse_params(data: dict) -> RunParams:
-    kinds = {f.name: type(f.default) for f in fields(RunParams)}
+    kinds = {f.name: f.type for f in fields(RunParams)}  # annotation text
     kwargs = {}
     for key, raw in data.items():
         if key not in kinds:
             raise ConfigError(f"parameters.{key}", "unknown parameter")
-        kind = kinds[key]
+        one = _integer if "int" in kinds[key] else float
         try:
-            if kind is tuple:
-                kwargs[key] = tuple(
-                    int(v) if float(v) == int(v) and key != "eps_schedule"
-                    else float(v) for v in raw)
-            elif kind is int:
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = float(raw)
+            kwargs[key] = (tuple(one(v) for v in raw)
+                           if kinds[key].startswith("tuple") else one(raw))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"parameters.{key}", str(exc)) from exc
     params = RunParams(**kwargs)
@@ -207,8 +243,7 @@ def parse_config(data: dict) -> RunConfig:
                           f"unknown suite {suite!r}; expected one of "
                           f"{sorted(SUITES)}")
     lattice = data.get("lattice", {"standard": 2})
-    if not isinstance(lattice, dict):
-        raise ConfigError("lattice", "must be a mapping")
+    _check_lattice_block(lattice)
     params = parse_params(data.get("parameters", {}))
     output = data.get("output")
     if output is not None and not isinstance(output, str):
@@ -226,6 +261,30 @@ def parse_config(data: dict) -> RunConfig:
 # shared context
 
 
+_LATTICE_KEYS = ("gram", "e", "e_prime", "k_basis", "group_generators")
+
+
+def _check_lattice_block(cfg) -> None:
+    """Accept {"standard": n} alone, or explicit data with the required
+    gram, e, e_prime and the optional k_basis, group_generators."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("lattice", "must be a mapping")
+    known = ("standard",) if "standard" in cfg else _LATTICE_KEYS
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"lattice.{key}", "unknown field")
+    for key in known[:3]:  # standard, or gram, e and e_prime
+        if key not in cfg:
+            raise ConfigError(f"lattice.{key}", "missing")
+
+
+def load_frame(cfg) -> tuple:
+    """(lattice, frame, group) of a lattice config block."""
+    _check_lattice_block(cfg)
+    lattice, data, group = lattice_from_config(cfg)
+    return lattice, WittFrame.build(lattice, data["e"], data["e_prime"]), group
+
+
 class SuiteContext:
     def __init__(self, config: RunConfig):
         self.config = config
@@ -236,21 +295,8 @@ class SuiteContext:
     def standard(self, n: int):
         """(lattice, frame, group) for the standard signature (2, n) family."""
         if n not in self._frames:
-            lattice, fd, group = lattice_from_config(standard_lattice(n))
-            frame = WittFrame.build(lattice, fd["e"], fd["e_prime"])
-            self._frames[n] = (lattice, frame, group)
+            self._frames[n] = load_frame(standard_lattice(n))
         return self._frames[n]
-
-    def configured(self):
-        lattice, fd, group = lattice_from_config(self.config.lattice)
-        frame = WittFrame.build(lattice, fd["e"], fd["e_prime"])
-        return lattice, frame, group
-
-
-def _sample_pair(frame, rng):
-    point = sample_point(frame, rng)
-    lam = sample_vector(frame, rng)
-    return point, lam
 
 
 # ---------------------------------------------------------------------------
@@ -265,36 +311,32 @@ def suite_geometry(ctx: SuiteContext) -> list[CheckRecord]:
     for n in p.n_values:
         lattice, frame, group = ctx.standard(n)
         inputs = {"n": n, "samples": p.samples, "seed": p.seed}
-        null = conj = halves = equiv = autom = 0.0
+        sweeps = {anchor: _Sweep() for anchor in (
+            "psi-null", "psi-conjugate-pairing", "psi-real-imaginary-norms",
+            "pairing-equivariance", "imaginary-norm-automorphy")}
         pairs = [(gamma, gamma.inverse()) for gamma in group]
         for _ in range(p.samples):
-            point, lam = _sample_pair(frame, ctx.rng)
+            point = sample_point(frame, ctx.rng)
+            lam = sample_vector(frame, ctx.rng)
             psi = point.psi
             g = frame.gram_float
-            null = max(null, abs(psi @ g @ psi) / 2.0)
-            conj = max(conj, abs(psi @ g @ np.conj(psi) - 4.0 * point.q_y))
-            qx = float(point.psi_x @ g @ point.psi_x) / 2.0
-            qy = float(point.psi_y @ g @ point.psi_y) / 2.0
-            halves = max(halves, abs(qx - point.q_y), abs(qy - point.q_y))
+            sweeps["psi-null"].add(psi @ g @ psi / 2.0, 0.0)
+            sweeps["psi-conjugate-pairing"].add(
+                psi @ g @ np.conj(psi), 4.0 * point.q_y, scale=0.0)
+            for part in (point.psi_x, point.psi_y):
+                sweeps["psi-real-imaginary-norms"].add(
+                    float(part @ g @ part) / 2.0, point.q_y, scale=0.0)
             fc = frame.frame_coords(lam)
             for gamma, inverse in pairs:
                 moved, j = act(frame, gamma, point)
                 back = frame.frame_coords(inverse.apply(lam))
-                lhs = moved.pair(fc) * j
-                equiv = max(equiv, abs(lhs - point.pair(back))
-                            / max(1.0, abs(lhs)))
-                autom = max(autom, abs(moved.q_y * abs(j) ** 2 - point.q_y))
-        tol = 1e-10 * p.tolerance_scale
-        out.append(_worst(f"geometry/psi-null/n{n}", "psi-null", inputs,
-                          null, tol))
-        out.append(_worst(f"geometry/psi-conjugate-pairing/n{n}",
-                          "psi-conjugate-pairing", inputs, conj, tol))
-        out.append(_worst(f"geometry/psi-real-imaginary-norms/n{n}",
-                          "psi-real-imaginary-norms", inputs, halves, tol))
-        out.append(_worst(f"geometry/pairing-equivariance/n{n}",
-                          "pairing-equivariance", inputs, equiv, tol))
-        out.append(_worst(f"geometry/imaginary-norm-automorphy/n{n}",
-                          "imaginary-norm-automorphy", inputs, autom, tol))
+                sweeps["pairing-equivariance"].add(point.pair(back),
+                                                   moved.pair(fc) * j)
+                sweeps["imaginary-norm-automorphy"].add(
+                    moved.q_y * abs(j) ** 2, point.q_y, scale=0.0)
+        for anchor, sweep in sweeps.items():
+            out.append(sweep.record(f"geometry/{anchor}/n{n}", anchor,
+                                    inputs, 1e-10))
     return out
 
 
@@ -310,20 +352,18 @@ def suite_metric(ctx: SuiteContext) -> list[CheckRecord]:
     for n in p.n_values:
         _, frame, _ = ctx.standard(n)
         inputs = {"n": n, "samples": p.samples, "seed": p.seed}
-        inverse = volume = 0.0
+        inverse, volume = _Sweep(), _Sweep()
         eye = np.eye(n)
         for _ in range(p.samples):
             point = sample_point(frame, ctx.rng)
             up = metric_upper(frame.eps, point.y, point.q_y)
             low = metric_lower(frame.eps, point.y, point.q_y)
-            inverse = max(inverse, float(np.max(np.abs(up @ low - eye))))
-            volume = max(volume, abs(metric_det(n, point.q_y)
-                                     * (2.0 * point.q_y) ** n - 1.0))
-        tol = 1e-10 * p.tolerance_scale
-        out.append(_worst(f"metric/metric-inverse/n{n}", "metric-inverse",
-                          inputs, inverse, tol))
-        out.append(_worst(f"metric/metric-volume/n{n}", "metric-volume",
-                          inputs, volume, tol))
+            inverse.add(up @ low, eye, scale=0.0)
+            volume.add(np.linalg.det(low) / metric_det(n, point.q_y), 1.0)
+        out.append(inverse.record(f"metric/metric-inverse/n{n}",
+                                  "metric-inverse", inputs, 1e-10))
+        out.append(volume.record(f"metric/metric-volume/n{n}",
+                                 "metric-volume", inputs, 1e-10))
     return out
 
 
@@ -339,11 +379,13 @@ def suite_identities(ctx: SuiteContext) -> list[CheckRecord]:
     for n in p.n_values:
         lattice, frame, _ = ctx.standard(n)
         inputs = {"n": n, "samples": p.samples, "seed": p.seed}
-        worst = {"gradient-pairing-i": 0.0, "gradient-pairing-ii": 0.0,
-                 "gradient-pairing-iii": 0.0, "ratio-gradient-norm": 0.0,
-                 "gradient-recombination": 0.0}
+        sweeps = {anchor: _Sweep() for anchor in (
+            "gradient-pairing-i", "gradient-pairing-ii",
+            "gradient-pairing-iii", "ratio-gradient-norm",
+            "gradient-recombination")}
         for _ in range(p.samples):
-            point, lam = _sample_pair(frame, ctx.rng)
+            point = sample_point(frame, ctx.rng)
+            lam = sample_vector(frame, ctx.rng)
             fc = frame.frame_coords(lam)
             eps, y, qy = frame.eps, point.y, point.q_y
             g = lattice.gram_float()
@@ -359,37 +401,26 @@ def suite_identities(ctx: SuiteContext) -> list[CheckRecord]:
 
             val_i = star_pair(f_pb, f_pb, eps, y, qy)
             ref_i = 2.0 * lpy ** 2 - 4.0 * qy * q_lam + 4.0 * lpx * qy * lam_ep
-            worst["gradient-pairing-i"] = max(
-                worst["gradient-pairing-i"],
-                abs(val_i - ref_i) / max(1.0, abs(ref_i)))
+            sweeps["gradient-pairing-i"].add(val_i, ref_i)
 
             val_ii = star_pair(f_qy, f_qy, eps, y, qy)
-            worst["gradient-pairing-ii"] = max(
-                worst["gradient-pairing-ii"],
-                abs(val_ii - qy ** 2) / max(1.0, qy ** 2))
+            sweeps["gradient-pairing-ii"].add(val_ii, qy ** 2)
 
             val_iii = -2.0 * (pair * star_pair(f_pb, f_qy, eps, y, qy)
                               / qy).real
             ref_iii = -2.0 * lpy ** 2 - 4.0 * lpx * qy * lam_ep
-            worst["gradient-pairing-iii"] = max(
-                worst["gradient-pairing-iii"],
-                abs(val_iii - ref_iii) / max(1.0, abs(ref_iii)))
+            sweeps["gradient-pairing-iii"].add(val_iii, ref_iii)
 
             _, q_minus = q_plus_minus(frame, fc, point)
             val_iv = star_pair(f_u, f_u, eps, y, qy)
             ref_iv = -4.0 * q_minus / qy
-            worst["ratio-gradient-norm"] = max(
-                worst["ratio-gradient-norm"],
-                abs(val_iv - ref_iv) / max(1.0, abs(ref_iv)))
+            sweeps["ratio-gradient-norm"].add(val_iv, ref_iv)
 
             recombined = (ref_i + abs(pair) ** 2 + ref_iii) / qy ** 2
-            worst["gradient-recombination"] = max(
-                worst["gradient-recombination"],
-                abs(recombined - ref_iv) / max(1.0, abs(ref_iv)))
-        tol = 1e-9 * p.tolerance_scale
-        for anchor, dev in worst.items():
-            out.append(_worst(f"identities/{anchor}/n{n}", anchor, inputs,
-                              dev, tol))
+            sweeps["gradient-recombination"].add(recombined, ref_iv)
+        for anchor, sweep in sweeps.items():
+            out.append(sweep.record(f"identities/{anchor}/n{n}", anchor,
+                                    inputs, 1e-9))
     return out
 
 
@@ -405,7 +436,7 @@ def _offcycle_sample(frame, rng, sign=0):
     accepts any nonzero norm.
     """
     for _ in range(500):
-        point, lam = _sample_pair(frame, rng)
+        point, lam = sample_point(frame, rng), sample_vector(frame, rng)
         fc = frame.frame_coords(lam)
         q_lam = float(frame.lattice.q(lam))
         if q_lam == 0.0 or q_lam * sign < 0:
@@ -415,20 +446,6 @@ def _offcycle_sample(frame, rng, sign=0):
                 and abs(point.pair_bar(fc)) > 0.3):
             return point, lam, fc
     raise RuntimeError("sampler failed to leave the singular loci")
-
-
-def _guarded_worst(check_id: str, anchor: str, inputs: dict,
-                   deviation: float, tolerance: float, skipped: int,
-                   total: int, unit: str) -> CheckRecord:
-    """A worst-deviation record over a sweep that skips singular kernels:
-    the note counts the skipped samples, and a sweep that evaluated none
-    fails with deviation infinity."""
-    note = ""
-    if skipped:
-        note = f"{skipped} of {total} {unit} skipped: kernel singular"
-    if skipped == total:
-        deviation = math.inf
-    return _worst(check_id, anchor, inputs, deviation, tolerance, note=note)
 
 
 def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
@@ -441,19 +458,15 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
         lattice, frame, group = ctx.standard(n)
         inputs = {"n": n, "samples": points, "seed": p.seed}
 
-        lap = 0.0
+        lap = _Sweep()
         for _ in range(points):
             point, lam, fc = _offcycle_sample(frame, ctx.rng)
             u = ratio_field(fc)
-            val = laplace_scalar(u, 1, point)
-            ref = 0.5 * n * u.value(point)
-            lap = max(lap, abs(val - ref) / max(1.0, abs(ref)))
-        out.append(_worst(f"kernel/laplace-eigenvalue/n{n}",
-                          "laplace-eigenvalue", inputs, lap,
-                          1e-5 * p.tolerance_scale))
+            lap.add(laplace_scalar(u, 1, point), 0.5 * n * u.value(point))
+        out.append(lap.record(f"kernel/laplace-eigenvalue/n{n}",
+                              "laplace-eigenvalue", inputs, 1e-5))
 
-        dbar_dev = homog = 0.0
-        skipped = 0
+        dbar_dev, homog = _Sweep(), _Sweep()
         kappa = n + 2
         for _ in range(points):
             point, lam, fc = _offcycle_sample(frame, ctx.rng)
@@ -463,27 +476,22 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                 scaled = p_tilde_components(3.0 * fc, kappa, point)
                 base = p_tilde_components(fc, kappa, point)
             except KernelSingularity:
-                skipped += 1
+                dbar_dev.skip()
+                homog.skip()
                 continue
-            ref = dbar_image_reference(fc, kappa, point)
-            dbar_dev = max(dbar_dev, abs(top - ref) / max(1.0, abs(ref)))
-            homog = max(homog, float(np.max(np.abs(
-                scaled - 3.0 ** (-kappa) * base))) /
-                max(1.0, float(np.max(np.abs(base)))))
-        out.append(_guarded_worst(
-            f"kernel/dbar-coefficient/n{n}", "dbar-coefficient", inputs,
-            dbar_dev, 1e-5 * p.tolerance_scale, skipped, points, "points"))
-        out.append(_guarded_worst(
-            f"kernel/kernel-homogeneity/n{n}", "kernel-homogeneity", inputs,
-            homog, 1e-9 * p.tolerance_scale, skipped, points, "points"))
+            dbar_dev.add(top, dbar_image_reference(fc, kappa, point))
+            homog.add(scaled, 3.0 ** (-kappa) * base, scale=base)
+        out.append(dbar_dev.record(f"kernel/dbar-coefficient/n{n}",
+                                   "dbar-coefficient", inputs, 1e-5))
+        out.append(homog.record(f"kernel/kernel-homogeneity/n{n}",
+                                "kernel-homogeneity", inputs, 1e-9))
 
         if n in (2, 4):
             for kappa in p.kappa_values:
                 if kappa <= n:
                     continue
                 for sign, tag in ((+1, "pos"), (-1, "neg")):
-                    pre = 0.0
-                    skipped = 0
+                    pre = _Sweep(floor=1e-6)
                     ins = dict(inputs, kappa=kappa, sign=tag)
                     for _ in range(points):
                         point, lam, fc = _offcycle_sample(frame, ctx.rng,
@@ -493,17 +501,14 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                         try:
                             val = xi_top(field_fn, kappa, point)
                         except KernelSingularity:
-                            skipped += 1
+                            pre.skip()
                             continue
-                        ref = xi_image_reference(fc, kappa, point)
-                        pre = max(pre, abs(val - ref) / max(1e-6, abs(ref)))
-                    out.append(_guarded_worst(
+                        pre.add(val, xi_image_reference(fc, kappa, point))
+                    out.append(pre.record(
                         f"kernel/xi-preimage/n{n}-kappa{kappa}-{tag}",
-                        "xi-preimage", ins, pre, 1e-6 * p.tolerance_scale,
-                        skipped, points, "points"))
+                        "xi-preimage", ins, 1e-6))
 
-        slash = 0.0
-        skipped = 0
+        slash = _Sweep()
         kappa = n + 2
         pairs = [(gamma, gamma.inverse()) for gamma in (group[0], group[-1])]
         for _ in range(points):
@@ -516,14 +521,12 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                         gamma, lambda pt: p_tilde_components(fc, kappa, pt),
                         -kappa, point)
                 except KernelSingularity:
-                    skipped += 1
+                    slash.skip()
                     continue
-                slash = max(slash, float(np.max(np.abs(left - right)))
-                            / max(1.0, float(np.max(np.abs(left)))))
-        out.append(_guarded_worst(
-            f"kernel/slash-equivariance/n{n}", "slash-equivariance", inputs,
-            slash, 1e-6 * p.tolerance_scale, skipped, 2 * points,
-            "(point, generator) pairs"))
+                slash.add(right, left)
+        out.append(slash.record(f"kernel/slash-equivariance/n{n}",
+                                "slash-equivariance", inputs, 1e-6,
+                                unit="(point, generator) pairs"))
     return out
 
 
@@ -545,14 +548,13 @@ def suite_constants(ctx: SuiteContext) -> list[CheckRecord]:
     for n, ref in closed.items():
         out.append(_record(f"constants/radial-integral/n{n}",
                            "radial-integral", {"n": n}, radial_integral(n),
-                           ref, 1e-10 * p.tolerance_scale))
+                           ref, 1e-10))
     for kappa in (3, 4, 5):
         ref = -math.pi / (2.0 * 4.0 ** kappa * (kappa - 1.0))
         val = limit_constant(2, kappa)
         out.append(_record(f"constants/limit-constant/n2-kappa{kappa}",
                            "limit-constant", {"n": 2, "kappa": kappa},
-                           complex(val), complex(ref),
-                           1e-10 * p.tolerance_scale))
+                           complex(val), complex(ref), 1e-10))
     for kappa in (5, 6):
         # independently assembled: gamma prefactor x (n - 1) x area of the
         # unit 2-sphere x a dense-trapezoid radial integral
@@ -562,7 +564,7 @@ def suite_constants(ctx: SuiteContext) -> list[CheckRecord]:
         val = limit_constant(4, kappa)
         out.append(_record(f"constants/limit-constant/n4-kappa{kappa}",
                            "limit-constant", {"n": 4, "kappa": kappa},
-                           complex(val), oracle, 1e-9 * p.tolerance_scale))
+                           complex(val), oracle, 1e-9))
     return out
 
 
@@ -599,17 +601,17 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
                 complex(r2.value), complex(r1.value),
                 max(1e-12, 2.0 * r1.tail)))
             r1b = eval_omega(spec, point)
-            out.append(_worst(
+            out.append(_record(
                 f"series/series-determinism/n{n}-m{m}", "series-determinism",
                 ins, abs(r1b.value - r1.value) + abs(r1b.tail - r1.tail)
-                + abs(r1b.count - r1.count), 0.0))
+                + abs(r1b.count - r1.count), 0.0, 0.0))
             for idx, gamma in enumerate(group):
                 defect, far = modularity_check(spec, r1, point, gamma)
                 tol = r1.tail + far.tail + 1e-12
-                out.append(_worst(
+                out.append(_record(
                     f"series/series-modularity/n{n}-m{m}-g{idx}",
                     "series-modularity", dict(ins, generator=idx), defect,
-                    tol))
+                    0.0, tol))
             try:
                 form_res = eval_Omega(spec, point)
                 vectors = enumerate_class(spec, point)
@@ -621,9 +623,9 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
                     "series-xi-compatibility", ins, complex(xi_val),
                     complex(r1.value), tol))
             except KernelSingularity as exc:
-                out.append(_worst(
+                out.append(_record(
                     f"series/series-xi-compatibility/n{n}-m{m}",
-                    "series-xi-compatibility", ins, math.inf, 1e-5,
+                    "series-xi-compatibility", ins, math.inf, 0.0, 1e-5,
                     note=f"singular term: {exc}"))
     return out
 
@@ -633,7 +635,7 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
 
 
 def _tube_setup(ctx: SuiteContext, kappa: int):
-    lattice, frame, _ = ctx.configured()
+    lattice, frame, _ = load_frame(ctx.config.lattice)
     if frame.n != 2:
         raise ConfigError("lattice", "tube_limit needs a rank (2, 2) lattice")
     mu = (0, 0, 1, 1)
@@ -703,11 +705,11 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
                 note=noted("convergence curve sample", [eps])))
         for eps, exc in unsettled.items():
             fine = complex(exc.fine)
-            gap = abs(fine - complex(exc.coarse)) / max(abs(fine), 1e-14)
-            out.append(_worst(
+            _, gap = _error(fine, complex(exc.coarse), fine, floor=1e-14)
+            out.append(_record(
                 f"tube_limit/quadrature-gap/kappa{kappa}-eps{eps}",
-                "tube-limit-quadrature-gap", dict(ins, at=eps), gap, target,
-                diagnostic=True, note=unconfirmed(eps)))
+                "tube-limit-quadrature-gap", dict(ins, at=eps), gap, 0.0,
+                target, diagnostic=True, note=unconfirmed(eps)))
     return out
 
 
@@ -718,7 +720,7 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
 def suite_restrict(ctx: SuiteContext) -> list[CheckRecord]:
     out = []
     p = ctx.params
-    lattice, frame, _ = ctx.configured()
+    lattice, frame, _ = load_frame(ctx.config.lattice)
     if frame.n != 2:
         raise ConfigError("lattice", "restrict needs a rank (2, 2) lattice")
     nu = (0, 0, -1, 1)
@@ -730,13 +732,13 @@ def suite_restrict(ctx: SuiteContext) -> list[CheckRecord]:
         z = pt.z
         return np.array([0.0j, z[1] ** (kappa - 1) * (1.0 + z[0] ** 2)])
 
-    worst = 0.0
+    residue = _Sweep()
     for s in restrict_samples(nu, H_res, kappa, 0.05, chart):
         z1 = complex(s.params[0], s.params[1])
-        oracle = (1.0 + z1 ** 2) * 2j * math.pi / 2 ** kappa
-        worst = max(worst, abs(s.extrapolated - oracle) / max(1.0, abs(oracle)))
-    out.append(_worst("restrict/residue-oracle", "restriction-residue", ins,
-                      worst, 1e-10 * p.tolerance_scale))
+        residue.add(s.extrapolated,
+                    (1.0 + z1 ** 2) * 2j * math.pi / 2 ** kappa)
+    out.append(residue.record("restrict/residue-oracle", "restriction-residue",
+                              ins, 1e-10))
 
     def H_dec(pt):
         z = pt.z
@@ -754,12 +756,11 @@ def suite_restrict(ctx: SuiteContext) -> list[CheckRecord]:
         if i == 0:
             extr = max(abs(s.extrapolated) for s in ss)
     slope = float(np.polyfit(np.log(eps_list), np.log(mags), 1)[0])
-    out.append(_worst("restrict/decay-slope", "restriction-decay-slope",
-                      dict(ins, eps=eps_list), max(0.0, 0.9 - slope), 0.0,
-                      note=f"fitted log-log slope {slope:.6f}"))
-    out.append(_worst("restrict/extrapolated-vanishing",
-                      "restriction-extrapolation", ins, extr,
-                      1e-6 * p.tolerance_scale))
+    out.append(_record("restrict/decay-slope", "restriction-decay-slope",
+                       dict(ins, eps=eps_list), max(0.0, 0.9 - slope), 0.0,
+                       0.0, note=f"fitted log-log slope {slope:.6f}"))
+    out.append(_record("restrict/extrapolated-vanishing",
+                       "restriction-extrapolation", ins, extr, 0.0, 1e-6))
     for eps, mag in zip(eps_list, mags):
         out.append(_record(f"restrict/curve/eps{eps:.6g}",
                            "restriction-curve", dict(ins, at=eps), mag, 0.0,
@@ -775,7 +776,7 @@ def suite_restrict(ctx: SuiteContext) -> list[CheckRecord]:
 def suite_current_eq(ctx: SuiteContext) -> list[CheckRecord]:
     out = []
     p = ctx.params
-    lattice, frame, _ = ctx.configured()
+    lattice, frame, _ = load_frame(ctx.config.lattice)
     n = frame.n
     if n > 2:
         raise ConfigError("lattice", "current_eq needs rank (2, 1) or (2, 2)")
@@ -791,18 +792,18 @@ def suite_current_eq(ctx: SuiteContext) -> list[CheckRecord]:
     try:
         shell = shell_stokes(chart, h, p_field, dbar_coeff, (0.05, 0.1),
                              boundary_target=1e-3)
-        scale = max(abs(shell["outer"]), abs(shell["volume"]), 1e-3)
-        out.append(_worst("current_eq/stokes-shell-residual",
-                          "stokes-shell-residual", ins,
-                          abs(shell["residual"]) / scale,
-                          5e-6 * p.tolerance_scale))
+        _, residual = _error(shell["residual"], 0.0,
+                             max(abs(shell["outer"]), abs(shell["volume"])),
+                             floor=1e-3)
+        out.append(_record("current_eq/stokes-shell-residual",
+                           "stokes-shell-residual", ins, residual, 0.0, 5e-6))
     except QuadratureError as exc:
-        out.append(_worst("current_eq/stokes-shell-residual",
-                          "stokes-shell-residual", ins, math.inf, 5e-6,
-                          note=str(exc)))
+        out.append(_record("current_eq/stokes-shell-residual",
+                           "stokes-shell-residual", ins, math.inf, 0.0, 5e-6,
+                           note=str(exc)))
 
     rng = np.random.default_rng(p.seed)
-    dev = 0.0
+    bridge = _Sweep()
     eps_vec = frame.eps
     for _ in range(5):
         y = np.abs(rng.normal(size=n)) * 0.3
@@ -811,11 +812,10 @@ def suite_current_eq(ctx: SuiteContext) -> list[CheckRecord]:
         f = rng.normal(size=n) + 1j * rng.normal(size=n)
         G = rng.normal(size=n) + 1j * rng.normal(size=n)
         direct = -measure_factor(n, q_y) * complex(f @ G)
-        via_star = star_pair(f, star_nn1(G, eps_vec, y, q_y), eps_vec, y, q_y)
-        dev = max(dev, abs(direct - via_star) / max(1.0, abs(direct)))
-    out.append(_worst("current_eq/wedge-pairing-bridge",
-                      "wedge-pairing-bridge", ins, dev,
-                      1e-10 * p.tolerance_scale))
+        bridge.add(star_pair(f, star_nn1(G, eps_vec, y, q_y), eps_vec, y, q_y),
+                   direct)
+    out.append(bridge.record("current_eq/wedge-pairing-bridge",
+                             "wedge-pairing-bridge", ins, 1e-10))
     return out
 
 
@@ -833,7 +833,7 @@ def suite_duality(ctx: SuiteContext) -> list[CheckRecord]:
     for key in ("mu", "nu", "window_C", "window_T", "kappa"):
         if key not in data:
             raise ConfigError(f"duality.{key}", "missing")
-    lattice, frame, _ = ctx.configured()
+    lattice, frame, _ = load_frame(ctx.config.lattice)
     mu = tuple(int(c) for c in data["mu"])
     nu = tuple(int(c) for c in data["nu"])
     kappa = int(data["kappa"])
@@ -858,20 +858,18 @@ def suite_duality(ctx: SuiteContext) -> list[CheckRecord]:
         rhs = cycle_integral_T(nu, Omega_cusp, kappa, eps, chart_T,
                                target=1e-6)
     except QuadratureError as exc:
-        return [_worst("duality/cycle-density-pairing",
-                       "cycle-density-duality", ins, math.inf, 5e-2,
-                       note=f"quadrature did not settle: {exc}")]
-    abs_err = abs(lhs - rhs)
+        return [_record("duality/cycle-density-pairing",
+                        "cycle-density-duality", ins, math.inf, 0.0, 5e-2,
+                        note=f"quadrature did not settle: {exc}")]
     # scale by the densities themselves: unmatched window data must not
     # slip through on account of both sides being small
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-30)
-    return [CheckRecord(
-        "duality/cycle-density-pairing", "cycle-density-duality",
-        _digest(ins), complex(lhs), complex(rhs), float(abs_err),
-        float(rel_err), 5e-2, bool(rel_err <= 5e-2),
+    return [_record(
+        "duality/cycle-density-pairing", "cycle-density-duality", ins,
+        complex(lhs), complex(rhs), 5e-2,
         note="windowed density of the scalar kernel over the positive "
              "cycle vs the restriction density of the form kernel over "
-             "the negative cycle; deviation scaled by the larger density")]
+             "the negative cycle; deviation scaled by the larger density",
+        scale=max(abs(lhs), abs(rhs)), floor=1e-30)]
 
 
 # ---------------------------------------------------------------------------

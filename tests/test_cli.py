@@ -61,6 +61,13 @@ def test_parse_config_bad_value_types():
     assert err.value.field == "output"
 
 
+def test_parse_config_integral_floats_become_ints():
+    params = parse_config({"suite": "identities", "parameters": {
+        "n_values": [2.0], "samples": 4.0, "seed": 7}}).params
+    assert params.n_values == (2,) and params.samples == 4
+    assert all(type(v) is int for v in (*params.n_values, params.samples))
+
+
 def test_parse_config_defaults():
     cfg = parse_config({"suite": "metric"})
     assert cfg.params.seed == RunParams().seed
@@ -141,6 +148,29 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys):
     assert "parameters.wrong" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite,block,field", [
+    ("geometry", {"parameters": {"n_values": [2.5]}}, "parameters.n_values"),
+    ("tube_limit", {"parameters": {"kappa_values": [3.5]}},
+     "parameters.kappa_values"),
+    ("metric", {"parameters": {"samples": 2.5}}, "parameters.samples"),
+    ("metric", {"parameters": {"seed": 0.5}}, "parameters.seed"),
+    ("metric", {"parameters": {"tolerance_scale": 1.0}},
+     "parameters.tolerance_scale"),
+    ("restrict", {"lattice": {"standard": 2, "bogus": 1,
+                              "cosets": [[0, 0, 0, 0]]}}, "lattice.bogus"),
+    ("geometry", {"lattice": {"standard": 2, "cosets": [[0, 0, 0, 0]]}},
+     "lattice.cosets"),
+    ("restrict", {"lattice": {"gram": [[0, 1], [1, 0]], "e": [1, 0]}},
+     "lattice.e_prime"),
+], ids=["n-fractional", "kappa-fractional", "samples-fractional",
+        "seed-fractional", "tolerance-scale", "lattice-unknown",
+        "lattice-cosets", "lattice-missing-key"])
+def test_bad_config_field_exits_2(tmp_path, capsys, suite, block, field):
+    cfg = _write_config(tmp_path, dict(block, suite=suite))
+    assert main(["verify", "--config", cfg]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_missing_suite_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"parameters": {"samples": 2}})
     assert main(["verify", "--config", cfg]) == 2
@@ -163,8 +193,9 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ("[1, 2]", "--config"),
     ('{"latice": {"standard": 3}, "bogus": 1}', "latice"),
     ('{"lattice": 3}', "lattice"),
+    ('{"lattice": {"standard": 2, "bogus": 1}}', "lattice.bogus"),
 ], ids=["missing", "invalid-json", "not-an-object", "unknown-field",
-        "lattice-not-an-object"])
+        "lattice-not-an-object", "lattice-unknown-key"])
 def test_evaluator_bad_config_exits_2(tmp_path, capsys, command, content,
                                       field):
     path = tmp_path / "cfg.json"
@@ -274,6 +305,38 @@ def test_kernel_suite_reports_singular_pointwise_loops(tmp_path, capsys,
         assert records[check_id]["value"] == math.inf
         assert not records[check_id]["pass"]
     assert records[f"kernel/laplace-eigenvalue/n{n}"]["pass"]
+
+
+def test_metric_suite_catches_rescaled_metric(monkeypatch):
+    """Scaling h^{ij} by 2 and h_{ij} by 1/2 keeps them inverse to each
+    other, so only a determinant of h_{ij} against its closed form can
+    catch it."""
+    upper, lower = suites.metric_upper, suites.metric_lower
+    monkeypatch.setattr(suites, "metric_upper",
+                        lambda *args: 2.0 * upper(*args))
+    monkeypatch.setattr(suites, "metric_lower",
+                        lambda *args: 0.5 * lower(*args))
+    report = run(RunConfig(suite="metric"))
+    failed = {r.check_id for r in report.records if not r.passed}
+    assert failed == {f"metric/metric-volume/n{n}" for n in (1, 2, 3, 4)}
+
+
+def test_sweep_fails_on_a_nan_sample(monkeypatch):
+    """A NaN deviation at one sample fails the sweep record instead of
+    losing to the running maximum."""
+    metric_det = suites.metric_det
+    calls = []
+
+    def nan_once(n, q_y):
+        calls.append(n)
+        return math.nan if len(calls) == 2 else metric_det(n, q_y)
+
+    monkeypatch.setattr(suites, "metric_det", nan_once)
+    report = run(RunConfig(suite="metric", params=RunParams(
+        n_values=(2,), samples=3)))
+    record = {r.check_id: r for r in report.records}["metric/metric-volume/n2"]
+    assert math.isnan(record.value) and not record.passed
+    assert not report.passed
 
 
 def test_series_suite_evaluates_each_series_once(monkeypatch):

@@ -262,5 +262,4 @@ def test_config_rejects_wrong_signature():
 def test_config_standard_roundtrip():
     lat, data, gens = lattice_from_config({"standard": 2})
     assert lat.signature() == (2, 2)
-    assert data["cosets"] == [[0, 0, 0, 0]]
     assert len(gens) == 4
