@@ -17,11 +17,13 @@ so that f ^ star(g) = star_pair(f, g) dmu.
 Every kernel is built on the ratio (lambda, psi(Zbar)) / q(Y); the dbar of
 its numerator, of q(Y) and of the ratio are written out once each in closed
 form (pair_bar_dbar, q_y_dbar, ratio_dbar).  A scalar field is any object
-with value(point) and dbar(point); ratio_field, PairBarField and QYField are
-the ones the program uses.  Richardson central differences (dbar_jacobian)
-check those closed forms and differentiate everything else.
+with value(point) and dbar(point); ratio_field is the one the program uses.
+Richardson central differences (dbar_jacobian) check those closed forms and
+differentiate everything else.
 """
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,41 +87,13 @@ def ratio_dbar(lam: np.ndarray, point: DomainPoint,
             - pair_bar * q_y_dbar(point)) / qy ** 2
 
 
-class PairBarField:
-    """Z -> (lambda, psi(Zbar)) with its closed-form dbar."""
-
-    def __init__(self, lam_fc: np.ndarray):
-        self.lam = np.asarray(lam_fc, dtype=float)
-
-    def value(self, point: DomainPoint) -> complex:
-        return point.pair_bar(self.lam)
-
-    def dbar(self, point: DomainPoint) -> np.ndarray:
-        return pair_bar_dbar(self.lam, point)
-
-
-class QYField:
-    """Z -> q(Y) with its closed-form dbar."""
-
-    def value(self, point: DomainPoint) -> complex:
-        return complex(point.q_y)
-
-    def dbar(self, point: DomainPoint) -> np.ndarray:
-        return q_y_dbar(point)
-
-
-class _RatioField(PairBarField):
-    def value(self, point: DomainPoint) -> complex:
-        return point.pair_bar(self.lam) / complex(point.q_y)
-
-    def dbar(self, point: DomainPoint) -> np.ndarray:
-        return ratio_dbar(self.lam, point, point.pair_bar(self.lam))
-
-
-def ratio_field(lam_fc: np.ndarray) -> _RatioField:
+def ratio_field(lam_fc: np.ndarray) -> SimpleNamespace:
     """The weight -1 scalar (lambda, psi(Zbar)) / q(Y) with its closed-form
-    dbar."""
-    return _RatioField(lam_fc)
+    dbar, as a field with value(point) and dbar(point)."""
+    lam = np.asarray(lam_fc, dtype=float)
+    return SimpleNamespace(
+        value=lambda point: point.pair_bar(lam) / complex(point.q_y),
+        dbar=lambda point: ratio_dbar(lam, point, point.pair_bar(lam)))
 
 
 # ---------------------------------------------------------------------------

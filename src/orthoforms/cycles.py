@@ -12,24 +12,23 @@ copy of a coordinate model:
 
 Around the first family, the explicit collar map
 
-    phi_eps:  z1 = eps y1' x1' + i y1',   z_j = x_j' + i eps y1' y_j'
+    phi:  z1 = y1' x1' + i y1',   z_j = x_j' + i y1' y_j'
 
-identifies (cycle window) x (-1,1) x B_{n-1} with a tube neighborhood.  Its
-boundary has two face families (the x1' = +-1 caps and the |y'| = 1
-laterals); integrals of (n, n-1)-forms over the portion of the boundary
-above a compact window are computed by exact pullback of the coordinate
-hat-basis along phi_eps, with tensor Gauss-Legendre quadrature and a
-node-doubling error estimate.
+identifies (cycle window) x (-eps, eps)^n with the tube of radius eps.
+Its faces (the caps x1' = +-eps and the laterals |y_j'| = eps) and the
+shell strips between two radii are boxes of these collar coordinates, all
+walked by one node generator: each box's collar map, closed-form Jacobian
+(pushed forward by the action Jacobian on a transported chart) and signed
+hat minors or volume determinant are computed once per quadrature grid, as
+arrays over its node rows.  Face integrals of (n, n-1)-forms above a
+compact window use tensor Gauss-Legendre quadrature with a node-doubling
+error estimate.
 
-The geometry of a face or shell strip is computed once per quadrature grid,
-as arrays over its node rows: the collar map, its closed-form Jacobian
-(pushed forward by the action Jacobian on a transported chart) and the
-signed hat minors from one stacked determinant.  The restriction to the
-algebraic family integrates over circle fibers |z_n| = eps sqrt(q(Y'))
-above the window nodes; each fiber is one trapezoid rule whose angles,
-phases, Z rows, denominators and slot weights are arrays, and the coarse
-rule of its error estimate is the even-indexed fine nodes.  Every
-quadrature builds its points from the node rows in one batch
+The restriction to the algebraic family integrates over circle fibers
+|z_n| = eps sqrt(q(Y')) above the window nodes; each fiber is one trapezoid
+rule whose angles, phases, Z rows, denominators and slot weights are
+arrays, and the coarse rule of its error estimate is the even-indexed fine
+nodes.  Every quadrature builds its points from the node rows in one batch
 (DomainPoint.rows; a transported chart then moves them node by node), and
 only the callbacks h and H, which take one DomainPoint each, run per node.
 
@@ -263,28 +262,28 @@ class CycleChart:
 _BLOCK_ROWS = 512
 
 
-def _phi(u: np.ndarray, eps: float) -> np.ndarray:
+def _phi(u: np.ndarray) -> np.ndarray:
     """Collar coordinates u = (x1', y1', x2', y2', ...) -> Z, row by row:
     (N, 2n) -> (N, n)."""
     x = u[:, 0::2]
     y = u[:, 1::2]
-    z = x + 1j * eps * y[:, :1] * y
-    z[:, 0] = eps * y[:, 0] * x[:, 0] + 1j * y[:, 0]
+    z = x + 1j * y[:, :1] * y
+    z[:, 0] = y[:, 0] * x[:, 0] + 1j * y[:, 0]
     return z
 
 
-def _phi_jacobian(u: np.ndarray, eps: float) -> np.ndarray:
+def _phi_jacobian(u: np.ndarray) -> np.ndarray:
     """d z_a / d u_k in closed form, row by row: (N, 2n) -> (N, n, 2n)."""
     n = u.shape[1] // 2
     x = u[:, 0::2]
     y = u[:, 1::2]
     dz = np.zeros((len(u), n, 2 * n), dtype=complex)
-    dz[:, 0, 0] = eps * y[:, 0]
-    dz[:, 0, 1] = eps * x[:, 0] + 1j
+    dz[:, 0, 0] = y[:, 0]
+    dz[:, 0, 1] = x[:, 0] + 1j
     for j in range(1, n):
-        dz[:, j, 1] = 1j * eps * y[:, j]
+        dz[:, j, 1] = 1j * y[:, j]
         dz[:, j, 2 * j] = 1.0
-        dz[:, j, 2 * j + 1] = 1j * eps * y[:, 0]
+        dz[:, j, 2 * j + 1] = 1j * y[:, 0]
     return dz
 
 
@@ -301,6 +300,11 @@ def _hat_minors(cols: np.ndarray) -> np.ndarray:
         np.conj(cols[:, j + 1:], out=blocks[:, j, n + j:])
     signs = np.array([hat_sign(n, j + 1) for j in range(n)])
     return np.linalg.det(blocks) * signs
+
+
+def _top_det(cols: np.ndarray) -> np.ndarray:
+    """Determinants of the dz over the dzbar rows of columns (N, n, 2n)."""
+    return np.linalg.det(np.concatenate([cols, np.conj(cols)], axis=1))
 
 
 def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
@@ -320,61 +324,60 @@ def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
     return moved, pushed
 
 
-class _Face(NamedTuple):
-    fixed_index: int
-    fixed_value: float
-    sign: float
-    axes: tuple[tuple[float, float], ...]   # boxes of the free u-params
+class _Box(NamedTuple):
+    """A box of collar coordinates: its free axes in u-order with their node
+    counts, the frozen (index, value) of a face or None, and its sign."""
+    axes: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
+    frozen: tuple[int, float] | None
+    sign: float
 
 
-def _tube_faces(chart: CycleChart, scale: int = 1) -> list[_Face]:
-    """Boundary faces of the collar cross-section over the chart window."""
+def _tube_faces(chart: CycleChart, eps: float, scale: int = 1) -> list[_Box]:
+    """Boundary faces of the radius-eps collar box over the chart window:
+    the caps x1' = +-eps and, for n = 2, the laterals y2' = +-eps."""
     n = chart.frame.n
     w = chart.window
     k = tuple(scale * c for c in chart.nodes)
     collar = scale * chart.collar_nodes
-    faces: list[_Face] = []
+    r = (-eps, eps)
+    sides = (1.0, -1.0)
     if n == 1:
-        for sigma in (1.0, -1.0):
-            faces.append(_Face(0, sigma, sigma, (w[0],), (k[0],)))
-        return faces
+        return [_Box((w[0],), (k[0],), (0, d * eps), d) for d in sides]
     if n == 2:
-        cap_axes = (w[0], w[1], (-1.0, 1.0))
-        cap_counts = (k[0], k[1], collar)
-        for sigma in (1.0, -1.0):
-            faces.append(_Face(0, sigma, sigma, cap_axes, cap_counts))
-        lat_axes = ((-1.0, 1.0), w[0], w[1])
-        lat_counts = (collar, k[0], k[1])
-        for c in (1.0, -1.0):
-            faces.append(_Face(3, c, -c, lat_axes, lat_counts))
-        return faces
+        return ([_Box((w[0], w[1], r), (k[0], k[1], collar), (0, d * eps), d)
+                 for d in sides]
+                + [_Box((r, w[0], w[1]), (collar, k[0], k[1]), (3, d * eps),
+                        -d) for d in sides])
     raise CycleError("tube boundary faces are implemented for n <= 2")
 
 
-def _face_nodes(chart: CycleChart, face: _Face, eps: float):
-    """(point, weight, signed hat minors) at each quadrature node of a face,
-    the geometry computed as arrays over blocks of grid rows."""
+def _box_nodes(chart: CycleChart, box: _Box,
+               factor: Callable[[np.ndarray], np.ndarray]):
+    """(point, weight, factor(columns)) at each quadrature node of a box,
+    where the columns are d Z / d(free u) carried by the transport; the
+    geometry is computed as arrays over blocks of grid rows."""
     n = chart.frame.n
-    free = [i for i in range(2 * n) if i != face.fixed_index]
-    params, weights = gauss_legendre_grid(face.axes, face.counts)
+    fixed, value = box.frozen or (None, None)
+    free = [i for i in range(2 * n) if i != fixed]
+    params, weights = gauss_legendre_grid(box.axes, box.counts)
     for lo in range(0, len(weights), _BLOCK_ROWS):
         block = params[lo:lo + _BLOCK_ROWS]
         u = np.empty((len(block), 2 * n))
         u[:, free] = block
-        u[:, face.fixed_index] = face.fixed_value
-        points, cols = _transport_rows(chart, _phi(u, eps),
-                                       _phi_jacobian(u, eps)[:, :, free])
-        yield from zip(points, weights[lo:lo + _BLOCK_ROWS],
-                       _hat_minors(cols))
+        if fixed is not None:
+            u[:, fixed] = value
+        points, cols = _transport_rows(chart, _phi(u),
+                                       _phi_jacobian(u)[:, :, free])
+        yield from zip(points, weights[lo:lo + _BLOCK_ROWS], factor(cols))
 
 
-def _face_form_integral(chart: CycleChart, face: _Face, eps: float,
+def _face_form_integral(chart: CycleChart, face: _Box,
                         h: Callable[[DomainPoint], complex],
                         H: Callable[[DomainPoint], np.ndarray]) -> complex:
     """Integral of the (2n-1)-form h H over one boundary face."""
     total = 0.0 + 0.0j
-    for point, weight, minor in _face_nodes(chart, face, eps):
+    for point, weight, minor in _box_nodes(chart, face, _hat_minors):
         hv = h(point)
         if hv == 0:
             continue
@@ -400,10 +403,10 @@ def tube_boundary_integral(mu, h: Callable[[DomainPoint], complex],
                            target: float = 1e-8) -> complex:
     """Integral of h H over the tube boundary above the chart window.
 
-    Both face families are included: the caps x1' = +-1 and the lateral
-    faces where the transverse parameter reaches the unit sphere.  The
-    relative quadrature error is estimated by node doubling; failure to
-    meet the target raises QuadratureError with both values.
+    Both face families are included: the caps x1' = +-eps and the lateral
+    faces where a transverse collar coordinate reaches +-eps.  The relative
+    quadrature error is estimated by node doubling; failure to meet the
+    target raises QuadratureError with both values.
     """
     if chart.kind != "real_analytic":
         raise CycleError("tube boundaries are built around positive-norm cycles")
@@ -413,8 +416,8 @@ def tube_boundary_integral(mu, h: Callable[[DomainPoint], complex],
         raise CycleError("mu does not match the chart vector")
 
     def compute(scale: int) -> complex:
-        return sum(_face_form_integral(chart, face, eps, h, H)
-                   for face in _tube_faces(chart, scale))
+        return sum(_face_form_integral(chart, face, h, H)
+                   for face in _tube_faces(chart, eps, scale))
 
     return _doubling(compute, target, "tube boundary integral")
 
@@ -466,8 +469,6 @@ def shell_stokes(chart: CycleChart, h_field, p_field,
     compactly supported inside the window).  The volume integral is a
     single tensor Gauss-Legendre pass, without node doubling.
     """
-    if chart.frame.n not in (1, 2):
-        raise CycleError("shell regions are implemented for n <= 2")
     if not chart.is_identity_transport:
         raise CycleError("shell regions use the model chart")
     e1, e2 = eps_pair
@@ -485,55 +486,40 @@ def shell_stokes(chart: CycleChart, h_field, p_field,
             "residual": residual}
 
 
-def _shell_strips(n: int, e1: float, e2: float) -> list[tuple]:
-    """Cross-section annulus between the collar boxes at radii e1 < e2,
-    decomposed into boxes in the (x1', y') collar coordinates."""
-    if n == 1:
-        return [((e1, e2),), ((-e2, -e1),)]
-    return [
-        ((e1, e2), (-e2, e2)),
-        ((-e2, -e1), (-e2, e2)),
-        ((-e1, e1), (e1, e2)),
-        ((-e1, e1), (-e2, -e1)),
-    ]
-
-
-def _shell_nodes(chart: CycleChart, e1: float, e2: float):
-    """(point, weight, signed coordinate volume factor) at each quadrature
-    node of the shell strips, the geometry computed as arrays over blocks of
-    grid rows."""
+def _shell_strips(chart: CycleChart, e1: float, e2: float) -> list[_Box]:
+    """The collar box of radius e2 less the one of radius e1, over the chart
+    window, as volume boxes: x1' beyond +-e1, then (n = 2) y2' beyond +-e1
+    with |x1'| < e1."""
     n = chart.frame.n
-    for strip in _shell_strips(n, e1, e2):
-        # u-order: x1', y1', x2', y2', ...; collar axes are x1' (index 0)
-        # and y_j' (odd indices >= 3); window axes fill the rest.
-        axes = [strip[0], chart.window[0]]
-        counts = [chart.collar_nodes, chart.nodes[0]]
-        for j in range(1, n):
-            axes += [chart.window[j], strip[j]]
-            counts += [chart.nodes[j], chart.collar_nodes]
-        grid, weights = gauss_legendre_grid(axes, counts)
-        for lo in range(0, len(weights), _BLOCK_ROWS):
-            u = grid[lo:lo + _BLOCK_ROWS]
-            dz = _phi_jacobian(u, 1.0)
-            dets = _top_sign(n) * np.linalg.det(
-                np.concatenate([dz, np.conj(dz)], axis=1))
-            yield from zip(DomainPoint.rows(chart.frame, _phi(u, 1.0)),
-                           weights[lo:lo + _BLOCK_ROWS], dets)
+    w = chart.window
+    k = chart.nodes
+    collar = chart.collar_nodes
+    top = _top_sign(n)
+    if n == 1:
+        return [_Box((x, w[0]), (collar, k[0]), None, top)
+                for x in ((e1, e2), (-e2, -e1))]
+    if n == 2:
+        return [_Box((x, w[0], w[1], y), (collar, k[0], k[1], collar), None,
+                     top)
+                for x, y in (((e1, e2), (-e2, e2)), ((-e2, -e1), (-e2, e2)),
+                             ((-e1, e1), (e1, e2)), ((-e1, e1), (-e2, -e1)))]
+    raise CycleError("shell regions are implemented for n <= 2")
 
 
 def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
                            e1: float, e2: float) -> complex:
     n = chart.frame.n
     total = 0.0 + 0.0j
-    for point, weight, det in _shell_nodes(chart, e1, e2):
-        hv = h_field.value(point)
-        dbar_h = h_field.dbar(point)
-        if hv == 0 and not np.any(dbar_h):
-            continue
-        q_factor = measure_factor(n, point.q_y)
-        coeff = hv * dbar_coeff(point) - q_factor * complex(
-            dbar_h @ p_field(point))
-        total += weight * coeff * det / q_factor
+    for strip in _shell_strips(chart, e1, e2):
+        for point, weight, det in _box_nodes(chart, strip, _top_det):
+            hv = h_field.value(point)
+            dbar_h = h_field.dbar(point)
+            if hv == 0 and not np.any(dbar_h):
+                continue
+            q_factor = measure_factor(n, point.q_y)
+            coeff = hv * dbar_coeff(point) - q_factor * complex(
+                dbar_h @ p_field(point))
+            total += strip.sign * weight * coeff * det / q_factor
     return total
 
 
@@ -608,6 +594,11 @@ class WindowBump:
         return self.value(point)
 
 
+# the coarse trapezoid's angles per circle fiber; the fine rule has twice
+# as many
+_ANGLE_NODES = 256
+
+
 def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     """Sum of the rows of terms in index order, rounded as the loop
     `acc = 0; acc += row` rounds it (np.sum may add pairwise); the `+ 0.0`
@@ -616,12 +607,11 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
 
 
 def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
-                    eps: float, sector: str, angle_nodes: int,
-                    target: float) -> np.ndarray:
+                    eps: float, sector: str, target: float) -> np.ndarray:
     """Per-slot circle integrals of H / (nu, psi)^kappa at one base node.
 
-    One trapezoid rule of 2 angle_nodes angles, its geometry held as arrays
-    and H run once per angle; the coarse rule of angle_nodes angles is the
+    One trapezoid rule of 2 _ANGLE_NODES angles, its geometry held as arrays
+    and H run once per angle; the coarse rule of _ANGLE_NODES angles is the
     even-indexed terms at twice the step.  Its angles are bit-identical to
     those of a separate coarse rule, since (2 pi / 2N) 2k = (2 pi / N) k
     exactly, so the error estimate compares the same two sums."""
@@ -634,8 +624,8 @@ def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
         raise CycleError("window node leaves the domain (q(Y') <= 0)")
     radius = eps * np.sqrt(q_y_prime)
 
-    step = 2.0 * np.pi / (2 * angle_nodes)
-    theta = step * np.arange(2 * angle_nodes)
+    step = 2.0 * np.pi / (2 * _ANGLE_NODES)
+    theta = step * np.arange(2 * _ANGLE_NODES)
     turn = np.exp(1j * theta)
     z_n = radius * turn
     z = np.empty((len(theta), n), dtype=complex)
@@ -664,18 +654,17 @@ def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
 
 
 def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
-                     eps: float, chart: CycleChart,
-                     sector: str = "holomorphic", angle_nodes: int = 256,
+                     eps: float, chart: CycleChart, sector: str = "holomorphic",
                      target: float = 1e-9) -> list[RestrictSample]:
     """Circle integrals of H / (nu, psi(Z))^kappa at the chart's window
     nodes, for radius eps sqrt(q(Y')) and the halved radius, with one
     Richardson level on the slot-n value.
 
-    Each circle fiber is a trapezoid rule of 2 angle_nodes angles, so H runs
-    2 angle_nodes times per fiber and 4 angle_nodes times per window node;
-    the coarse rule of the error estimate is the even-indexed fine nodes.
-    A fiber whose coarse and fine sums disagree, or either is not finite,
-    raises QuadratureError.  Needs 0 < eps < 1 and angle_nodes >= 2.
+    Each circle fiber is a trapezoid rule of 2 _ANGLE_NODES angles, so H
+    runs 2 _ANGLE_NODES times per fiber and 4 _ANGLE_NODES times per window
+    node; the coarse rule of the error estimate is the even-indexed fine
+    nodes.  A fiber whose coarse and fine sums disagree, or either is not
+    finite, raises QuadratureError.  Needs 0 < eps < 1.
 
     sector selects the fiber 1-form factor: "holomorphic" pairs the last
     slot with dz_n (residue-type integrals survive), "conjugate" pairs it
@@ -694,14 +683,11 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
         raise CycleError("sector must be 'holomorphic' or 'conjugate'")
     if not 0 < eps < 1:
         raise CycleError("eps must lie in (0, 1)")
-    if angle_nodes < 2:
-        raise CycleError("angle_nodes must be at least 2")
     out: list[RestrictSample] = []
     for params, weight in zip(*gauss_legendre_grid(chart.window, chart.nodes)):
-        slots = _fiber_integral(chart, H, kappa, params, eps, sector,
-                                angle_nodes, target)
+        slots = _fiber_integral(chart, H, kappa, params, eps, sector, target)
         half = _fiber_integral(chart, H, kappa, params, eps / 2.0, sector,
-                               angle_nodes, target)
+                               target)
         value = complex(slots[-1])
         extr = complex(richardson(value, half[-1]))
         out.append(RestrictSample(tuple(params), weight, value, extr, slots))

@@ -37,11 +37,11 @@ import numpy as np
 
 from . import __version__
 from .calculus import (
-    PairBarField, QYField, dbar_top, laplace_scalar, measure_factor,
-    ratio_field, richardson, star_nn1, star_pair, xi_top,
+    dbar_top, laplace_scalar, measure_factor, pair_bar_dbar, q_y_dbar,
+    ratio_dbar, ratio_field, richardson, star_nn1, star_pair, xi_top,
 )
 from .cycles import (
-    CycleChart, QuadratureError, WindowBump, cycle_integral_C,
+    CycleChart, CycleError, QuadratureError, WindowBump, cycle_integral_C,
     cycle_integral_T, restrict_samples, shell_stokes, tube_boundary_integral,
 )
 from .domain import (
@@ -252,6 +252,9 @@ def parse_config(data: dict) -> RunConfig:
     if "duality" in data:
         if not isinstance(data["duality"], dict):
             raise ConfigError("duality", "must be a mapping")
+        for key in data["duality"]:
+            if key not in _DUALITY_KEYS:
+                raise ConfigError(f"duality.{key}", "unknown field")
         extra["duality"] = data["duality"]
     return RunConfig(suite=suite, lattice=lattice, params=params,
                      output=output, extra=extra)
@@ -262,11 +265,15 @@ def parse_config(data: dict) -> RunConfig:
 
 
 _LATTICE_KEYS = ("gram", "e", "e_prime", "k_basis", "group_generators")
+# the first five are required
+_DUALITY_KEYS = ("mu", "nu", "window_C", "window_T", "kappa", "eps", "nodes",
+                 "nodes_T")
 
 
 def _check_lattice_block(cfg) -> None:
-    """Accept {"standard": n} alone, or explicit data with the required
-    gram, e, e_prime and the optional k_basis, group_generators."""
+    """Accept {"standard": n} alone, for an integral n >= 1, or explicit
+    data with the required gram, e, e_prime and the optional k_basis,
+    group_generators."""
     if not isinstance(cfg, dict):
         raise ConfigError("lattice", "must be a mapping")
     known = ("standard",) if "standard" in cfg else _LATTICE_KEYS
@@ -276,6 +283,9 @@ def _check_lattice_block(cfg) -> None:
     for key in known[:3]:  # standard, or gram, e and e_prime
         if key not in cfg:
             raise ConfigError(f"lattice.{key}", "missing")
+    rank = cfg.get("standard", 1)
+    if type(rank) not in (int, float) or rank % 1 or rank < 1:
+        raise ConfigError("lattice.standard", "must be an integer >= 1")
 
 
 def load_frame(cfg) -> tuple:
@@ -395,9 +405,9 @@ def suite_identities(ctx: SuiteContext) -> list[CheckRecord]:
             lpy = float(lamf @ g @ point.psi_y)
             lam_ep = float(fc[1])
             q_lam = float(lattice.q(lam))
-            f_pb = PairBarField(fc).dbar(point)
-            f_qy = QYField().dbar(point)
-            f_u = ratio_field(fc).dbar(point)
+            f_pb = pair_bar_dbar(fc, point)
+            f_qy = q_y_dbar(point)
+            f_u = ratio_dbar(fc, point, point.pair_bar(fc))
 
             val_i = star_pair(f_pb, f_pb, eps, y, qy)
             ref_i = 2.0 * lpy ** 2 - 4.0 * qy * q_lam + 4.0 * lpx * qy * lam_ep
@@ -634,28 +644,30 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
 # tube limit suite
 
 
-def _tube_setup(ctx: SuiteContext, kappa: int):
-    lattice, frame, _ = load_frame(ctx.config.lattice)
-    if frame.n != 2:
-        raise ConfigError("lattice", "tube_limit needs a rank (2, 2) lattice")
-    mu = (0, 0, 1, 1)
-    if lattice.q(mu) <= 0:
+def _collar_chart(frame: WittFrame) -> CycleChart:
+    """The collar suites' chart of (0, 0, 1) or (0, 0, 1, 1), n <= 2."""
+    n = frame.n
+    mu = (0, 0, 1) if n == 1 else (0, 0, 1, 1)
+    if frame.lattice.q(mu) <= 0:
         raise ConfigError("lattice", "expected a positive-norm model vector")
-    chart = CycleChart.create(frame, mu, [(0.9, 1.9), (-0.5, 0.5)],
-                              [8, 8], collar_nodes=8)
-    h = WindowBump(chart)
-    fc = frame.frame_coords(mu)
-    H = lambda pt: p_tilde_components(fc, kappa, pt)
-    return frame, mu, chart, h, H, fc
+    window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
+    return CycleChart.create(frame, mu, window, [8] * n, collar_nodes=8)
 
 
 def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
     out = []
     p = ctx.params
+    _, frame, _ = load_frame(ctx.config.lattice)
+    if frame.n != 2:
+        raise ConfigError("lattice", "tube_limit needs a rank (2, 2) lattice")
+    chart = _collar_chart(frame)
+    mu = chart.vector
+    h = WindowBump(chart)
+    fc = frame.frame_coords(mu)
     for kappa in p.kappa_values:
         if kappa <= 2:
             continue
-        frame, mu, chart, h, H, fc = _tube_setup(ctx, kappa)
+        H = lambda pt, kappa=kappa: p_tilde_components(fc, kappa, pt)
         ins = {"kappa": kappa, "eps": list(p.eps_schedule), "seed": p.seed}
         delta = cycle_integral_C(mu, h, kappa, chart, target=1e-9)
         c_lim = limit_constant(2, kappa)
@@ -776,16 +788,14 @@ def suite_restrict(ctx: SuiteContext) -> list[CheckRecord]:
 def suite_current_eq(ctx: SuiteContext) -> list[CheckRecord]:
     out = []
     p = ctx.params
-    lattice, frame, _ = load_frame(ctx.config.lattice)
+    _, frame, _ = load_frame(ctx.config.lattice)
     n = frame.n
     if n > 2:
         raise ConfigError("lattice", "current_eq needs rank (2, 1) or (2, 2)")
-    mu = (0, 0, 1) if n == 1 else (0, 0, 1, 1)
     kappa = n + 2
-    window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
-    chart = CycleChart.create(frame, mu, window, [8] * n, collar_nodes=8)
+    chart = _collar_chart(frame)
     h = WindowBump(chart)
-    fc = frame.frame_coords(mu)
+    fc = frame.frame_coords(chart.vector)
     p_field = lambda pt: p_tilde_components(fc, kappa, pt)
     dbar_coeff = lambda pt: dbar_image_reference(fc, kappa, pt)
     ins = {"n": n, "kappa": kappa, "seed": p.seed}
@@ -830,33 +840,61 @@ def suite_duality(ctx: SuiteContext) -> list[CheckRecord]:
             "duality",
             "this suite needs supplied cycle data: mu, nu, window_C, "
             "window_T, nodes, kappa, eps")
-    for key in ("mu", "nu", "window_C", "window_T", "kappa"):
+    for key in _DUALITY_KEYS[:5]:
         if key not in data:
             raise ConfigError(f"duality.{key}", "missing")
     lattice, frame, _ = load_frame(ctx.config.lattice)
-    mu = tuple(int(c) for c in data["mu"])
-    nu = tuple(int(c) for c in data["nu"])
-    kappa = int(data["kappa"])
-    eps = float(data.get("eps", 0.05))
-    nodes = [int(k) for k in data.get("nodes", [8] * frame.n)]
-    chart_C = CycleChart.create(frame, mu,
-                                [tuple(w) for w in data["window_C"]], nodes)
-    nodes_T = [int(k) for k in data.get("nodes_T",
-                                        [8] * (2 * (frame.n - 1)))]
-    chart_T = CycleChart.create(frame, nu,
-                                [tuple(w) for w in data["window_T"]],
-                                nodes_T)
+    n = frame.n
+
+    def entry(key, parse, default=None):
+        """duality.<key> read by parse, or default when absent; a value that
+        parse refuses is a ConfigError naming the key."""
+        try:
+            return parse(data[key]) if key in data else default
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"duality.{key}", str(exc)) from exc
+
+    def list_of(count, one):
+        def parse(raw):
+            if not isinstance(raw, (list, tuple)) or len(raw) != count:
+                raise ValueError(f"must be a list of {count} entries")
+            return tuple(one(v) for v in raw)
+        return parse
+
+    mu = entry("mu", list_of(lattice.dim, _integer))
+    nu = entry("nu", list_of(lattice.dim, _integer))
+    if not lattice.q(mu) > 0:
+        raise ConfigError("duality.mu", "must have positive norm")
+    if not lattice.q(nu) < 0:
+        raise ConfigError("duality.nu", "must have negative norm")
+    kappa = entry("kappa", _integer)
+    if kappa <= n:
+        raise ConfigError("duality.kappa", "must exceed n")
+    eps = entry("eps", float, 0.05)
+    if not 0 < eps < 1:
+        raise ConfigError("duality.eps", "must lie in (0, 1)")
+    axes_T = 2 * (n - 1)
+    interval = list_of(2, float)
+    window_C = entry("window_C", list_of(n, interval))
+    window_T = entry("window_T", list_of(axes_T, interval))
+    nodes = entry("nodes", list_of(n, _integer), (8,) * n)
+    nodes_T = entry("nodes_T", list_of(axes_T, _integer), (8,) * axes_T)
     fc_mu = frame.frame_coords(mu)
     fc_nu = frame.frame_coords(nu)
     omega_mero = lambda pt: omega_kernel(fc_nu, kappa, pt)
     Omega_cusp = lambda pt: p_tilde_components(fc_mu, kappa, pt)
-    c_lim = limit_constant(frame.n, kappa)
     ins = {"mu": list(mu), "nu": list(nu), "kappa": kappa, "eps": eps}
     try:
-        lhs = c_lim * cycle_integral_C(mu, omega_mero, kappa, chart_C,
-                                       target=1e-7)
+        chart_C = CycleChart.create(frame, mu, window_C, nodes)
+        # refuses n = 1, where limit_constant is undefined
+        chart_T = CycleChart.create(frame, nu, window_T, nodes_T)
+        lhs = limit_constant(n, kappa) * cycle_integral_C(
+            mu, omega_mero, kappa, chart_C, target=1e-7)
         rhs = cycle_integral_T(nu, Omega_cusp, kappa, eps, chart_T,
                                target=1e-6)
+    except CycleError as exc:
+        # cycle data the charts or integrals refuse (a window, the rank)
+        raise ConfigError("duality", str(exc)) from exc
     except QuadratureError as exc:
         return [_record("duality/cycle-density-pairing",
                         "cycle-density-duality", ins, math.inf, 0.0, 5e-2,

@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthoforms.calculus import (PairBarField, QYField,
-                                 central_differences, dbar_jacobian,
-                                 laplace_scalar,
-                                 measure_factor, ratio_field, star01, star_nn1,
-                                 star_pair, star_top, xi_scalar, xi_top)
+from orthoforms.calculus import (central_differences, dbar_jacobian,
+                                 laplace_scalar, measure_factor,
+                                 pair_bar_dbar, q_y_dbar, ratio_field,
+                                 star01, star_nn1, star_pair, star_top,
+                                 xi_scalar, xi_top)
 from orthoforms.domain import (metric_upper, q_plus_minus, sample_point,
                                sample_vector)
 from orthoforms.quadratic import vec_float
@@ -33,27 +33,41 @@ def _setup(setup_n, rng):
     return lattice, frame, n, p, lam, frame.frame_coords(lam)
 
 
+def _pair_bar(fc):
+    return lambda pt: pt.pair_bar(fc)
+
+
+def _q_y(pt):
+    return complex(pt.q_y)
+
+
 def test_dbar_catalog_matches_finite_differences(setup_n, rng):
-    """Every cataloged analytic dbar agrees with the Richardson FD oracle."""
+    """Every closed-form dbar agrees with the Richardson FD oracle applied to
+    its value function."""
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
-    fields = [_HolomorphicPair(fc), PairBarField(fc), QYField(),
-              ratio_field(fc)]
-    for field in fields:
-        analytic = field.dbar(p)
-        numeric = dbar_jacobian(field.value, p)
+    holomorphic = _HolomorphicPair(fc)
+    ratio = ratio_field(fc)
+    cases = {
+        "holomorphic": (holomorphic.value, holomorphic.dbar(p)),
+        "pair_bar": (_pair_bar(fc), pair_bar_dbar(fc, p)),
+        "q_y": (_q_y, q_y_dbar(p)),
+        "ratio": (ratio.value, ratio.dbar(p)),
+    }
+    for name, (value, analytic) in cases.items():
+        numeric = dbar_jacobian(value, p)
         scale = max(1.0, float(np.max(np.abs(analytic))))
-        assert np.max(np.abs(analytic - numeric)) < 1e-7 * scale, type(field)
+        assert np.max(np.abs(analytic - numeric)) < 1e-7 * scale, name
 
 
 def test_dbar_jacobian_consistent_with_componentwise(setup_n, rng):
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
-    pb = PairBarField(fc)
+    pair_bar = _pair_bar(fc)
 
     def vec(pt):
-        return np.array([pb.value(pt), pt.q_y ** 2 + 0j])
+        return np.array([pair_bar(pt), pt.q_y ** 2 + 0j])
 
     jac = dbar_jacobian(vec, p)
-    row0 = dbar_jacobian(lambda pt: pb.value(pt), p)
+    row0 = dbar_jacobian(pair_bar, p)
     row1 = dbar_jacobian(lambda pt: pt.q_y ** 2 + 0j, p)
     assert np.allclose(jac[0], row0, atol=1e-8)
     assert np.allclose(jac[1], row1, atol=1e-8)
@@ -84,7 +98,7 @@ def test_central_differences_exact_on_cubics():
 
 def test_dbar_jacobian_shapes(setup_n, rng):
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
-    assert dbar_jacobian(QYField().value, p).shape == (n,)
+    assert dbar_jacobian(_q_y, p).shape == (n,)
     assert dbar_jacobian(lambda pt: np.array([pt.q_y, 1.0, 2.0]),
                          p).shape == (3, n)
 
@@ -162,8 +176,8 @@ def test_gradient_pairing_battery(setup_n, rng):
     lattice, frame, n, p, lam, fc = _setup(setup_n, rng)
     eps, y, qy = frame.eps, p.y, p.q_y
     pair, lpx, lpy, lam_ep, q_lam = _battery_pieces(lattice, frame, p, lam, fc)
-    f_pb = PairBarField(fc).dbar(p)
-    f_qy = QYField().dbar(p)
+    f_pb = pair_bar_dbar(fc, p)
+    f_qy = q_y_dbar(p)
     f_u = ratio_field(fc).dbar(p)
 
     val_i = star_pair(f_pb, f_pb, eps, y, qy)
@@ -190,9 +204,9 @@ def test_gradient_pairing_battery(setup_n, rng):
 def test_quotient_gradient_identity(setup_n, rng):
     """dbar of pairbar/q(Y) by the quotient rule matches its catalog value."""
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
-    pb = PairBarField(fc)
-    qy_f = QYField()
-    manual = (qy_f.value(p) * pb.dbar(p) - pb.value(p) * qy_f.dbar(p)) / qy_f.value(p) ** 2
+    qy = _q_y(p)
+    manual = (qy * pair_bar_dbar(fc, p)
+              - p.pair_bar(fc) * q_y_dbar(p)) / qy ** 2
     assert np.allclose(ratio_field(fc).dbar(p), manual, atol=1e-12)
 
 

@@ -162,9 +162,14 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys):
      "lattice.cosets"),
     ("restrict", {"lattice": {"gram": [[0, 1], [1, 0]], "e": [1, 0]}},
      "lattice.e_prime"),
+    ("geometry", {"lattice": {"standard": "two"}}, "lattice.standard"),
+    ("geometry", {"lattice": {"standard": 2.5}}, "lattice.standard"),
+    ("geometry", {"lattice": {"standard": 0}}, "lattice.standard"),
+    ("geometry", {"lattice": {"standard": True}}, "lattice.standard"),
 ], ids=["n-fractional", "kappa-fractional", "samples-fractional",
         "seed-fractional", "tolerance-scale", "lattice-unknown",
-        "lattice-cosets", "lattice-missing-key"])
+        "lattice-cosets", "lattice-missing-key", "standard-string",
+        "standard-fractional", "standard-zero", "standard-bool"])
 def test_bad_config_field_exits_2(tmp_path, capsys, suite, block, field):
     cfg = _write_config(tmp_path, dict(block, suite=suite))
     assert main(["verify", "--config", cfg]) == 2
@@ -194,8 +199,11 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     ('{"latice": {"standard": 3}, "bogus": 1}', "latice"),
     ('{"lattice": 3}', "lattice"),
     ('{"lattice": {"standard": 2, "bogus": 1}}', "lattice.bogus"),
+    ('{"lattice": {"standard": "two"}}', "lattice.standard"),
+    ('{"lattice": {"standard": 2.5}}', "lattice.standard"),
 ], ids=["missing", "invalid-json", "not-an-object", "unknown-field",
-        "lattice-not-an-object", "lattice-unknown-key"])
+        "lattice-not-an-object", "lattice-unknown-key", "standard-string",
+        "standard-fractional"])
 def test_evaluator_bad_config_exits_2(tmp_path, capsys, command, content,
                                       field):
     path = tmp_path / "cfg.json"
@@ -400,6 +408,46 @@ def test_duality_without_cycle_data_exits_2(capsys):
     assert main(["verify", "duality"]) == 2
     err = capsys.readouterr().err
     assert "duality" in err and "mu" in err
+
+
+_DUALITY = {"mu": [0, 0, 1, 1], "nu": [0, 0, -1, 1],
+            "window_C": [[0.9, 1.9], [-0.5, 0.5]],
+            "window_T": [[-0.4, 0.4], [0.8, 1.6]], "kappa": 4}
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"mu": [0, 0, 1.5, 1]}, "duality.mu"),
+    ({"mu": [0, 0, -1, 1]}, "duality.mu"),
+    ({"eps": 1.5}, "duality.eps"),
+    ({"nodez": [4, 4]}, "duality.nodez"),
+    ({"window_C": [[0.9, 1.9]]}, "duality.window_C"),
+    ({"window_T": [[-0.4, 0.4], [0.8]]}, "duality.window_T"),
+    ({"nodes_T": "44"}, "duality.nodes_T"),
+    ({"kappa": 2}, "duality.kappa"),
+], ids=["mu-fractional", "mu-negative", "eps-out-of-range", "unknown-key",
+        "window-length", "interval-length", "nodes-not-a-list",
+        "kappa-too-small"])
+def test_duality_bad_block_exits_2_naming_key(tmp_path, capsys, change,
+                                              field):
+    cfg = _write_config(tmp_path, {"suite": "duality",
+                                   "duality": dict(_DUALITY, **change)})
+    assert main(["verify", "--config", cfg]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lattice,change,message", [
+    ({"standard": 2}, {"window_C": [[0.9, 1.9], [0.5, -0.5]]},
+     "nondegenerate"),
+    ({"standard": 1}, {"mu": [0, 0, 1], "nu": [1, -1, 0],
+                       "window_C": [[0.9, 1.9]], "window_T": []}, "n >= 2"),
+], ids=["window-reversed", "rank-1"])
+def test_duality_refused_cycle_data_exits_2(tmp_path, capsys, lattice,
+                                            change, message):
+    cfg = _write_config(tmp_path, {"suite": "duality", "lattice": lattice,
+                                   "duality": dict(_DUALITY, **change)})
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'duality'" in err and message in err
 
 
 def test_verify_failure_exits_1(tmp_path, capsys):

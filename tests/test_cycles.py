@@ -7,10 +7,10 @@ import pytest
 from orthoforms import kernels
 from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
-    CycleChart, CycleError, QuadratureError, WindowBump, _face_form_integral,
-    _shell_strips, _shell_volume_integral, _tube_faces, cycle_integral_C,
-    cycle_integral_T, hat_sign, restrict_samples, shell_stokes,
-    transport_to, tube_boundary_integral,
+    CycleChart, CycleError, QuadratureError, WindowBump, _box_nodes,
+    _face_form_integral, _shell_strips, _shell_volume_integral,
+    _tube_faces, cycle_integral_C, cycle_integral_T, hat_sign,
+    restrict_samples, shell_stokes, transport_to, tube_boundary_integral,
 )
 from orthoforms.domain import DomainPoint, WittFrame, act
 from orthoforms.quadratic import lattice_from_config, standard_lattice
@@ -266,8 +266,34 @@ def test_tube_boundary_tracks_doubled_window_density(geo):
 # the collar drivers against a per-node reference
 
 
+def test_collar_boxes_tile_the_shell_and_orient_the_faces(geo):
+    """The shell strips' weights add up to the volume of the radius-e2
+    collar box less the radius-e1 one, ((2 e2)^n - (2 e1)^n) times the
+    window volume; a face freezing coordinate k at +-eps, with outward
+    direction d, carries the sign d (-1)^k."""
+    for n in (1, 2):
+        _, frame, _ = geo[n]
+        chart = _chart_C(frame, n, nodes=3, collar=3)
+        window = np.prod([b - a for a, b in chart.window])
+        e1, e2 = 0.05, 0.1
+        total = sum(weight for strip in _shell_strips(chart, e1, e2)
+                    for _, weight, _ in _box_nodes(chart, strip,
+                                                     lambda cols: cols))
+        expected = ((2 * e2) ** n - (2 * e1) ** n) * window
+        assert abs(total - expected) <= 1e-14 * expected
+        faces = _tube_faces(chart, e2)
+        assert len(faces) == 2 * n
+        for face in faces:
+            index, value = face.frozen
+            assert abs(value) == e2
+            assert face.sign == np.sign(value) * (-1) ** index
+            assert len(face.axes) == 2 * n - 1
+
+
 def _phi_node(u, eps):
-    """The collar map at one node u = (x1', y1', x2', y2', ...)."""
+    """The collar map phi_eps of the unit cross-section at one node
+    u = (x1', y1', x2', y2', ...): the radius-eps tube is |x1'|, |y'| <= 1
+    (independent of the library's eps-free map)."""
     n = len(u) // 2
     x, y = u[0::2], u[1::2]
     z = np.empty(n, dtype=complex)
@@ -291,25 +317,46 @@ def _phi_jacobian_node(u, eps):
     return dz
 
 
+def _unit_faces(chart, scale):
+    """The tube faces of the unit cross-section under phi_eps, in the order
+    of _tube_faces: (fixed index, fixed value, sign, axes, counts)."""
+    w = chart.window
+    k = [scale * c for c in chart.nodes]
+    c = scale * chart.collar_nodes
+    if chart.frame.n == 1:
+        return [(0, d, d, (w[0],), (k[0],)) for d in (1.0, -1.0)]
+    unit = (-1.0, 1.0)
+    return ([(0, d, d, (w[0], w[1], unit), (k[0], k[1], c))
+             for d in (1.0, -1.0)]
+            + [(3, d, -d, (unit, w[0], w[1]), (c, k[0], k[1]))
+               for d in (1.0, -1.0)])
+
+
+def _collar_node(chart, u, eps, free):
+    """The point phi_eps(u) and the columns d Z / d u_free, carried by the
+    chart transport and its action Jacobian at this one node."""
+    point = DomainPoint(chart.frame, _phi_node(u, eps))
+    cols = _phi_jacobian_node(u, eps)[:, free]
+    if not chart.is_identity_transport:
+        jac = kernels.action_jacobian(chart.transport, point)
+        point, _ = act(chart.frame, chart.transport, point)
+        cols = jac @ cols
+    return point, cols
+
+
 def _face_integral_per_node(chart, face, eps, h, H):
     """The face integral rebuilt node by node: geometry, transport and
     every hat minor recomputed at each node (test-only reference)."""
-    frame = chart.frame
-    n = frame.n
-    free = [i for i in range(2 * n) if i != face.fixed_index]
+    fixed_index, fixed_value, sign, axes, counts = face
+    n = chart.frame.n
+    free = [i for i in range(2 * n) if i != fixed_index]
     signs = np.array([hat_sign(n, j + 1) for j in range(n)])
-    identity = np.max(np.abs(chart.transport - np.eye(n + 2))) < 1e-14
     total = 0.0 + 0.0j
     u = np.zeros(2 * n)
-    u[face.fixed_index] = face.fixed_value
-    for params, weight in zip(*gauss_legendre_grid(face.axes, face.counts)):
+    u[fixed_index] = fixed_value
+    for params, weight in zip(*gauss_legendre_grid(axes, counts)):
         u[free] = params
-        point = DomainPoint(frame, _phi_node(u, eps))
-        cols = _phi_jacobian_node(u, eps)[:, free]
-        if not identity:
-            jac = kernels.action_jacobian(chart.transport, point)
-            point, _ = act(frame, chart.transport, point)
-            cols = jac @ cols
+        point, cols = _collar_node(chart, u, eps, free)
         hv = h(point)
         if hv == 0:
             continue
@@ -320,24 +367,36 @@ def _face_integral_per_node(chart, face, eps, h, H):
             rows = [r for r in range(2 * n) if r != n + j]
             val += comps[j] * signs[j] * np.linalg.det(stacked[rows])
         total += weight * hv * val
-    return face.sign * total
+    return sign * total
+
+
+def _annulus_strips(n, e1, e2):
+    """The cross-section annulus between the collar boxes at radii e1 < e2,
+    as boxes in the (x1', y') collar coordinates."""
+    if n == 1:
+        return [((e1, e2),), ((-e2, -e1),)]
+    return [
+        ((e1, e2), (-e2, e2)),
+        ((-e2, -e1), (-e2, e2)),
+        ((-e1, e1), (e1, e2)),
+        ((-e1, e1), (-e2, -e1)),
+    ]
 
 
 def _shell_volume_per_node(chart, h_field, p_field, dbar_coeff, e1, e2):
-    """The shell volume integral rebuilt node by node (test-only
-    reference)."""
-    frame = chart.frame
-    n = frame.n
+    """The shell volume integral rebuilt node by node, over the shell
+    carried by the chart transport (test-only reference)."""
+    n = chart.frame.n
     top = -1.0 if ((n * (n - 1)) // 2) % 2 else 1.0
     total = 0.0 + 0.0j
-    for strip in _shell_strips(n, e1, e2):
+    for strip in _annulus_strips(n, e1, e2):
         axes = [strip[0], chart.window[0]]
         counts = [chart.collar_nodes, chart.nodes[0]]
         for j in range(1, n):
             axes += [chart.window[j], strip[j]]
             counts += [chart.nodes[j], chart.collar_nodes]
         for u, weight in zip(*gauss_legendre_grid(axes, counts)):
-            point = DomainPoint(frame, _phi_node(u, 1.0))
+            point, dz = _collar_node(chart, u, 1.0, slice(None))
             hv = h_field.value(point)
             dbar_h = h_field.dbar(point)
             if hv == 0 and not np.any(dbar_h):
@@ -345,7 +404,6 @@ def _shell_volume_per_node(chart, h_field, p_field, dbar_coeff, e1, e2):
             q_factor = measure_factor(n, point.q_y)
             coeff = hv * dbar_coeff(point) - q_factor * complex(
                 dbar_h @ p_field(point))
-            dz = _phi_jacobian_node(u, 1.0)
             det_full = np.linalg.det(np.vstack([dz, np.conj(dz)]))
             total += weight * coeff * top * det_full / q_factor
     return total
@@ -358,8 +416,9 @@ _REFERENCE_VECTORS = {1: (MU[1], (1, 1, 0)), 2: (MU[2], (1, 1, 0, 0))}
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("which", [0, 1], ids=["identity", "transported"])
 def test_collar_drivers_match_per_node_reference(geo, n, which):
-    """The per-grid face and shell-volume drivers reproduce the per-node
-    loop to 1e-13 relative, on every face, at both node scales."""
+    """The per-grid face and shell-volume drivers on the eps-free collar
+    boxes reproduce the per-node loop over the unit cross-section under
+    phi_eps to 1e-13 relative, on every face, at both node scales."""
     _, frame, _ = geo[n]
     vec = _REFERENCE_VECTORS[n][which]
     window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
@@ -370,9 +429,12 @@ def test_collar_drivers_match_per_node_reference(geo, n, which):
     H = lambda pt: kernels.p_tilde_components(fc, kappa, pt)
     h = lambda pt: 1.0 + 0.25j * complex(pt.z.sum())
     for scale in (1, 2):
-        for face in _tube_faces(chart, scale):
-            ref = _face_integral_per_node(chart, face, 0.1, h, H)
-            val = _face_form_integral(chart, face, 0.1, h, H)
+        faces = _tube_faces(chart, 0.1, scale)
+        units = _unit_faces(chart, scale)
+        assert len(faces) == len(units)
+        for face, unit in zip(faces, units):
+            ref = _face_integral_per_node(chart, unit, 0.1, h, H)
+            val = _face_form_integral(chart, face, h, H)
             assert ref != 0
             assert abs(val - ref) <= 1e-13 * abs(ref)
     bump = WindowBump(chart)
@@ -527,19 +589,17 @@ def test_restrict_validation(geo):
         restrict_samples(MU[2], H, 4, 0.1, pos)
 
 
-@pytest.mark.parametrize("eps,angle_nodes,name", [
-    (0.0, 256, "eps"), (-0.1, 256, "eps"), (1.0, 256, "eps"),
-    (1.5, 256, "eps"), (0.1, 0, "angle_nodes"), (0.1, 1, "angle_nodes"),
-])
-def test_restrict_rejects_bad_arguments(geo, eps, angle_nodes, name):
+# ids: eps, the fiber's coarse angle count, the rejected argument
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.0, 1.5],
+                         ids=lambda eps: f"{eps}-256-eps")
+def test_restrict_rejects_bad_arguments(geo, eps):
     """eps must lie in (0, 1): eps = 0 gives a zero radius and NaN samples,
-    and q(Y) >= q(Y')(1 - eps^2) leaves the domain for eps >= 1; a
-    trapezoid needs at least 2 angles."""
+    and q(Y) >= q(Y')(1 - eps^2) leaves the domain for eps >= 1."""
     _, frame, _ = geo[2]
     chart = _chart_T2(frame, nodes=2)
     H = lambda pt: np.ones(2, complex)
-    with pytest.raises(CycleError, match=name):
-        restrict_samples(NU2, H, 4, eps, chart, angle_nodes=angle_nodes)
+    with pytest.raises(CycleError, match="eps"):
+        restrict_samples(NU2, H, 4, eps, chart)
 
 
 def _circle_point_per_angle(chart, params, radius, theta):
@@ -640,10 +700,11 @@ def test_restrict_matches_per_angle_reference(geo, sector, H, eps):
         assert got.all_slots.tobytes() == slots.tobytes()
 
 
-@pytest.mark.parametrize("angle_nodes", [256, 8])
+@pytest.mark.parametrize("angle_nodes", [256])
 def test_restrict_runs_H_once_per_fine_angle(geo, angle_nodes):
-    """Each window node runs two fibers of 2 angle_nodes angles: 4
-    angle_nodes calls of H (a separate coarse rule would make 6)."""
+    """Each window node runs two fibers of 2 angle_nodes angles, for the
+    coarse rule's angle_nodes: 4 angle_nodes calls of H (a separate coarse
+    rule would make 6)."""
     _, frame, _ = geo[2]
     chart = _chart_T2(frame, nodes=2)
     calls = []
@@ -652,8 +713,7 @@ def test_restrict_runs_H_once_per_fine_angle(geo, angle_nodes):
         calls.append(pt)
         return _h_residue(pt)
 
-    samples = restrict_samples(NU2, H, 4, 0.05, chart,
-                               angle_nodes=angle_nodes)
+    samples = restrict_samples(NU2, H, 4, 0.05, chart)
     assert len(samples) == 4
     assert len(calls) == 4 * angle_nodes * len(samples)
 
@@ -705,12 +765,13 @@ def test_quadrature_error_reports_both_values(geo):
     neg = _chart_T2(frame, nodes=3)
 
     def aliased(pt):
-        # phase 3 after the kappa = 3 weight: exact for 6 nodes, not for 3
+        # phase 256 after the kappa = 3 weight, at unit size: integrated
+        # exactly by the 512 fine angles, aliased by the 256 coarse ones
         z = pt.z
-        return np.array([0.0j, z[1] ** 5])
+        return np.array([0.0j, z[1] ** 2 * (z[1] / abs(z[1])) ** 256])
 
     with pytest.raises(QuadratureError):
-        restrict_samples(NU2, aliased, 3, 0.1, neg, angle_nodes=3)
+        restrict_samples(NU2, aliased, 3, 0.1, neg)
 
 
 def _nan_at_call(field, index):
