@@ -40,27 +40,46 @@ def richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _shifted(z: np.ndarray, directions, h: float) -> list[np.ndarray]:
+    """The points z + step d and z - step d of central_differences, for the
+    steps h and h/2 and each direction d, in its evaluation order."""
+    return [shifted for step in (h, h / 2.0) for d in directions
+            for shifted in (z + step * d, z - step * d)]
+
+
+def _richardson_differences(values, h: float) -> np.ndarray:
+    """Richardson-extrapolated central differences from func evaluated at
+    the _shifted points, in that order."""
+    values = [np.asarray(v, dtype=complex) for v in values]
+    half = len(values) // 2
+
+    def diff(part, step):
+        return np.stack([(plus - minus) / (2.0 * step)
+                         for plus, minus in zip(part[::2], part[1::2])],
+                        axis=-1)
+
+    return richardson(diff(values[:half], h), diff(values[half:], h / 2.0))
+
+
 def central_differences(func, z: np.ndarray, directions, h: float) -> np.ndarray:
     """Richardson-extrapolated central differences of func at z:
     out[..., k] is the derivative of t -> func(z + t directions[k]) at 0."""
-
-    def diff(step):
-        return np.stack([
-            (np.asarray(func(z + step * d), dtype=complex)
-             - np.asarray(func(z - step * d), dtype=complex)) / (2.0 * step)
-            for d in directions], axis=-1)
-
-    return richardson(diff(h), diff(h / 2.0))
+    return _richardson_differences(map(func, _shifted(z, directions, h)), h)
 
 
 def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
     """J[a, j] = dbar_j of component a, for a vector-valued function, with
-    dbar_j = (d/dx_j + i d/dy_j)/2; shape (n,) for a scalar function."""
+    dbar_j = (d/dx_j + i d/dy_j)/2; shape (n,) for a scalar function.
+
+    The 8n shifted points of both Richardson steps are built as one
+    DomainPoint.rows block, so a row-memoized callback evaluates them at
+    once."""
     n = point.frame.n
     h = 1e-4 * max(1.0, float(np.max(np.abs(point.z))))
     units = np.eye(n, dtype=complex)
-    d = central_differences(lambda z: vec_func(point.replace(z)), point.z,
-                            np.concatenate([units, 1j * units]), h)
+    shifted = _shifted(point.z, np.concatenate([units, 1j * units]), h)
+    d = _richardson_differences(
+        map(vec_func, DomainPoint.rows(point.frame, np.array(shifted))), h)
     return (d[..., :n] + 1j * d[..., n:]) / 2.0
 
 

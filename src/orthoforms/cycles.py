@@ -28,9 +28,15 @@ The restriction to the algebraic family integrates over circle fibers
 |z_n| = eps sqrt(q(Y')) above the window nodes; each fiber is one trapezoid
 rule whose angles, phases, Z rows, denominators and slot weights are
 arrays, and the coarse rule of its error estimate is the even-indexed fine
-nodes.  Every quadrature builds its points from the node rows in one batch
-(DomainPoint.rows; a transported chart then moves them node by node), and
-only the callbacks h and H, which take one DomainPoint each, run per node.
+nodes.
+
+Every quadrature builds its points from the node rows as DomainPoint.rows
+blocks (a transported chart moves them node by node and blocks the images
+again).  The callbacks h and H take one DomainPoint and run once per node.
+The library's own integrands, WindowBump.value and .dbar and the kernels
+p_tilde_components and dbar_image_reference, go through domain.row_value:
+the first call at any point of a block evaluates the whole block as
+arrays, and the block's other nodes read their rows from its memo.
 
 All quadrature faces are oriented against the parameter order
 (x1', y1', x2', y2', ...), which is orientation-positive for the domain;
@@ -48,7 +54,7 @@ import numpy as np
 
 from .calculus import measure_factor, richardson
 from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame, \
-    act, q_plus_minus
+    act, q_plus_minus, row_value
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
 from .special import gauss_legendre_grid
@@ -244,13 +250,14 @@ class CycleChart:
         return z
 
     def points(self, params: np.ndarray) -> Iterator[DomainPoint]:
-        """The chart's points at the parameter rows (N, axes): the model
-        points built as one block, then carried node by node by the
-        transport unless it is the identity."""
+        """The chart's points at the parameter rows (N, axes) as one block:
+        the model points, carried node by node by the transport unless it
+        is the identity."""
         model = DomainPoint.rows(self.frame, self.model_z(params))
         if self.is_identity_transport:
             return model
-        return (act(self.frame, self.transport, point)[0] for point in model)
+        return DomainPoint.rows(self.frame, np.array(
+            [act(self.frame, self.transport, point)[0].z for point in model]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +317,18 @@ def _top_det(cols: np.ndarray) -> np.ndarray:
 def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
                     ) -> tuple[Iterable[DomainPoint], np.ndarray]:
     """Model-chart rows z (N, n) and tangent columns cols (N, n, k) carried
-    by the chart transport: the image points, and the columns multiplied by
-    the action Jacobian at each node.  The identity returns the model points
-    and the columns as given."""
+    by the chart transport: the image points as one block, and the columns
+    multiplied by the action Jacobian at each node.  The identity returns
+    the model points and the columns as given."""
     points = DomainPoint.rows(chart.frame, z)
     if chart.is_identity_transport:
         return points, cols
-    moved = []
+    moved = np.empty_like(z)
     pushed = np.empty_like(cols)
     for i, point in enumerate(points):
-        moved.append(act(chart.frame, chart.transport, point)[0])
+        moved[i] = act(chart.frame, chart.transport, point)[0].z
         pushed[i] = action_jacobian(chart.transport, point) @ cols[i]
-    return moved, pushed
+    return DomainPoint.rows(chart.frame, moved), pushed
 
 
 class _Box(NamedTuple):
@@ -541,6 +548,10 @@ class WindowBump:
     For the real-analytic family the factors depend on (Im z1, Re z2, ...);
     the complex-analytic dbar gradient is available in closed form, so the
     Stokes checks need no finite differences.
+
+    value and dbar go through domain.row_value: on a DomainPoint.rows point
+    they are computed once for every row of its block per bump, and each
+    call returns its row (dbar as a fresh array).
     """
 
     power = 4
@@ -550,48 +561,60 @@ class WindowBump:
             raise CycleError("window bumps are tied to real-analytic charts")
         self.window = chart.window
 
-    def _factors(self, t: float, lo: float, hi: float) -> tuple[float, float]:
-        if not lo < t < hi:
-            return 0.0, 0.0
-        span = hi - lo
-        w = 4.0 * (t - lo) * (hi - t) / span ** 2
-        dw = 4.0 * (lo + hi - 2.0 * t) / span ** 2
+    def _factors(self, z: np.ndarray, derivative: bool):
+        """Per row and window axis, the factor w^p of the coordinate
+        (Im z1, Re z2, ...), or with derivative its derivative
+        p w^(p-1) w', zero outside the window; the powers are taken as
+        Python floats, as the scalar code took them."""
+        t = z.real.copy()
+        t[:, 0] = z[:, 0].imag
+        out = np.zeros(t.shape)
         p = self.power
-        return w ** p, p * w ** (p - 1) * dw
-
-    def _coords(self, point: DomainPoint) -> np.ndarray:
-        out = np.empty(len(self.window))
-        out[0] = point.y[0]
-        out[1:] = point.x[1:]
+        for axis, (lo, hi) in enumerate(self.window):
+            ta = t[:, axis]
+            inside = ((lo < ta) & (ta < hi)).nonzero()[0]
+            ti = ta[inside]
+            span2 = (hi - lo) ** 2
+            w = (4.0 * (ti - lo) * (hi - ti) / span2).tolist()
+            if derivative:
+                out[inside, axis] = ([p * v ** (p - 1) for v in w]
+                                     * (4.0 * (lo + hi - 2.0 * ti) / span2))
+            else:
+                out[inside, axis] = [v ** p for v in w]
         return out
 
-    def value(self, point: DomainPoint) -> float:
-        t = self._coords(point)
-        out = 1.0
-        for ti, (lo, hi) in zip(t, self.window):
-            out *= self._factors(ti, lo, hi)[0]
-        return out
+    def _value_rows(self, frame, z, q_y):
+        out = np.ones(len(z))
+        for column in self._factors(z, False).T:
+            out *= column
+        return out, {}
 
-    def dbar(self, point: DomainPoint) -> np.ndarray:
-        t = self._coords(point)
-        vals, grads = [], []
-        for ti, (lo, hi) in zip(t, self.window):
-            v, d = self._factors(ti, lo, hi)
-            vals.append(v)
-            grads.append(d)
-        n = len(t)
-        out = np.zeros(n, dtype=complex)
+    def _dbar_rows(self, frame, z, q_y):
+        vals = self._factors(z, False)
+        grads = self._factors(z, True)
+        n = vals.shape[1]
+        out = np.zeros(vals.shape, dtype=complex)
         for j in range(n):
-            rest = 1.0
+            rest = np.ones(len(z))
             for k in range(n):
                 if k != j:
-                    rest *= vals[k]
+                    rest *= vals[:, k]
             # d y1 / d zbar_1 = i/2; d x_j / d zbar_j = 1/2
-            out[j] = grads[j] * rest * (0.5j if j == 0 else 0.5)
-        return out
+            out[:, j] = grads[:, j] * rest * (0.5j if j == 0 else 0.5)
+        return out, {}
 
-    def __call__(self, point: DomainPoint) -> float:
-        return self.value(point)
+    def value(self, point: DomainPoint) -> float:
+        """h at the point: its row of the bump over the point's block,
+        computed at the block's first call for this bump."""
+        return row_value(point, self._value_rows)
+
+    __call__ = value
+
+    def dbar(self, point: DomainPoint) -> np.ndarray:
+        """The closed-form dbar h at the point, as a fresh (n,) array: its
+        row of the block's gradient rows, computed at the block's first
+        call for this bump."""
+        return row_value(point, self._dbar_rows)
 
 
 # the coarse trapezoid's angles per circle fiber; the fine rule has twice

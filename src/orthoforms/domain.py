@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -159,7 +159,9 @@ class DomainPoint:
         The checks and messages are those of the single constructor, raised
         here for the first failing row; q(Y) is computed for all rows by one
         q_w and cached on each point, equal to the value the single
-        constructor computes.  Each point's z is a view of its row."""
+        constructor computes.  Each point's z is a read-only view of its
+        row, and the points share one _Block, through which row_value
+        evaluates a row function once for all of them."""
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[1] != frame.n:
             raise ValueError("dimension mismatch")
@@ -170,14 +172,16 @@ class DomainPoint:
             if bad_q[np.argmax(bad)]:
                 raise ComponentError("q(Y) must be positive")
             raise ComponentError("point lies in the wrong component (y_1 <= 0)")
+        block = _Block(frame, z, q_y)
         new = object.__new__
 
-        def make(row: np.ndarray, q: float) -> "DomainPoint":
+        def make(row: np.ndarray, q: float, index: int) -> "DomainPoint":
             point = new(cls)
-            point.__dict__.update(frame=frame, z=row, q_y=q)
+            point.__dict__.update(frame=frame, z=row, q_y=q,
+                                  _row=(block, index))
             return point
 
-        return map(make, z, q_y.tolist())
+        return map(make, block.z, q_y.tolist(), range(len(z)))
 
     @property
     def x(self) -> np.ndarray:
@@ -223,6 +227,50 @@ class DomainPoint:
 
     def replace(self, z: np.ndarray) -> "DomainPoint":
         return DomainPoint(self.frame, z)
+
+
+class _Block:
+    """The rows of one DomainPoint.rows call: Z as a read-only view, q(Y),
+    and the memo of row functions evaluated on them."""
+
+    __slots__ = ("frame", "z", "q_y", "memo")
+
+    def __init__(self, frame: WittFrame, z: np.ndarray, q_y: np.ndarray):
+        self.frame = frame
+        self.z = z.view()
+        self.z.flags.writeable = False
+        self.q_y = q_y
+        self.memo: dict = {}
+
+
+def row_value(point: DomainPoint, rows: Callable, *args):
+    """The point's row of rows(frame, z, q_y, *args) -> (values, failures).
+
+    rows maps (N, n) Z rows and their (N,) q(Y) to values with one leading
+    row axis, and failures {row: zero-argument exception factory} for the
+    rows it cannot evaluate.  On a point of a DomainPoint.rows block, rows
+    runs once per key, the function and every argument (an array by its
+    shape and bytes), on all rows of the block, and later calls read the
+    memo; a standalone point is evaluated as a block of one row.  A failed
+    row raises a fresh exception only when it is requested; the value is
+    returned as a fresh copy."""
+    entry = point.__dict__.get("_row")
+    if entry is None:
+        values, failures = rows(point.frame, point.z[None],
+                                np.array([point.q_y]), *args)
+        index = 0
+    else:
+        block, index = entry
+        key = (rows, *[(a.shape, a.tobytes()) if type(a) is np.ndarray
+                       else a for a in args]) if args else rows
+        memo = block.memo.get(key)
+        if memo is None:
+            memo = block.memo[key] = rows(block.frame, block.z, block.q_y,
+                                          *args)
+        values, failures = memo
+    if index in failures:
+        raise failures[index]()
+    return values[index].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,14 @@ re-verified by the test suite).
 """
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 
-from .calculus import ratio_dbar, star01
-from .domain import DomainPoint, act, isometry_matrix, norm_split
-from .special import hyp2f1
+from .calculus import measure_factor
+from .domain import DomainPoint, act, isometry_matrix, row_value
+from .special import hyp2f1_rows
 
 GUARD = 1e-12
 
@@ -53,17 +56,41 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
     return pair ** (-kappa)
 
 
-def _p_hat(lam: np.ndarray, point: DomainPoint,
-           pair_bar: complex) -> np.ndarray:
-    """p(lambda) in the hat basis, given pair_bar = (lambda, psi(Zbar))."""
-    f = ratio_dbar(lam, point, pair_bar)
-    return point.q_y * star01(f, point.frame.eps, point.y, point.q_y)
+def _pair_rows(frame, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(lambda, psi(Z)) for lambda rows (.., n+2) against Z rows (.., n),
+    with the arithmetic of DomainPoint.pair row by row."""
+    return (lam[:, 0] - lam[:, 1] * frame.q_w(z)
+            + 2.0 * (frame.eps * lam[:, 2:] * z).sum(axis=-1))
+
+
+def _p_hat(frame, lam: np.ndarray, z: np.ndarray, q_y: np.ndarray,
+           pair_bar: np.ndarray) -> np.ndarray:
+    """p(lambda) in the hat basis, one row per (lambda, Z) row, given
+    pair_bar = (lambda, psi(Zbar)): q(Y) star01(ratio_dbar) of calculus,
+    written over rows with the same arithmetic (the contraction conj(f).y
+    as a stacked matmul, the powers of q(Y) as Python floats)."""
+    eps = frame.eps
+    qy = q_y[:, None]
+    y = z.imag
+    f = ((2.0 * eps * (lam[:, 2:] - lam[:, 1:2] * np.conj(z)) * qy
+          - pair_bar[:, None] * (1j * eps * y))
+         / np.array([q ** 2 for q in q_y.tolist()])[:, None])
+    fb = np.conj(f)
+    fy = (fb[:, None, :] @ y[:, :, None])[:, 0]
+    n = frame.n
+    measure = np.array([2.0 * measure_factor(n, q) for q in q_y.tolist()])
+    return qy * (-(4.0 * fy * y - (2.0 * qy) * eps * fb) / measure[:, None])
 
 
 def p_components(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
-    """The (n, n-1)-form xi_1[(lambda, psi(Zbar))/q(Y)] in the hat basis."""
-    lam = np.asarray(lam_fc, dtype=float)
-    return _p_hat(lam, point, point.pair_bar(lam))
+    """The (n, n-1)-form xi_1[(lambda, psi(Zbar))/q(Y)] in the hat basis,
+    through row_value like p_tilde_components."""
+    return row_value(point, _p_rows, np.asarray(lam_fc, dtype=float))
+
+
+def _p_rows(frame, z, q_y, lam):
+    lam = lam.reshape(1, -1)
+    return _p_hat(frame, lam, z, q_y, np.conj(_pair_rows(frame, lam, z))), {}
 
 
 def xi_image_reference(lam_fc: np.ndarray, kappa: int,
@@ -74,8 +101,24 @@ def xi_image_reference(lam_fc: np.ndarray, kappa: int,
 
 def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
                          point: DomainPoint) -> complex:
-    """dmu-coefficient of dbar ptilde: (lambda, psi(Zbar))^-kappa q(Y)^kappa."""
-    return point.pair_bar(lam_fc) ** (-kappa) * point.q_y ** kappa
+    """dmu-coefficient of dbar ptilde: (lambda, psi(Zbar))^-kappa q(Y)^kappa.
+
+    Evaluated through row_value: on a DomainPoint.rows point, once for
+    every row of its block per (lambda, kappa)."""
+    return complex(row_value(point, _dbar_reference_rows,
+                             np.asarray(lam_fc, dtype=float), kappa))
+
+
+def _dbar_reference_rows(frame, z, q_y, lam, kappa):
+    pair_bar = np.conj(_pair_rows(frame, lam.reshape(1, -1), z))
+    out = np.empty(len(z), dtype=complex)
+    failures = {}
+    for i, (pb, q) in enumerate(zip(pair_bar.tolist(), q_y.tolist())):
+        try:
+            out[i] = pb ** (-kappa) * q ** kappa
+        except ZeroDivisionError as exc:
+            failures[i] = partial(ZeroDivisionError, *exc.args)
+    return out, failures
 
 
 def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
@@ -87,52 +130,104 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
     argument q/q_minus), or "auto".  The pairing (lambda, psi(Z)) is
     evaluated once; its conjugate (lambda, psi(Zbar)), q_plus / q_minus and
     both prefactors are derived from it.
+
+    Evaluated through row_value by p_tilde_rows: on a DomainPoint.rows
+    point the kernel of every row of the block is computed at the first
+    call for (lambda, kappa, rep), and the block's other points read it
+    from the memo.  A singular row raises KernelSingularity only when that
+    row is requested; the returned array is a fresh copy.
     """
-    lam = np.asarray(lam_fc, dtype=float)
-    frame = point.frame
+    return row_value(point, p_tilde_rows, np.asarray(lam_fc, dtype=float),
+                     kappa, rep)
+
+
+def p_tilde_rows(frame, z: np.ndarray, q_y: np.ndarray, lam: np.ndarray,
+                 kappa: int, rep: str = "auto") -> tuple[np.ndarray, dict]:
+    """The xi-preimage kernel of lambda rows (M, n+2) or one lambda (n+2,)
+    against Z rows (N, n) with their q(Y) (N,), where M or N is 1: one row
+    per (lambda, Z) pair, as (values, failures).  failures maps each
+    singular row, or one whose hypergeometric series fails, to a factory of
+    the exception p_tilde_components raises there.  Each row is bit for bit
+    the value of a single evaluation.  Invalid kappa or rep raise at once.
+    """
     n = frame.n
     if 2 * kappa <= n:
         raise ValueError("need kappa > n/2")
-    q_lam = frame.q_lambda(lam)
+    lam = lam.reshape(-1, n + 2)
+    q_lam = lam[:, 0] * lam[:, 1] + frame.q_w(lam[:, 2:])
     if rep == "auto":
-        if q_lam == 0.0:
+        if not q_lam.all():
             raise ValueError("q(lambda) = 0 is out of scope")
-        rep = "plus" if q_lam > 0 else "minus"
-    pair = point.pair(lam)
-    pair_bar = pair.conjugate()
-    q_plus, q_minus = norm_split(q_lam, pair, point.q_y)
-    scale = max(1.0, abs(q_lam))
-    p = _p_hat(lam, point, pair_bar)
+        plus = q_lam > 0
+    elif rep in ("plus", "minus"):
+        plus = np.full(len(q_lam), rep == "plus")
+    else:
+        raise ValueError(f"unknown representation {rep!r}")
+    pair = _pair_rows(frame, lam, z)
+    rows = len(pair)
+    # q_plus = |pair|^2 / (4 q(Y)), rounded as the complex product rounds it
+    q_plus = (pair.real * pair.real - pair.imag * -pair.imag) / (4.0 * q_y)
+    q_minus = q_lam - q_plus
+    plus, q_lam, q_y = (a if len(a) == rows else a.repeat(rows)
+                        for a in (plus, q_lam, q_y))
+    scale = GUARD * np.maximum(1.0, np.abs(q_lam))
+    bad = (np.abs(q_minus) < scale) | (plus & (q_plus < scale))
+    if not plus.all():
+        bad |= ~plus & (np.hypot(pair.real, pair.imag) < GUARD * np.maximum(
+            1.0, np.sqrt(q_y * np.abs(q_lam))))
+    failures = {
+        i: _singular(lam[i % len(lam)].copy(), plus[i], *row)
+        for i, *row in zip(bad.nonzero()[0].tolist(),
+                           *(a[bad].tolist() for a in (q_lam, q_y, pair,
+                                                       q_plus, q_minus)))}
     half = kappa - n / 2.0
+    coef = np.zeros(rows, dtype=complex)
+    for rep_plus in (True, False):
+        take = ((plus if rep_plus else ~plus) & ~bad).nonzero()[0]
+        if not len(take):
+            continue
+        hyp, failed = hyp2f1_rows(
+            1.0 - n / 2.0, half if rep_plus else 1.0, half + 1.0,
+            q_lam[take] / (q_plus if rep_plus else q_minus)[take])
+        for j, factory in failed.items():
+            failures[int(take[j])] = factory
+        scalars = zip(pair[take].tolist(), q_y[take].tolist(),
+                      q_plus[take].tolist(), q_minus[take].tolist(),
+                      hyp.tolist())
+        # the prefactor of the scalar code, in Python complex and float
+        # arithmetic, times the hypergeometric factor
+        if rep_plus:
+            lead = -4.0 ** kappa * half
+            coef[take] = [pr ** (kappa - 1) / (lead * abs(qm) ** (n / 2.0))
+                          * qp ** (n / 2.0 - kappa) * h
+                          for pr, qy, qp, qm, h in scalars]
+        else:
+            coef[take] = [pr.conjugate() ** (1 - kappa) * qy ** (kappa - 1)
+                          / (4.0 * half * qm) * h
+                          for pr, qy, qp, qm, h in scalars]
+    return coef[:, None] * _p_hat(frame, lam, z, q_y, np.conj(pair)), failures
 
-    if rep == "plus":
+
+POSITIVE = "kernel singular on the positive-norm cycle"
+NEGATIVE = "kernel singular on the negative-norm cycle"
+
+
+def _singular(lam, plus, q_lam, q_y, pair, q_plus, q_minus):
+    """The KernelSingularity factory of a row that fails a guard of its
+    representation: the scalar guards, in the scalar order, on the row's
+    values."""
+    scale = max(1.0, abs(q_lam))
+    if plus:
         if abs(q_minus) < GUARD * scale:
-            raise KernelSingularity("kernel singular on the positive-norm "
-                                    "cycle", lam, "|q_minus|", abs(q_minus))
-        if q_plus < GUARD * scale:
-            raise KernelSingularity("kernel singular on the negative-norm "
-                                    "cycle", lam, "q_plus", q_plus)
-        hyp = hyp2f1(1.0 - n / 2.0, half, half + 1.0, q_lam / q_plus)
-        pref = (pair ** (kappa - 1)
-                / (-4.0 ** kappa * half * abs(q_minus) ** (n / 2.0))
-                * q_plus ** (n / 2.0 - kappa))
-        return pref * hyp * p
-
-    if rep == "minus":
-        pair_scale = max(1.0, float(np.sqrt(point.q_y * abs(q_lam))))
-        if abs(pair_bar) < GUARD * pair_scale:
-            raise KernelSingularity("kernel singular on the negative-norm "
-                                    "cycle", lam, "|(lambda, psi(Zbar))|",
-                                    abs(pair_bar))
-        if abs(q_minus) < GUARD * scale:
-            raise KernelSingularity("kernel singular on the positive-norm "
-                                    "cycle", lam, "|q_minus|", abs(q_minus))
-        hyp = hyp2f1(1.0 - n / 2.0, 1.0, half + 1.0, q_lam / q_minus)
-        pref = (pair_bar ** (1 - kappa) * point.q_y ** (kappa - 1)
-                / (4.0 * half * q_minus))
-        return pref * hyp * p
-
-    raise ValueError(f"unknown representation {rep!r}")
+            return partial(KernelSingularity, POSITIVE, lam, "|q_minus|",
+                           abs(q_minus))
+        return partial(KernelSingularity, NEGATIVE, lam, "q_plus", q_plus)
+    pair_bar = pair.conjugate()
+    if abs(pair_bar) < GUARD * max(1.0, math.sqrt(q_y * abs(q_lam))):
+        return partial(KernelSingularity, NEGATIVE, lam,
+                       "|(lambda, psi(Zbar))|", abs(pair_bar))
+    return partial(KernelSingularity, POSITIVE, lam, "|q_minus|",
+                   abs(q_minus))
 
 
 # ---------------------------------------------------------------------------

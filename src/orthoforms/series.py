@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domain import DomainPoint, WittFrame, act, majorant_at
-from .kernels import KernelSingularity, omega_kernel, p_tilde_components
+from .kernels import KernelSingularity, omega_kernel, p_tilde_rows
 from .quadratic import (Isometry, Vec, as_vec, enumerate_majorant,
                         majorant_value)
 
@@ -97,13 +97,13 @@ def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
                               spec.coset, spec.bound)
 
 
-def _accumulate(vectors, term: Callable, zero):
-    """Ordered compensated (Kahan) sum starting from zero, a complex scalar
-    or a fixed-shape array; returns (total, per-term max moduli)."""
+def _accumulate(terms, zero):
+    """Ordered compensated (Kahan) sum of terms starting from zero, a
+    complex scalar or a fixed-shape array; returns (total, per-term max
+    moduli)."""
     total = comp = zero
     sizes: list[float] = []
-    for v in vectors:
-        t = term(v)
+    for t in terms:
         y = t - comp
         s = total + y
         comp = (s - total) - y
@@ -112,36 +112,43 @@ def _accumulate(vectors, term: Callable, zero):
     return total, sizes
 
 
-def _omega_term(frame: WittFrame, kappa: int, point: DomainPoint):
-    """The scalar kernel (lambda, psi(Z))^-kappa as a term of a vector."""
-    return lambda v: omega_kernel(frame.frame_coords(v), kappa, point)
+def _omega_terms(frame: WittFrame, vectors, kappa: int, point: DomainPoint):
+    """The scalar kernels (lambda, psi(Z))^-kappa of the vectors, in order."""
+    return (omega_kernel(frame.frame_coords(v), kappa, point) for v in vectors)
 
 
-def _p_tilde_term(frame: WittFrame, kappa: int, point: DomainPoint):
-    """The xi-preimage kernel as a term of a vector; a singular term names
-    its vector."""
-    def term(v):
-        try:
-            return p_tilde_components(frame.frame_coords(v), kappa, point)
-        except KernelSingularity as exc:
+def _p_tilde_terms(frame: WittFrame, vectors, kappa: int, point: DomainPoint):
+    """The xi-preimage kernels of the vectors, in order, evaluated as one
+    row call (the vectors' rows against the one point); the first singular
+    term names its vector."""
+    if not vectors:
+        return
+    lam = np.array([frame.frame_coords(v) for v in vectors])
+    values, failures = p_tilde_rows(frame, point.z[None],
+                                    np.array([point.q_y]), lam, kappa)
+    for i, v in enumerate(vectors):
+        if i in failures:
+            exc = failures[i]()
+            if not isinstance(exc, KernelSingularity):
+                raise exc
             raise KernelSingularity(
                 f"series term singular at lattice vector {tuple(v)}",
                 exc.lam, exc.quantity, exc.value) from exc
-    return term
+        yield values[i]
 
 
 def sum_omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> complex:
     """Compensated sum of (lambda, psi(Z))^-kappa over a fixed vector list,
     in list order."""
-    return _accumulate(vectors, _omega_term(frame, kappa, point), 0j)[0]
+    return _accumulate(_omega_terms(frame, vectors, kappa, point), 0j)[0]
 
 
 def sum_Omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> np.ndarray:
     """Componentwise compensated sum of the xi-preimage kernel over a fixed
     vector list, in list order."""
-    return _accumulate(vectors, _p_tilde_term(frame, kappa, point),
+    return _accumulate(_p_tilde_terms(frame, list(vectors), kappa, point),
                        np.zeros(frame.n, dtype=complex))[0]
 
 
@@ -159,28 +166,28 @@ def _shell_tail(spec: SeriesSpec, m_gram: np.ndarray, vectors,
     return count * best
 
 
-def _evaluate(spec: SeriesSpec, point: DomainPoint, term,
+def _evaluate(spec: SeriesSpec, point: DomainPoint, terms,
               zero) -> SeriesResult:
-    """Enumerate the class at the point, sum term(frame, kappa, point) over
-    it from zero, and estimate the tail on the outer majorant shell."""
+    """Enumerate the class at the point, sum terms(frame, vectors, kappa,
+    point) from zero, and estimate the tail on the outer majorant shell."""
     frame = spec.frame
     m_gram = majorant_at(frame, point)
     vectors = enumerate_majorant(frame.lattice, m_gram, spec.m, spec.coset,
                                  spec.bound)
-    total, sizes = _accumulate(vectors, term(frame, spec.kappa, point), zero)
+    total, sizes = _accumulate(terms(frame, vectors, spec.kappa, point), zero)
     return SeriesResult(total, _shell_tail(spec, m_gram, vectors, sizes),
                         len(vectors))
 
 
 def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated scalar series: (value, tail estimate, term count)."""
-    return _evaluate(spec, point, _omega_term, 0j)
+    return _evaluate(spec, point, _omega_terms, 0j)
 
 
 def eval_Omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated form-valued series: componentwise sum of the xi-preimage
     kernel, with the analogous shell tail estimate."""
-    return _evaluate(spec, point, _p_tilde_term,
+    return _evaluate(spec, point, _p_tilde_terms,
                      np.zeros(spec.frame.n, dtype=complex))
 
 

@@ -96,6 +96,29 @@ def test_central_differences_exact_on_cubics():
         assert abs(d[k] - exact) < 1e-12 * abs(exact)
 
 
+def test_dbar_jacobian_evaluates_one_block_in_difference_order(setup_n,
+                                                               rng):
+    """The 8n shifted points come from one DomainPoint.rows block, in the
+    order of central_differences, and give its result bit for bit."""
+    _, frame, n, p, _, fc = _setup(setup_n, rng)
+    seen = []
+
+    def record(pt):
+        seen.append((pt._row[0], pt.z.copy()))
+        return pt.pair_bar(fc) * pt.q_y
+
+    jac = dbar_jacobian(record, p)
+    assert len(seen) == 8 * n and len({id(b) for b, _ in seen}) == 1
+    h = 1e-4 * max(1.0, float(np.max(np.abs(p.z))))
+    units = np.eye(n, dtype=complex)
+    order = []
+    ref = central_differences(
+        lambda z: order.append(z) or p.replace(z).pair_bar(fc)
+        * p.replace(z).q_y, p.z, np.concatenate([units, 1j * units]), h)
+    assert all(np.array_equal(z, want) for (_, z), want in zip(seen, order))
+    assert np.array_equal(jac, (ref[..., :n] + 1j * ref[..., n:]) / 2.0)
+
+
 def test_dbar_jacobian_shapes(setup_n, rng):
     _, frame, n, p, lam, fc = _setup(setup_n, rng)
     assert dbar_jacobian(_q_y, p).shape == (n,)

@@ -189,6 +189,47 @@ def test_window_bump_support_and_gradient(geo):
         assert abs(fd - analytic[j]) <= 5e-9 * max(1.0, abs(analytic[j]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_bump_rows_match_standalone_bit_for_bit(geo, n):
+    """value and dbar of DomainPoint.rows points equal those of standalone
+    points bit for bit, inside the window and at the zeros outside it."""
+    _, frame, _ = geo[n]
+    h = WindowBump(_chart_C(frame, n, nodes=4))
+    rng = np.random.default_rng(11)
+    z = (rng.uniform(-0.8, 0.8, (40, n))
+         + 1j * rng.uniform(0.7, 2.1, (40, 1)) * np.r_[1.0, [0.2] * (n - 1)])
+    z[:5, 0] = 0.3 + 1.9j                   # on the window's edge
+    outside = 0
+    for point in DomainPoint.rows(frame, z):
+        single = DomainPoint(frame, point.z.copy())
+        value, grad = h.value(point), h.dbar(point)
+        assert np.asarray(value).tobytes() == np.asarray(
+            h.value(single)).tobytes()
+        assert grad.tobytes() == h.dbar(single).tobytes()
+        outside += value == 0.0
+    assert 5 <= outside < len(z)
+
+
+def test_window_bumps_keep_their_own_memo_entries(geo):
+    _, frame, _ = geo[2]
+    narrow = WindowBump(_chart_C(frame, 2, nodes=4))
+    wide = WindowBump(CycleChart.create(frame, MU[2], [(0.5, 2.5), (-1, 1)],
+                                        [4, 4]))
+    points = list(DomainPoint.rows(frame, np.array(
+        [[0.1 + 1.4j, 0.2 + 0.1j], [0.2 + 2.2j, 0.9 + 0.1j]])))
+    memo = points[0]._row[0].memo
+    for point in points:
+        for h in (narrow, wide):
+            single = DomainPoint(frame, point.z.copy())
+            assert h(point) == h(single)
+            grad = h.dbar(point)
+            assert np.array_equal(grad, h.dbar(single))
+            grad[:] = 7.0
+            assert np.array_equal(h.dbar(point), h.dbar(single))
+    assert narrow(points[1]) == 0.0 and wide(points[1]) > 0.0
+    assert len(memo) == 4
+
+
 # ---------------------------------------------------------------------------
 # tube boundary integrals
 

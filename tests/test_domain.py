@@ -142,6 +142,20 @@ def test_rows_reject_a_bad_row_like_the_single_constructor(setup_n, rng,
     assert expected in str(batch.value)
 
 
+def test_rows_are_read_only(setup_n, rng):
+    """A callback cannot write into a block point's z, which would put it
+    out of step with the cached q(Y) and the block's memo."""
+    _, frame, _, n = setup_n
+    block = _seeded_rows(frame, rng, 3)
+    point = list(DomainPoint.rows(frame, block))[1]
+    with pytest.raises(ValueError, match="read-only"):
+        point.z[0] = 2.0j
+    with pytest.raises(ValueError, match="read-only"):
+        point.z += 1.0
+    assert np.array_equal(point.z, block[1])
+    block[1, 0] += 1.0  # the caller's own array stays writable
+
+
 def test_rows_reject_wrong_width(setup_n, rng):
     _, frame, _, n = setup_n
     block = _seeded_rows(frame, rng, 3)

@@ -9,6 +9,7 @@ from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
 from orthoforms.cycles import transport_to
 from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint, act,
                                q_plus_minus, sample_point)
+from orthoforms import kernels
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -226,8 +227,9 @@ def test_p_tilde_dbar_closed_form(setup_n, rng):
 
 @pytest.mark.parametrize("rep", ["plus", "minus"])
 def test_p_tilde_evaluates_the_pairing_once(setup_n, rng, monkeypatch, rep):
-    """One evaluation of (lambda, psi(Z)) or its conjugate per call; the
-    conjugate, q_plus / q_minus and the prefactor are derived from it."""
+    """One evaluation of (lambda, psi(Z)) or its conjugate per call, by the
+    row implementation; the conjugate, q_plus / q_minus and the prefactor
+    are derived from it."""
     _, frame, _, n = setup_n
     fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
     kappa = n + 1
@@ -238,6 +240,10 @@ def test_p_tilde_evaluates_the_pairing_once(setup_n, rng, monkeypatch, rep):
         monkeypatch.setattr(DomainPoint, name,
                             lambda self, lam, method=method:
                             calls.append(lam) or method(self, lam))
+    rows = kernels._pair_rows
+    monkeypatch.setattr(kernels, "_pair_rows",
+                        lambda frame, lam, z: calls.append(lam)
+                        or rows(frame, lam, z))
     p_tilde_components(fc, kappa, p, rep=rep)
     assert len(calls) == 1
 
@@ -419,3 +425,121 @@ def test_p_tilde_continuation_near_negative_cycle():
         norms.append(abs(pair_bar ** (kappa - 1))
                      * np.max(np.abs(p_tilde_components(fc, kappa, p))))
     assert max(norms) < 10.0 * min(norms)
+
+
+# ---------------------------------------------------------------------------
+# row blocks: DomainPoint.rows points evaluate the kernels once per block
+
+
+def _outcome(func):
+    """func() as ("value", bytes) or ("raise", type, message)."""
+    try:
+        value = np.asarray(func())
+    except ArithmeticError as exc:
+        return ("raise", type(exc), str(exc))
+    return ("value", value.dtype, value.shape, value.tobytes())
+
+
+@pytest.mark.parametrize("rep", ["plus", "minus"])
+def test_rows_match_standalone_bit_for_bit(setup_n, rng, rep):
+    """Every kernel row of a DomainPoint.rows block equals the kernel at a
+    standalone point with the same Z, bit for bit, in both
+    representations."""
+    _, frame, _, n = setup_n
+    sign = +1 if rep == "plus" else -1
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, sign))
+    kappa = n + 1
+    block = np.array([sample_point(frame, rng).z for _ in range(12)])
+    for point in DomainPoint.rows(frame, block):
+        single = DomainPoint(frame, point.z.copy())
+        for func in (
+                lambda pt: p_tilde_components(fc, kappa, pt, rep=rep),
+                lambda pt: p_components(fc, pt),
+                lambda pt: dbar_image_reference(fc, kappa, pt)):
+            assert _outcome(lambda: func(point)) == _outcome(
+                lambda: func(single))
+
+
+def test_lambda_rows_match_standalone_bit_for_bit(setup_n, rng):
+    """p_tilde_rows over lambda rows against one point (the series path)
+    gives each lambda's standalone kernel, bit for bit."""
+    _, frame, _, n = setup_n
+    kappa = n + 2
+    lams = [frame.frame_coords(_vector_with_sign(frame, rng, s))
+            for s in (+1, -1, +1, +1, -1)]
+    point = sample_point(frame, rng)
+    values, failures = kernels.p_tilde_rows(
+        frame, point.z[None], np.array([point.q_y]), np.array(lams), kappa)
+    for i, fc in enumerate(lams):
+        single = _outcome(lambda: p_tilde_components(fc, kappa, point))
+        if i in failures:
+            exc = failures[i]()
+            assert single == ("raise", type(exc), str(exc))
+        else:
+            assert single == _outcome(lambda: values[i])
+
+
+def _block_with_singular_row(frame, n):
+    """A block whose row 2 lies on the positive-norm cycle of b_1, where the
+    "plus" kernel of b_1 is singular, and whose other rows do not."""
+    rows = np.zeros((4, n), dtype=complex)
+    rows[:, 0] = [0.2 + 1.1j, 0.3 + 1.3j, 1.1j, 0.4 + 0.9j]
+    return list(DomainPoint.rows(frame, rows))
+
+
+def test_singular_row_raises_only_when_requested(setup_n):
+    _, frame, _, n = setup_n
+    kappa = n + 1
+    fc = np.zeros(n + 2)
+    fc[2] = 1.0
+    points = _block_with_singular_row(frame, n)
+    first = p_tilde_components(fc, kappa, points[0], rep="plus")
+    with pytest.raises(KernelSingularity) as batch:
+        p_tilde_components(fc, kappa, points[2], rep="plus")
+    with pytest.raises(KernelSingularity) as single:
+        p_tilde_components(fc, kappa, DomainPoint(frame, points[2].z.copy()),
+                           rep="plus")
+    assert str(batch.value) == str(single.value)
+    assert (batch.value.quantity, batch.value.value) == (
+        single.value.quantity, single.value.value)
+    for point in points[1:2] + points[3:]:
+        assert np.all(np.isfinite(
+            p_tilde_components(fc, kappa, point, rep="plus")))
+    assert np.array_equal(first,
+                          p_tilde_components(fc, kappa, points[0], rep="plus"))
+
+
+def test_row_values_are_fresh_copies(setup_n, rng):
+    _, frame, _, n = setup_n
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    block = np.array([sample_point(frame, rng).z for _ in range(3)])
+    point = list(DomainPoint.rows(frame, block))[1]
+    for func in (lambda: p_tilde_components(fc, n + 1, point),
+                 lambda: p_components(fc, point)):
+        first = func()
+        kept = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(func(), kept)
+
+
+def test_memo_keeps_one_entry_per_argument(setup_n, rng):
+    """Two lambdas, two weights and two representations on one block each
+    get their own memo entry, and each entry gives that argument's
+    kernel."""
+    _, frame, _, n = setup_n
+    fcs = [frame.frame_coords(_vector_with_sign(frame, rng, +1))
+           for _ in range(2)]
+    while np.array_equal(fcs[0], fcs[1]):
+        fcs[1] = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    block = np.array([sample_point(frame, rng).z for _ in range(5)])
+    points = list(DomainPoint.rows(frame, block))
+    memo = points[0]._row[0].memo
+    calls = [(fc, kappa, rep) for fc in fcs for kappa in (n + 1, n + 2)
+             for rep in ("plus", "minus")]
+    for fc, kappa, rep in calls:
+        for point in points:
+            single = DomainPoint(frame, point.z.copy())
+            assert _outcome(lambda: p_tilde_components(fc, kappa, point,
+                                                       rep=rep)) == _outcome(
+                lambda: p_tilde_components(fc, kappa, single, rep=rep))
+    assert len(memo) == len(calls)

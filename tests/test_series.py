@@ -18,7 +18,8 @@ import pytest
 
 from orthoforms.calculus import xi_top
 from orthoforms.domain import DomainPoint, WittFrame, act
-from orthoforms.kernels import KernelSingularity, omega_kernel
+from orthoforms.kernels import (KernelSingularity, omega_kernel,
+                               p_tilde_components)
 from orthoforms.quadratic import Isometry, lattice_from_config
 from orthoforms.series import (SeriesError, SeriesSpec, enumerate_class,
                                eval_Omega, eval_omega, modularity_defect,
@@ -285,6 +286,33 @@ def test_mero_pole_guard_trips_on_cycle(small_frames):
     with pytest.raises(KernelSingularity) as info:
         eval_Omega(spec, on_cycle)
     assert "lattice vector" in str(info.value)
+
+
+def test_form_sum_is_the_ordered_kahan_sum_of_single_kernels(small_frames):
+    """sum_Omega evaluates all vectors in one row call; the total is the
+    compensated sum, in list order, of each vector's standalone kernel."""
+    _, frame, _ = small_frames[2]
+    point = _generic_point(frame)
+    vecs = enumerate_class(SeriesSpec.create(frame, [0] * 4, 1, 4, 20.0),
+                           point)
+    total = comp = np.zeros(2, dtype=complex)
+    for v in vecs:
+        y = p_tilde_components(frame.frame_coords(v), 4, point) - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+    assert np.array_equal(sum_Omega(frame, vecs, 4, point), total)
+
+
+def test_form_sum_names_the_first_singular_vector(small_frames):
+    _, frame, _ = small_frames[1]
+    on_cycle = _point(frame, [1.0j])
+    # both vectors have norm -1 and vanishing (lambda, psi(Z)) at y = 1
+    singular = [(1, -1, 0), (-1, 1, 0)]
+    for vecs in (singular, singular[::-1]):
+        with pytest.raises(KernelSingularity) as info:
+            sum_Omega(frame, vecs, 4, on_cycle)
+        assert f"lattice vector {vecs[0]}" in str(info.value)
 
 
 def test_half_integer_coset_class(small_frames):

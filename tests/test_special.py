@@ -9,7 +9,7 @@ import scipy.integrate
 import scipy.special
 
 from orthoforms.special import (SpecialFunctionError, gauss_legendre,
-                                gauss_legendre_grid, hyp2f1,
+                                gauss_legendre_grid, hyp2f1, hyp2f1_rows,
                                 integrate_adaptive, limit_constant,
                                 radial_integral, sphere_area)
 
@@ -32,6 +32,34 @@ def test_hyp2f1_terminating_exact():
     assert hyp2f1(0.0, 2.5, 3.5, 0.7) == 1.0
     b, c, z = 2.0, 3.0, 0.37
     assert abs(hyp2f1(-1.0, b, c, z) - (1.0 - b * z / c)) < 1e-15
+
+
+@pytest.mark.parametrize("params", [
+    (0.0, 2.5, 3.5), (-1.0, 2.5, 3.5), (2.5, -2.0, 4.5),   # terminating
+    (-0.5, 2.5, 3.5), (-0.5, 1.0, 2.5), (-1.5, 3.5, 4.5)])
+@pytest.mark.parametrize("size", [1, 3, 8, 40, 600])
+def test_hyp2f1_array_matches_scalar_bit_for_bit(rng, params, size):
+    """Each element of an array call equals the scalar call at it, across
+    the Pfaff (z <= -1/2), 0 <= z < 1/2 and 1/2 <= z < 1 regimes; the
+    sizes cover array passes, the scalar finish, and both together."""
+    a, b, c = params
+    regimes = [rng.uniform(-4.0, -0.5, size), rng.uniform(-0.5, 0.0, size),
+               rng.uniform(0.0, 0.5, size), rng.uniform(0.5, 0.999, size)]
+    for z in regimes + [np.concatenate(regimes)]:
+        values = hyp2f1(a, b, c, z)
+        assert values.shape == z.shape
+        for zi, value in zip(z.tolist(), values.tolist()):
+            assert value == hyp2f1(a, b, c, zi)
+
+
+def test_hyp2f1_array_raises_the_first_failing_element():
+    with pytest.raises(SpecialFunctionError, match="branch point"):
+        hyp2f1(0.5, 0.5, 1.0, np.array([0.3, 1.5, 1.0]))
+    values, failures = hyp2f1_rows(0.5, 1.0, 1.5, np.array([0.3, 1.0, 2.0]))
+    assert sorted(failures) == [1, 2]
+    assert values[0] == hyp2f1(0.5, 1.0, 1.5, 0.3)
+    with pytest.raises(SpecialFunctionError, match="divergent"):
+        raise failures[1]()
 
 
 def test_hyp2f1_at_one_gauss_value():
