@@ -564,8 +564,8 @@ class WindowBump:
     def _factors(self, z: np.ndarray, derivative: bool):
         """Per row and window axis, the factor w^p of the coordinate
         (Im z1, Re z2, ...), or with derivative its derivative
-        p w^(p-1) w', zero outside the window; the powers are taken as
-        Python floats, as the scalar code took them."""
+        p w^(p-1) w', zero outside the window; the powers are taken in
+        Python floats, since numpy's power rounds differently."""
         t = z.real.copy()
         t[:, 0] = z[:, 0].imag
         out = np.zeros(t.shape)

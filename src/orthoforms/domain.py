@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -175,13 +176,13 @@ class DomainPoint:
         block = _Block(frame, z, q_y)
         new = object.__new__
 
-        def make(row: np.ndarray, q: float, index: int) -> "DomainPoint":
+        def make(row: np.ndarray, q: float, entry: tuple) -> "DomainPoint":
             point = new(cls)
-            point.__dict__.update(frame=frame, z=row, q_y=q,
-                                  _row=(block, index))
+            point.__dict__.update(frame=frame, z=row, q_y=q, _row=entry)
             return point
 
-        return map(make, block.z, q_y.tolist(), range(len(z)))
+        return map(make, block.z, q_y.tolist(),
+                   zip(repeat(block), range(len(z))))
 
     @property
     def x(self) -> np.ndarray:

@@ -194,8 +194,9 @@ def p_tilde_rows(frame, z: np.ndarray, q_y: np.ndarray, lam: np.ndarray,
         scalars = zip(pair[take].tolist(), q_y[take].tolist(),
                       q_plus[take].tolist(), q_minus[take].tolist(),
                       hyp.tolist())
-        # the prefactor of the scalar code, in Python complex and float
-        # arithmetic, times the hypergeometric factor
+        # the prefactor in Python complex and float arithmetic (numpy's
+        # complex powers and divisions round differently), times the
+        # hypergeometric factor
         if rep_plus:
             lead = -4.0 ** kappa * half
             coef[take] = [pr ** (kappa - 1) / (lead * abs(qm) ** (n / 2.0))
@@ -214,8 +215,8 @@ NEGATIVE = "kernel singular on the negative-norm cycle"
 
 def _singular(lam, plus, q_lam, q_y, pair, q_plus, q_minus):
     """The KernelSingularity factory of a row that fails a guard of its
-    representation: the scalar guards, in the scalar order, on the row's
-    values."""
+    representation, on the row's Python values: for "plus" |q_minus| then
+    q_plus, for "minus" |(lambda, psi(Zbar))| then |q_minus|."""
     scale = max(1.0, abs(q_lam))
     if plus:
         if abs(q_minus) < GUARD * scale:
