@@ -3,13 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from orthoforms import kernels
 from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
-                                 ratio_field, star01, xi_scalar, xi_top,
-                                 measure_factor)
+                                 measure_factor, ratio_dbar, ratio_field,
+                                 star01, xi_scalar, xi_top)
 from orthoforms.cycles import transport_to
 from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint, act,
                                q_plus_minus, sample_point)
-from orthoforms import kernels
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -458,6 +458,18 @@ def test_rows_match_standalone_bit_for_bit(setup_n, rng, rep):
                 lambda pt: dbar_image_reference(fc, kappa, pt)):
             assert _outcome(lambda: func(point)) == _outcome(
                 lambda: func(single))
+
+
+def test_p_rows_equal_the_calculus_closed_forms_bit_for_bit(setup_n, rng):
+    """The row p-hat is q(Y) star01(ratio_dbar) of calculus, the pointwise
+    closed forms, with the same rounding."""
+    _, frame, _, n = setup_n
+    block = np.array([sample_point(frame, rng).z for _ in range(6)])
+    for point in DomainPoint.rows(frame, block):
+        fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+        f = ratio_dbar(fc, point, point.pair_bar(fc))
+        ref = point.q_y * star01(f, frame.eps, point.y, point.q_y)
+        assert p_components(fc, point).tobytes() == ref.tobytes()
 
 
 def test_lambda_rows_match_standalone_bit_for_bit(setup_n, rng):
