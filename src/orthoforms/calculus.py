@@ -16,8 +16,11 @@ so that f ^ star(g) = star_pair(f, g) dmu.
 
 Every kernel is built on the ratio (lambda, psi(Zbar)) / q(Y); the dbar of
 its numerator, of q(Y) and of the ratio are written out once each in closed
-form (pair_bar_dbar, q_y_dbar, ratio_dbar).  A scalar field is any object
-with value(point) and dbar(point); ratio_field is the one the program uses.
+form (pair_bar_dbar, q_y_dbar, ratio_dbar).  These and star01 take one point
+or a domain.Block of Z rows, and one lambda or lambda rows, so the row
+kernels of the kernels module call the same closed forms.  A scalar field
+is any object with value(point) and dbar(point); ratio_field is the one
+the program uses.
 Richardson central differences (dbar_jacobian) check those closed forms and
 differentiate everything else.
 """
@@ -85,25 +88,45 @@ def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # closed-form dbar of (lambda, psi(Zbar)), of q(Y) and of their ratio
+#
+# point is a DomainPoint, or a domain.Block whose z (N, n) and q_y (N,)
+# carry a leading row axis; lam is one vector (n+2,) or rows (M, n+2), with
+# M or N equal to 1, and every result has one row per row of either.
 
 
-def pair_bar_dbar(lam: np.ndarray, point: DomainPoint) -> np.ndarray:
+def _column(x):
+    """A per-point scalar as a factor of coordinate vectors: itself for one
+    point, an (N, 1) column for an (N,) array of row values."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def _per_row(func, x):
+    """func of a per-point scalar, as _column: on an array, func of each
+    row's Python value, because numpy's array powers and complex products
+    round differently from Python's."""
+    if isinstance(x, np.ndarray):
+        return np.array([func(v) for v in x.tolist()])[:, None]
+    return func(x)
+
+
+def pair_bar_dbar(lam: np.ndarray, point) -> np.ndarray:
     """dbar_j (lambda, psi(Zbar)) = 2 eps_j (lambda_j - lambda_e' zbar_j)."""
-    return 2.0 * point.frame.eps * (lam[2:] - lam[1] * np.conj(point.z))
+    return 2.0 * point.frame.eps * (lam[..., 2:]
+                                    - lam[..., 1:2] * np.conj(point.z))
 
 
-def q_y_dbar(point: DomainPoint) -> np.ndarray:
+def q_y_dbar(point) -> np.ndarray:
     """dbar_j q(Y) = i eps_j y_j."""
     return 1j * point.frame.eps * point.y
 
 
-def ratio_dbar(lam: np.ndarray, point: DomainPoint,
-               pair_bar: complex) -> np.ndarray:
+def ratio_dbar(lam: np.ndarray, point, pair_bar) -> np.ndarray:
     """dbar[(lambda, psi(Zbar)) / q(Y)] by the quotient rule, given the
-    numerator pair_bar = (lambda, psi(Zbar))."""
+    numerator pair_bar = (lambda, psi(Zbar)) (one per row)."""
     qy = point.q_y
-    return (pair_bar_dbar(lam, point) * qy
-            - pair_bar * q_y_dbar(point)) / qy ** 2
+    return ((pair_bar_dbar(lam, point) * _column(qy)
+             - _column(pair_bar) * q_y_dbar(point))
+            / _per_row(lambda q: q ** 2, qy))
 
 
 def ratio_field(lam_fc: np.ndarray) -> SimpleNamespace:
@@ -125,13 +148,17 @@ def measure_factor(n: int, q_y: float) -> complex:
 
 
 def star01(f: np.ndarray, eps: np.ndarray, y: np.ndarray,
-           q_y: float) -> np.ndarray:
+           q_y) -> np.ndarray:
     """Antilinear star of a (0,1)-form, as an (n, n-1)-coefficient vector:
     out_j = -(1 / (2 (4i q_y)^n)) sum_i conj(f_i) h^{ij}, written out with
-    h^{ij} = 4 y_i y_j - 2 q_y delta_ij eps_i."""
+    h^{ij} = 4 y_i y_j - 2 q_y delta_ij eps_i.  f (N, n), y (N, n) and q_y
+    (N,) may carry a leading row axis (f or y with one row), and then
+    conj(f).y is a stacked matmul, which rounds as the 1-D product does."""
     fb = np.conj(f)
-    return (-(4.0 * (fb @ y) * y - 2.0 * q_y * eps * fb)
-            / (2.0 * measure_factor(len(y), q_y)))
+    fy = fb @ y if fb.ndim == 1 else (fb[:, None, :] @ y[..., :, None])[..., 0]
+    n = y.shape[-1]
+    return (-(4.0 * fy * y - 2.0 * _column(q_y) * eps * fb)
+            / _per_row(lambda q: 2.0 * measure_factor(n, q), q_y))
 
 
 def star_nn1(g: np.ndarray, eps: np.ndarray, y: np.ndarray,

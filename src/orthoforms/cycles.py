@@ -583,19 +583,19 @@ class WindowBump:
                 out[inside, axis] = [v ** p for v in w]
         return out
 
-    def _value_rows(self, frame, z, q_y):
-        out = np.ones(len(z))
-        for column in self._factors(z, False).T:
+    def _value_rows(self, block):
+        out = np.ones(len(block.z))
+        for column in self._factors(block.z, False).T:
             out *= column
         return out, {}
 
-    def _dbar_rows(self, frame, z, q_y):
-        vals = self._factors(z, False)
-        grads = self._factors(z, True)
+    def _dbar_rows(self, block):
+        vals = self._factors(block.z, False)
+        grads = self._factors(block.z, True)
         n = vals.shape[1]
         out = np.zeros(vals.shape, dtype=complex)
         for j in range(n):
-            rest = np.ones(len(z))
+            rest = np.ones(len(block.z))
             for k in range(n):
                 if k != j:
                     rest *= vals[:, k]

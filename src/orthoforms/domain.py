@@ -131,9 +131,19 @@ class WittFrame:
         """q on W in the orthonormalized coordinates (works on complex)."""
         return (self.eps * w * w).sum(axis=-1)
 
-    def q_lambda(self, lam: np.ndarray) -> float:
-        """q of a vector given in frame coordinates."""
-        return float(lam[0] * lam[1] + self.q_w(lam[2:]))
+    def q_lambda(self, lam: np.ndarray):
+        """q of a vector given in frame coordinates, as a float; of each
+        row of an (M, n+2) array, as an (M,) array."""
+        q = lam.T[0] * lam.T[1] + self.q_w(lam[..., 2:])
+        return q if isinstance(q, np.ndarray) else float(q)
+
+    def pair(self, lam: np.ndarray, z: np.ndarray, q_z):
+        """(lambda, psi(Z)) = lambda_e - lambda_e' q(Z) + (lambda_W, Z) for
+        lam in frame coordinates and q_z = q(Z); lam (M, n+2) against z
+        (N, n) and q_z (N,), with M or N equal to 1, gives one pairing per
+        row."""
+        return (lam.T[0] - lam.T[1] * q_z
+                + 2.0 * (self.eps * lam[..., 2:] * z).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,7 @@ class DomainPoint:
         here for the first failing row; q(Y) is computed for all rows by one
         q_w and cached on each point, equal to the value the single
         constructor computes.  Each point's z is a read-only view of its
-        row, and the points share one _Block, through which row_value
+        row, and the points share one Block, through which row_value
         evaluates a row function once for all of them."""
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[1] != frame.n:
@@ -173,7 +183,7 @@ class DomainPoint:
             if bad_q[np.argmax(bad)]:
                 raise ComponentError("q(Y) must be positive")
             raise ComponentError("point lies in the wrong component (y_1 <= 0)")
-        block = _Block(frame, z, q_y)
+        block = Block(frame, z, q_y)
         new = object.__new__
 
         def make(row: np.ndarray, q: float, entry: tuple) -> "DomainPoint":
@@ -215,10 +225,8 @@ class DomainPoint:
         return self.psi.imag
 
     def pair(self, lam: np.ndarray) -> complex:
-        """(lambda, psi(Z)) = lambda_e - lambda_e' q(Z) + (lambda_W, Z);
-        lam in frame coordinates."""
-        return complex(lam[0] - lam[1] * self.q_z
-                       + 2.0 * (self.frame.eps * lam[2:] * self.z).sum())
+        """(lambda, psi(Z)) of WittFrame.pair; lam in frame coordinates."""
+        return complex(self.frame.pair(lam, self.z, self.q_z))
 
     def pair_bar(self, lam: np.ndarray) -> complex:
         """(lambda, psi(Zbar)); for real lam every product and sum of the
@@ -230,9 +238,10 @@ class DomainPoint:
         return DomainPoint(self.frame, z)
 
 
-class _Block:
-    """The rows of one DomainPoint.rows call: Z as a read-only view, q(Y),
-    and the memo of row functions evaluated on them."""
+class Block:
+    """The rows of one DomainPoint.rows call: Z as a read-only (N, n) view,
+    its imaginary part y and the (N,) q(Y), the point-like argument of a
+    row function; and the memo of row functions evaluated on them."""
 
     __slots__ = ("frame", "z", "q_y", "memo")
 
@@ -243,22 +252,31 @@ class _Block:
         self.q_y = q_y
         self.memo: dict = {}
 
+    @classmethod
+    def single(cls, point: DomainPoint) -> "Block":
+        """The point alone as a block of one row."""
+        return cls(point.frame, point.z[None], np.array([point.q_y]))
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.z.imag
+
 
 def row_value(point: DomainPoint, rows: Callable, *args):
-    """The point's row of rows(frame, z, q_y, *args) -> (values, failures).
+    """The point's row of rows(block, *args) -> (values, failures).
 
-    rows maps (N, n) Z rows and their (N,) q(Y) to values with one leading
-    row axis, and failures {row: zero-argument exception factory} for the
-    rows it cannot evaluate.  On a point of a DomainPoint.rows block, rows
-    runs once per key, the function and every argument (an array by its
-    shape and bytes), on all rows of the block, and later calls read the
-    memo; a standalone point is evaluated as a block of one row.  A failed
-    row raises a fresh exception only when it is requested; the value is
-    returned as a fresh copy."""
+    rows maps a Block (frame, z, y and q_y with a leading row axis of N
+    rows) to values with one leading row axis, and failures {row:
+    zero-argument exception factory} for the rows it cannot evaluate.  On a
+    point of a DomainPoint.rows block, rows runs once per key, the function
+    and every argument (an array by its shape and bytes), on all rows of
+    the block, and later calls read the memo; a standalone point is
+    evaluated as Block.single(point), with no memo.  A failed row raises a
+    fresh exception only when it is requested; the value is returned as a
+    fresh copy."""
     entry = point.__dict__.get("_row")
     if entry is None:
-        values, failures = rows(point.frame, point.z[None],
-                                np.array([point.q_y]), *args)
+        values, failures = rows(Block.single(point), *args)
         index = 0
     else:
         block, index = entry
@@ -266,8 +284,7 @@ def row_value(point: DomainPoint, rows: Callable, *args):
                        else a for a in args]) if args else rows
         memo = block.memo.get(key)
         if memo is None:
-            memo = block.memo[key] = rows(block.frame, block.z, block.q_y,
-                                          *args)
+            memo = block.memo[key] = rows(block, *args)
         values, failures = memo
     if index in failures:
         raise failures[index]()
@@ -325,11 +342,12 @@ def project(frame: WittFrame, lam_lattice: Sequence,
     return vec_plus, q_plus, q_minus
 
 
-def norm_split(q_lam: float, pair: complex,
-               q_y: float) -> tuple[float, float]:
+def norm_split(q_lam, pair, q_y):
     """(q_plus, q_minus) of a vector of norm q_lam with (lambda, psi(Z)) =
-    pair, by the product formula q_plus = |pair|^2 / (4 q(Y))."""
-    q_plus = (pair * pair.conjugate()).real / (4.0 * q_y)
+    pair, by the product formula q_plus = |pair|^2 / (4 q(Y)); on scalars,
+    or on arrays with one value per row.  |pair|^2 is the real part of
+    pair * conj(pair), written out as the complex product rounds it."""
+    q_plus = (pair.real * pair.real - pair.imag * -pair.imag) / (4.0 * q_y)
     return q_plus, q_lam - q_plus
 
 

@@ -24,8 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import measure_factor
-from .domain import DomainPoint, act, isometry_matrix, row_value
+from .calculus import ratio_dbar, star01
+from .domain import DomainPoint, act, isometry_matrix, norm_split, row_value
 from .special import hyp2f1_rows
 
 GUARD = 1e-12
@@ -56,30 +56,18 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
     return pair ** (-kappa)
 
 
-def _pair_rows(frame, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(lambda, psi(Z)) for lambda rows (.., n+2) against Z rows (.., n),
-    with the arithmetic of DomainPoint.pair row by row."""
-    return (lam[:, 0] - lam[:, 1] * frame.q_w(z)
-            + 2.0 * (frame.eps * lam[:, 2:] * z).sum(axis=-1))
+def _pair(block, lam: np.ndarray) -> np.ndarray:
+    """(lambda, psi(Z)) for lambda rows (M, n+2) against the block's Z
+    rows."""
+    return block.frame.pair(lam, block.z, block.frame.q_w(block.z))
 
 
-def _p_hat(frame, lam: np.ndarray, z: np.ndarray, q_y: np.ndarray,
-           pair_bar: np.ndarray) -> np.ndarray:
+def _p_hat(block, lam: np.ndarray, pair_bar: np.ndarray) -> np.ndarray:
     """p(lambda) in the hat basis, one row per (lambda, Z) row, given
-    pair_bar = (lambda, psi(Zbar)): q(Y) star01(ratio_dbar) of calculus,
-    written over rows with the same arithmetic (the contraction conj(f).y
-    as a stacked matmul, the powers of q(Y) as Python floats)."""
-    eps = frame.eps
-    qy = q_y[:, None]
-    y = z.imag
-    f = ((2.0 * eps * (lam[:, 2:] - lam[:, 1:2] * np.conj(z)) * qy
-          - pair_bar[:, None] * (1j * eps * y))
-         / np.array([q ** 2 for q in q_y.tolist()])[:, None])
-    fb = np.conj(f)
-    fy = (fb[:, None, :] @ y[:, :, None])[:, 0]
-    n = frame.n
-    measure = np.array([2.0 * measure_factor(n, q) for q in q_y.tolist()])
-    return qy * (-(4.0 * fy * y - (2.0 * qy) * eps * fb) / measure[:, None])
+    pair_bar = (lambda, psi(Zbar)): q(Y) star01(ratio_dbar)."""
+    f = ratio_dbar(lam, block, pair_bar)
+    return block.q_y[:, None] * star01(f, block.frame.eps, block.y,
+                                       block.q_y)
 
 
 def p_components(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
@@ -88,9 +76,9 @@ def p_components(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
     return row_value(point, _p_rows, np.asarray(lam_fc, dtype=float))
 
 
-def _p_rows(frame, z, q_y, lam):
+def _p_rows(block, lam):
     lam = lam.reshape(1, -1)
-    return _p_hat(frame, lam, z, q_y, np.conj(_pair_rows(frame, lam, z))), {}
+    return _p_hat(block, lam, np.conj(_pair(block, lam))), {}
 
 
 def xi_image_reference(lam_fc: np.ndarray, kappa: int,
@@ -109,11 +97,12 @@ def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
                              np.asarray(lam_fc, dtype=float), kappa))
 
 
-def _dbar_reference_rows(frame, z, q_y, lam, kappa):
-    pair_bar = np.conj(_pair_rows(frame, lam.reshape(1, -1), z))
-    out = np.empty(len(z), dtype=complex)
+def _dbar_reference_rows(block, lam, kappa):
+    pair_bar = np.conj(_pair(block, lam.reshape(1, -1)))
+    out = np.empty(len(pair_bar), dtype=complex)
     failures = {}
-    for i, (pb, q) in enumerate(zip(pair_bar.tolist(), q_y.tolist())):
+    for i, (pb, q) in enumerate(zip(pair_bar.tolist(),
+                                    block.q_y.tolist())):
         try:
             out[i] = pb ** (-kappa) * q ** kappa
         except ZeroDivisionError as exc:
@@ -141,20 +130,21 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
                      kappa, rep)
 
 
-def p_tilde_rows(frame, z: np.ndarray, q_y: np.ndarray, lam: np.ndarray,
-                 kappa: int, rep: str = "auto") -> tuple[np.ndarray, dict]:
+def p_tilde_rows(block, lam: np.ndarray, kappa: int,
+                 rep: str = "auto") -> tuple[np.ndarray, dict]:
     """The xi-preimage kernel of lambda rows (M, n+2) or one lambda (n+2,)
-    against Z rows (N, n) with their q(Y) (N,), where M or N is 1: one row
+    against the Z rows (N, n) of a domain.Block, where M or N is 1: one row
     per (lambda, Z) pair, as (values, failures).  failures maps each
     singular row, or one whose hypergeometric series fails, to a factory of
     the exception p_tilde_components raises there.  Each row is bit for bit
     the value of a single evaluation.  Invalid kappa or rep raise at once.
     """
+    frame = block.frame
     n = frame.n
     if 2 * kappa <= n:
         raise ValueError("need kappa > n/2")
     lam = lam.reshape(-1, n + 2)
-    q_lam = lam[:, 0] * lam[:, 1] + frame.q_w(lam[:, 2:])
+    q_lam = frame.q_lambda(lam)
     if rep == "auto":
         if not q_lam.all():
             raise ValueError("q(lambda) = 0 is out of scope")
@@ -163,27 +153,29 @@ def p_tilde_rows(frame, z: np.ndarray, q_y: np.ndarray, lam: np.ndarray,
         plus = np.full(len(q_lam), rep == "plus")
     else:
         raise ValueError(f"unknown representation {rep!r}")
-    pair = _pair_rows(frame, lam, z)
+    pair = _pair(block, lam)
     rows = len(pair)
-    # q_plus = |pair|^2 / (4 q(Y)), rounded as the complex product rounds it
-    q_plus = (pair.real * pair.real - pair.imag * -pair.imag) / (4.0 * q_y)
-    q_minus = q_lam - q_plus
+    q_plus, q_minus = norm_split(q_lam, pair, block.q_y)
     plus, q_lam, q_y = (a if len(a) == rows else a.repeat(rows)
-                        for a in (plus, q_lam, q_y))
+                        for a in (plus, q_lam, block.q_y))
     scale = GUARD * np.maximum(1.0, np.abs(q_lam))
     bad = (np.abs(q_minus) < scale) | (plus & (q_plus < scale))
-    if not plus.all():
-        bad |= ~plus & (np.hypot(pair.real, pair.imag) < GUARD * np.maximum(
+    minus = ~plus
+    if minus.any():
+        bad |= minus & (np.hypot(pair.real, pair.imag) < GUARD * np.maximum(
             1.0, np.sqrt(q_y * np.abs(q_lam))))
-    failures = {
-        i: _singular(lam[i % len(lam)].copy(), plus[i], *row)
-        for i, *row in zip(bad.nonzero()[0].tolist(),
-                           *(a[bad].tolist() for a in (q_lam, q_y, pair,
-                                                       q_plus, q_minus)))}
+    failures = {}
+    if bad.any():
+        failures = {
+            i: _singular(lam[i % len(lam)].copy(), plus[i], *row)
+            for i, *row in zip(bad.nonzero()[0].tolist(),
+                               *(a[bad].tolist() for a in (
+                                   q_lam, q_y, pair, q_plus, q_minus)))}
     half = kappa - n / 2.0
     coef = np.zeros(rows, dtype=complex)
-    for rep_plus in (True, False):
-        take = ((plus if rep_plus else ~plus) & ~bad).nonzero()[0]
+    good = ~bad
+    for rep_plus, mask in ((True, plus), (False, minus)):
+        take = (mask & good).nonzero()[0]
         if not len(take):
             continue
         hyp, failed = hyp2f1_rows(
@@ -206,7 +198,7 @@ def p_tilde_rows(frame, z: np.ndarray, q_y: np.ndarray, lam: np.ndarray,
             coef[take] = [pr.conjugate() ** (1 - kappa) * qy ** (kappa - 1)
                           / (4.0 * half * qm) * h
                           for pr, qy, qp, qm, h in scalars]
-    return coef[:, None] * _p_hat(frame, lam, z, q_y, np.conj(pair)), failures
+    return coef[:, None] * _p_hat(block, lam, np.conj(pair)), failures
 
 
 POSITIVE = "kernel singular on the positive-norm cycle"

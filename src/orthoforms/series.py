@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import DomainPoint, WittFrame, act, majorant_at
+from .domain import Block, DomainPoint, WittFrame, act, majorant_at
 from .kernels import KernelSingularity, omega_kernel, p_tilde_rows
 from .quadratic import (Isometry, Vec, as_vec, enumerate_majorant,
                         majorant_value)
@@ -124,8 +124,7 @@ def _p_tilde_terms(frame: WittFrame, vectors, kappa: int, point: DomainPoint):
     if not vectors:
         return
     lam = np.array([frame.frame_coords(v) for v in vectors])
-    values, failures = p_tilde_rows(frame, point.z[None],
-                                    np.array([point.q_y]), lam, kappa)
+    values, failures = p_tilde_rows(Block.single(point), lam, kappa)
     for i, v in enumerate(vectors):
         if i in failures:
             exc = failures[i]()

@@ -20,82 +20,48 @@ def _is_nonpositive_int(x: float) -> bool:
     return x <= 0 and abs(x - round(x)) < 1e-12
 
 
-# series terms in the first array pass of _series; each later pass takes
-# twice as many, so a long series costs few passes and a short one few
-# extra terms
-_FIRST_PASS = 32
-# an array pass costs about as much as this many terms of the scalar loop,
-# so _series makes a pass only while it would sum at least that many terms
-_PASS_TERMS = 128
-# the most terms times elements of one pass, which bounds its arrays
-_PASS_CELLS = 4096
-_MAX_TERMS = 200_000
-
-
-def _series_tail(a: float, b: float, c: float, z: float, k0: int,
-                 term: float, total: float):
-    """The scalar series loop from term k0 on, given term k0 - 1 and the
-    partial sum up to it; None once it gives up."""
-    for k in range(k0, _MAX_TERMS):
+def _series(a: float, b: float, c: float, z: float) -> float:
+    """The hypergeometric series summed until a term falls below 1e-15 of
+    the partial sum (or of 1), giving up after 200,000 terms."""
+    total = 1.0
+    term = 1.0
+    for k in range(200_000):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
         if abs(term) < 1e-15 * max(1.0, abs(total)):
             return total
         if term == 0.0:
             return total
-    return None
+    raise SpecialFunctionError(
+        f"hypergeometric series did not converge for z={z}")
 
 
-def _series(a: float, b: float, c: float, z: np.ndarray, out: np.ndarray,
-            failures: dict, index: np.ndarray) -> None:
-    """The hypergeometric series at each element of z, summed until a term
-    falls below 1e-15 of the partial sum (or of 1), giving up after 200,000
-    terms; element i goes to out[index[i]], or its failure to failures.
-
-    While a pass would sum at least _PASS_TERMS terms, terms are taken a
-    pass at a time over all remaining elements: np.multiply.accumulate and
-    np.add.accumulate multiply and add left to right, so term k and partial
-    sum k of every element are those of the scalar loop, and each element
-    keeps the partial sum at the first term that meets the stop rule.  The
-    elements left then finish in that scalar loop."""
-    term = np.ones((1, len(z)))
-    total = np.ones((1, len(z)))
-    k0, size = 0, _FIRST_PASS
-    while len(z) and k0 < _MAX_TERMS:
-        count = min(size, _PASS_CELLS // len(z) or 1, _MAX_TERMS - k0)
-        if len(z) * count < _PASS_TERMS:
-            break
-        k = np.arange(k0, k0 + count, dtype=float)
-        coef = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-        terms = np.multiply.accumulate(
-            np.concatenate([term, np.multiply.outer(coef, z)]))[1:]
-        totals = np.add.accumulate(np.concatenate([total, terms]))[1:]
-        stop = ((np.abs(terms) < 1e-15 * np.fmax(1.0, np.abs(totals)))
-                | (terms == 0.0))
-        done = stop.any(axis=0)
-        out[index[done]] = totals[stop.argmax(axis=0)[done], done]
-        keep = ~done
-        z, index = z[keep], index[keep]
-        term, total = terms[-1:, keep], totals[-1:, keep]
-        k0, size = k0 + count, 2 * size
-    for i, zi, t, s in zip(index.tolist(), z.tolist(), term[0].tolist(),
-                           total[0].tolist()):
-        value = _series_tail(a, b, c, zi, k0, t, s)
-        if value is None:
-            failures[i] = partial(
-                SpecialFunctionError,
-                f"hypergeometric series did not converge for z={zi}")
-        else:
-            out[i] = value
+def _nonterminating(a: float, b: float, c: float, z: float) -> float:
+    """F(a, b; c; z) at one z when neither a nor b is a non-positive
+    integer."""
+    if z == 1.0:
+        if c - a - b <= 0:
+            raise SpecialFunctionError("divergent at z = 1")
+        return (math.gamma(c) * math.gamma(c - a - b)
+                / (math.gamma(c - a) * math.gamma(c - b)))
+    if z > 1.0:
+        raise SpecialFunctionError("argument above the branch point")
+    if z <= -0.5:
+        # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1))
+        w = z / (z - 1.0)
+        return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
+    return _series(a, b, c, z)
 
 
 def hyp2f1_rows(a: float, b: float, c: float,
                 z: np.ndarray) -> tuple[np.ndarray, dict]:
     """F(a, b; c; z) at each element of a 1-D array z, as (values,
-    failures): each element takes the branch, sums the series and applies
-    the stop rule of the scalar hyp2f1, and an element that would raise
-    SpecialFunctionError there is returned in failures {index: factory of
-    that exception} instead.  An invalid parameter c raises at once."""
+    failures): a terminating series is summed over the whole array, and
+    otherwise each element goes through the scalar branches and series
+    loop on its own, so every value is that of the scalar call.  An element
+    whose evaluation raises SpecialFunctionError is returned in failures
+    {index: factory of that exception} instead.  An invalid parameter c
+    raises at once."""
     if _is_nonpositive_int(c) and not (
             _is_nonpositive_int(a) and round(a) >= round(c)) and not (
             _is_nonpositive_int(b) and round(b) >= round(c)):
@@ -111,28 +77,11 @@ def hyp2f1_rows(a: float, b: float, c: float,
             term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
             out += term
         return out, failures
-    plain, pfaff = [], []
     for i, zi in enumerate(z.tolist()):
-        if zi == 1.0:
-            if c - a - b <= 0:
-                failures[i] = partial(SpecialFunctionError,
-                                      "divergent at z = 1")
-            else:
-                out[i] = (math.gamma(c) * math.gamma(c - a - b)
-                          / (math.gamma(c - a) * math.gamma(c - b)))
-        elif zi > 1.0:
-            failures[i] = partial(SpecialFunctionError,
-                                  "argument above the branch point")
-        elif zi <= -0.5:
-            pfaff.append(i)
-        else:
-            plain.append(i)
-    _series(a, b, c, z[plain], out, failures, np.array(plain, dtype=int))
-    # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1))
-    zp = z[pfaff]
-    _series(a, c - b, c, zp / (zp - 1.0), out, failures,
-            np.array(pfaff, dtype=int))
-    out[pfaff] *= [(1.0 - zi) ** (-a) for zi in zp.tolist()]
+        try:
+            out[i] = _nonterminating(a, b, c, zi)
+        except SpecialFunctionError as exc:
+            failures[i] = partial(SpecialFunctionError, *exc.args)
     return out, failures
 
 

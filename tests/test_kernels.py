@@ -8,8 +8,8 @@ from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
                                  measure_factor, ratio_dbar, ratio_field,
                                  star01, xi_scalar, xi_top)
 from orthoforms.cycles import transport_to
-from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint, act,
-                               q_plus_minus, sample_point)
+from orthoforms.domain import (Block, BoundaryError, ComponentError,
+                               DomainPoint, act, q_plus_minus, sample_point)
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -240,10 +240,10 @@ def test_p_tilde_evaluates_the_pairing_once(setup_n, rng, monkeypatch, rep):
         monkeypatch.setattr(DomainPoint, name,
                             lambda self, lam, method=method:
                             calls.append(lam) or method(self, lam))
-    rows = kernels._pair_rows
-    monkeypatch.setattr(kernels, "_pair_rows",
-                        lambda frame, lam, z: calls.append(lam)
-                        or rows(frame, lam, z))
+    rows = kernels._pair
+    monkeypatch.setattr(kernels, "_pair",
+                        lambda block, lam: calls.append(lam)
+                        or rows(block, lam))
     p_tilde_components(fc, kappa, p, rep=rep)
     assert len(calls) == 1
 
@@ -480,8 +480,8 @@ def test_lambda_rows_match_standalone_bit_for_bit(setup_n, rng):
     lams = [frame.frame_coords(_vector_with_sign(frame, rng, s))
             for s in (+1, -1, +1, +1, -1)]
     point = sample_point(frame, rng)
-    values, failures = kernels.p_tilde_rows(
-        frame, point.z[None], np.array([point.q_y]), np.array(lams), kappa)
+    values, failures = kernels.p_tilde_rows(Block.single(point),
+                                            np.array(lams), kappa)
     for i, fc in enumerate(lams):
         single = _outcome(lambda: p_tilde_components(fc, kappa, point))
         if i in failures:

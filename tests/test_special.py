@@ -34,14 +34,39 @@ def test_hyp2f1_terminating_exact():
     assert abs(hyp2f1(-1.0, b, c, z) - (1.0 - b * z / c)) < 1e-15
 
 
+def _scalar_hyp2f1(a, b, c, z):
+    """The scalar evaluator written out once more in plain Python floats:
+    the terminating sum, Pfaff below z = -1/2, the series and its stop
+    rule."""
+    def series(a, b, c, z):
+        total = term = 1.0
+        for k in range(200_000):
+            term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
+            total += term
+            if abs(term) < 1e-15 * max(1.0, abs(total)) or term == 0.0:
+                return total
+        raise AssertionError("no convergence")
+
+    for x, y in ((a, b), (b, a)):
+        if x <= 0 and x == round(x):
+            total = term = 1.0
+            for k in range(int(round(-x))):
+                term *= (x + k) * (y + k) / ((c + k) * (1.0 + k)) * z
+                total += term
+            return total
+    if z <= -0.5:
+        return (1.0 - z) ** (-a) * series(a, c - b, c, z / (z - 1.0))
+    return series(a, b, c, z)
+
+
 @pytest.mark.parametrize("params", [
     (0.0, 2.5, 3.5), (-1.0, 2.5, 3.5), (2.5, -2.0, 4.5),   # terminating
     (-0.5, 2.5, 3.5), (-0.5, 1.0, 2.5), (-1.5, 3.5, 4.5)])
-@pytest.mark.parametrize("size", [1, 3, 8, 40, 600])
+@pytest.mark.parametrize("size", [1, 3, 40])
 def test_hyp2f1_array_matches_scalar_bit_for_bit(rng, params, size):
-    """Each element of an array call equals the scalar call at it, across
-    the Pfaff (z <= -1/2), 0 <= z < 1/2 and 1/2 <= z < 1 regimes; the
-    sizes cover array passes, the scalar finish, and both together."""
+    """Each element of an array call equals the scalar evaluation at it,
+    across the terminating case and the Pfaff (z <= -1/2), 0 <= z < 1/2
+    and 1/2 <= z < 1 regimes, alone and mixed in one array."""
     a, b, c = params
     regimes = [rng.uniform(-4.0, -0.5, size), rng.uniform(-0.5, 0.0, size),
                rng.uniform(0.0, 0.5, size), rng.uniform(0.5, 0.999, size)]
@@ -49,7 +74,7 @@ def test_hyp2f1_array_matches_scalar_bit_for_bit(rng, params, size):
         values = hyp2f1(a, b, c, z)
         assert values.shape == z.shape
         for zi, value in zip(z.tolist(), values.tolist()):
-            assert value == hyp2f1(a, b, c, zi)
+            assert value == hyp2f1(a, b, c, zi) == _scalar_hyp2f1(a, b, c, zi)
 
 
 def test_hyp2f1_array_raises_the_first_failing_element():
