@@ -195,10 +195,11 @@ class CycleChart:
         if kind == "algebraic" and window[1][0] <= 0:
             raise CycleError("the y1' window must stay positive")
         nodes = tuple(int(k) for k in nodes)
-        if len(nodes) != expected_axes or any(k < 2 for k in nodes):
+        collar_nodes = int(collar_nodes)
+        if len(nodes) != expected_axes or min(nodes + (collar_nodes,)) < 2:
             raise CycleError("need at least 2 quadrature nodes per axis")
         chart = cls(kind, frame, vec, q, transport_to(frame, vec), window,
-                    nodes, int(collar_nodes))
+                    nodes, collar_nodes)
         chart._check()
         return chart
 
@@ -340,23 +341,30 @@ class _Box(NamedTuple):
     sign: float
 
 
-def _tube_faces(chart: CycleChart, eps: float, scale: int = 1) -> list[_Box]:
-    """Boundary faces of the radius-eps collar box over the chart window:
-    the caps x1' = +-eps and, for n = 2, the laterals y2' = +-eps."""
+def _transverse(n: int) -> list[int]:
+    """u-indices of the transverse collar coordinates x1', y2', ..., yn'."""
+    return [0] + [2 * j + 1 for j in range(1, n)]
+
+
+def _collar_axes(chart: CycleChart, transverse: Sequence, scale: int) -> list:
+    """(interval, node count) of each collar coordinate in u-order: the
+    transverse ones over the given intervals at scale * collar_nodes, the
+    window ones y1', x2', ..., xn' at scale * nodes."""
     n = chart.frame.n
-    w = chart.window
-    k = tuple(scale * c for c in chart.nodes)
-    collar = scale * chart.collar_nodes
-    r = (-eps, eps)
-    sides = (1.0, -1.0)
-    if n == 1:
-        return [_Box((w[0],), (k[0],), (0, d * eps), d) for d in sides]
-    if n == 2:
-        return ([_Box((w[0], w[1], r), (k[0], k[1], collar), (0, d * eps), d)
-                 for d in sides]
-                + [_Box((r, w[0], w[1]), (collar, k[0], k[1]), (3, d * eps),
-                        -d) for d in sides])
-    raise CycleError("tube boundary faces are implemented for n <= 2")
+    across = iter([(t, scale * chart.collar_nodes) for t in transverse])
+    window = iter(zip(chart.window, [scale * k for k in chart.nodes]))
+    return [next(across if i in _transverse(n) else window)
+            for i in range(2 * n)]
+
+
+def _tube_faces(chart: CycleChart, eps: float, scale: int = 1) -> list[_Box]:
+    """The 2n boundary faces of the radius-eps collar box over the window:
+    for each transverse u_i in u-order (the caps x1', then the laterals y_j')
+    and outward d = +1, -1, the box with u_i = d eps and sign d (-1)^i."""
+    n = chart.frame.n
+    axes = _collar_axes(chart, [(-eps, eps)] * n, scale)
+    return [_Box(*zip(*(axes[:i] + axes[i + 1:])), (i, d * eps), d * (-1) ** i)
+            for i in _transverse(n) for d in (1.0, -1.0)]
 
 
 def _box_nodes(chart: CycleChart, box: _Box,
@@ -494,23 +502,14 @@ def shell_stokes(chart: CycleChart, h_field, p_field,
 
 
 def _shell_strips(chart: CycleChart, e1: float, e2: float) -> list[_Box]:
-    """The collar box of radius e2 less the one of radius e1, over the chart
-    window, as volume boxes: x1' beyond +-e1, then (n = 2) y2' beyond +-e1
-    with |x1'| < e1."""
+    """The collar box of radius e2 less the one of radius e1 over the chart
+    window, as 2n boxes: strip k has the k-th transverse coordinate beyond
+    +-e1, the earlier ones within e1 and the later ones within e2."""
     n = chart.frame.n
-    w = chart.window
-    k = chart.nodes
-    collar = chart.collar_nodes
-    top = _top_sign(n)
-    if n == 1:
-        return [_Box((x, w[0]), (collar, k[0]), None, top)
-                for x in ((e1, e2), (-e2, -e1))]
-    if n == 2:
-        return [_Box((x, w[0], w[1], y), (collar, k[0], k[1], collar), None,
-                     top)
-                for x, y in (((e1, e2), (-e2, e2)), ((-e2, -e1), (-e2, e2)),
-                             ((-e1, e1), (e1, e2)), ((-e1, e1), (-e2, -e1)))]
-    raise CycleError("shell regions are implemented for n <= 2")
+    return [_Box(*zip(*_collar_axes(
+                chart, [(-e1, e1)] * k + [side] + [(-e2, e2)] * (n - 1 - k),
+                1)), None, _top_sign(n))
+            for k in range(n) for side in ((e1, e2), (-e2, -e1))]
 
 
 def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,

@@ -657,6 +657,8 @@ def _collar_chart(frame: WittFrame) -> CycleChart:
 def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
     out = []
     p = ctx.params
+    if not p.eps_schedule or not all(0 < e < 1 for e in p.eps_schedule):
+        raise ConfigError("parameters.eps_schedule", "need radii in (0, 1)")
     _, frame, _ = load_frame(ctx.config.lattice)
     if frame.n != 2:
         raise ConfigError("lattice", "tube_limit needs a rank (2, 2) lattice")

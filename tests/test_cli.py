@@ -404,6 +404,21 @@ def test_tube_limit_overrides_match_config_file(tmp_path, monkeypatch):
     assert seen[0].params.eps_schedule == (0.1, 0.05)
 
 
+@pytest.mark.parametrize("schedule", [[1.5], [0.1, -0.1], []],
+                         ids=["above-one", "negative", "empty"])
+def test_tube_limit_bad_eps_schedule_exits_2(tmp_path, capsys, schedule):
+    cfg = _write_config(tmp_path, {"suite": "tube_limit",
+                                   "parameters": {"eps_schedule": schedule}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "config field 'parameters.eps_schedule'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["1.5", "0.1,-0.1"])
+def test_tube_limit_bad_eps_override_exits_2(capsys, eps):
+    assert main(["tube-limit", "--eps", eps]) == 2
+    assert "config field 'parameters.eps_schedule'" in capsys.readouterr().err
+
+
 def test_duality_without_cycle_data_exits_2(capsys):
     assert main(["verify", "duality"]) == 2
     err = capsys.readouterr().err

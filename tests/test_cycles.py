@@ -1,6 +1,8 @@
 """Tests for cycle charts, tube boundaries, restrictions, and their oracles."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,10 @@ def test_chart_rejects_bad_windows(geo):
         CycleChart.create(frame, MU[2], [(0.9, 0.9), (0, 1)], [4, 4])
     with pytest.raises(CycleError, match="nodes"):
         CycleChart.create(frame, MU[2], [(0.9, 1.9), (0, 1)], [4, 1])
+    for collar in (1, 0, -3):
+        with pytest.raises(CycleError, match="nodes"):
+            CycleChart.create(frame, MU[2], [(0.9, 1.9), (0, 1)], [4, 4],
+                              collar_nodes=collar)
 
 
 def test_chart_kinds_and_membership(geo):
@@ -262,15 +268,28 @@ def test_tube_boundary_validation(geo):
         tube_boundary_integral(NU2, lambda pt: 1.0, H, 0.1, neg)
 
 
-def test_tube_faces_unsupported_rank(geo):
+def test_shell_stokes_rank3_closes(geo):
+    """At n = 3 the generated faces and strips close the finite-radius
+    Stokes identity outer - inner = volume for h P, with h a window bump and
+    P_j = c_j conj(z_j), whose dbar coefficient against dmu is
+    -(4i q(Y))^3 sum c_j.  The bump is a polynomial on its window, so the
+    identity closes to roundoff at one quadrature scale, without the node
+    doubling of shell_stokes."""
     _, frame, _ = geo[3]
-    chart = CycleChart.create(frame, MU[3],
-                              [(0.9, 1.9), (-0.5, 0.5), (-0.5, 0.5)],
-                              [4, 4, 4])
+    chart = _chart_C(frame, 3, nodes=6, collar=2)
     assert chart.membership_defect() <= 1e-12
-    with pytest.raises(CycleError, match="n <= 2"):
-        tube_boundary_integral(MU[3], lambda pt: 1.0,
-                               lambda pt: np.zeros(3, complex), 0.1, chart)
+    h = WindowBump(chart)
+    c = np.array([1.0, 0.5 - 0.25j, -0.75j])
+    p_field = lambda pt: c * np.conj(pt.z)
+    dbar_coeff = lambda pt: -measure_factor(3, pt.q_y) * c.sum()
+    e1, e2 = 0.05, 0.1
+    outer, inner = (sum(_face_form_integral(chart, face, h, p_field)
+                        for face in _tube_faces(chart, eps))
+                    for eps in (e2, e1))
+    volume = _shell_volume_integral(chart, h, p_field, dbar_coeff, e1, e2)
+    assert volume != 0
+    residual = outer - inner - volume
+    assert abs(residual) <= 1e-12 * max(abs(outer), abs(volume))
 
 
 def test_tube_boundary_tracks_doubled_window_density(geo):
@@ -312,14 +331,14 @@ def test_collar_boxes_tile_the_shell_and_orient_the_faces(geo):
     collar box less the radius-e1 one, ((2 e2)^n - (2 e1)^n) times the
     window volume; a face freezing coordinate k at +-eps, with outward
     direction d, carries the sign d (-1)^k."""
-    for n in (1, 2):
+    for n in (1, 2, 3):
         _, frame, _ = geo[n]
         chart = _chart_C(frame, n, nodes=3, collar=3)
         window = np.prod([b - a for a, b in chart.window])
         e1, e2 = 0.05, 0.1
-        total = sum(weight for strip in _shell_strips(chart, e1, e2)
-                    for _, weight, _ in _box_nodes(chart, strip,
-                                                     lambda cols: cols))
+        total = math.fsum(weight for strip in _shell_strips(chart, e1, e2)
+                          for _, weight, _ in _box_nodes(chart, strip,
+                                                           lambda cols: cols))
         expected = ((2 * e2) ** n - (2 * e1) ** n) * window
         assert abs(total - expected) <= 1e-14 * expected
         faces = _tube_faces(chart, e2)
