@@ -32,11 +32,16 @@ nodes.
 
 Every quadrature builds its points from the node rows as DomainPoint.rows
 blocks (a transported chart moves them node by node and blocks the images
-again).  The callbacks h and H take one DomainPoint and run once per node.
-The library's own integrands, WindowBump.value and .dbar and the kernels
-p_tilde_components and dbar_image_reference, go through domain.row_value:
-the first call at any point of a block evaluates the whole block as
-arrays, and the block's other nodes read their rows from its memo.
+again).  The face, shell and cycle-C integrals are summed one block of at
+most _BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
+function through the block memo when it is a WindowBump or its bound value
+or dbar, otherwise once per node over the whole block before H runs at any
+node of it; then H (and the shell's dbar coefficient) once per node where h
+(or dbar h) is nonzero, which the kernels answer from the block memo.  Dot
+products are one stacked matmul, products and powers are taken in Python
+arithmetic (numpy's complex array products and powers round differently
+from the node loop's scalar ones), and terms are added in node order, so
+every sum equals the node-by-node loop bit for bit.
 
 All quadrature faces are oriented against the parameter order
 (x1', y1', x2', y2', ...), which is orientation-positive for the domain;
@@ -54,7 +59,7 @@ import numpy as np
 
 from .calculus import measure_factor, richardson
 from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame, \
-    act, q_plus_minus, row_value
+    act, block_rows, q_plus_minus, row_value
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
 from .special import gauss_legendre_grid
@@ -270,6 +275,38 @@ class CycleChart:
 _BLOCK_ROWS = 512
 
 
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum of the rows of terms in index order, rounded as the loop
+    `acc = 0; acc += row` rounds it (np.sum may add pairwise); the `+ 0.0`
+    gives an exact zero the loop's sign."""
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
+def _add_in_order(total, terms) -> complex:
+    """total + terms[0] + terms[1] + ..., rounded as `total += term` is."""
+    return _sum_in_order(np.array([total, *terms]))
+
+
+def _at_nodes(func, points: Iterable[DomainPoint]
+              ) -> tuple[np.ndarray, Iterable[DomainPoint]]:
+    """func at each point of one DomainPoint.rows block, one row per point,
+    and the points again, to be iterated once more.
+
+    A WindowBump, or its bound value or dbar, runs its row function once
+    over the block through the memo row_value reads (the memo's array is
+    returned, to be read), and the points stay a lazy iterator, so a block
+    never holds all its points at once; any other callable runs once per
+    point, in order."""
+    points = iter(points)
+    bump = getattr(func, "__self__", func)
+    if not isinstance(bump, WindowBump):
+        points = list(points)
+        return np.array([func(point) for point in points]), points
+    first = next(points)
+    rows = bump._dbar_rows if func == bump.dbar else bump._value_rows
+    return block_rows(first, rows)[0], itertools.chain([first], points)
+
+
 def _phi(u: np.ndarray) -> np.ndarray:
     """Collar coordinates u = (x1', y1', x2', y2', ...) -> Z, row by row:
     (N, 2n) -> (N, n)."""
@@ -367,11 +404,13 @@ def _tube_faces(chart: CycleChart, eps: float, scale: int = 1) -> list[_Box]:
             for i in _transverse(n) for d in (1.0, -1.0)]
 
 
-def _box_nodes(chart: CycleChart, box: _Box,
-               factor: Callable[[np.ndarray], np.ndarray]):
-    """(point, weight, factor(columns)) at each quadrature node of a box,
-    where the columns are d Z / d(free u) carried by the transport; the
-    geometry is computed as arrays over blocks of grid rows."""
+def _box_blocks(chart: CycleChart, box: _Box,
+                factor: Callable[[np.ndarray], np.ndarray]):
+    """(points, weights, factor(columns)) of each block of at most
+    _BLOCK_ROWS quadrature nodes of a box, in grid order: the points of one
+    DomainPoint.rows call (a lazy iterator), their weights, and one factor
+    row per node of the columns d Z / d(free u) carried by the transport,
+    computed as arrays over the block."""
     n = chart.frame.n
     fixed, value = box.frozen or (None, None)
     free = [i for i in range(2 * n) if i != fixed]
@@ -384,19 +423,25 @@ def _box_nodes(chart: CycleChart, box: _Box,
             u[:, fixed] = value
         points, cols = _transport_rows(chart, _phi(u),
                                        _phi_jacobian(u)[:, :, free])
-        yield from zip(points, weights[lo:lo + _BLOCK_ROWS], factor(cols))
+        yield points, weights[lo:lo + _BLOCK_ROWS], factor(cols)
 
 
 def _face_form_integral(chart: CycleChart, face: _Box,
                         h: Callable[[DomainPoint], complex],
                         H: Callable[[DomainPoint], np.ndarray]) -> complex:
-    """Integral of the (2n-1)-form h H over one boundary face."""
+    """Integral of the (2n-1)-form h H over one boundary face, one block at
+    a time: h at every node, H at the nodes where h != 0."""
     total = 0.0 + 0.0j
-    for point, weight, minor in _box_nodes(chart, face, _hat_minors):
-        hv = h(point)
-        if hv == 0:
+    for points, weights, minors in _box_blocks(chart, face, _hat_minors):
+        hv, points = _at_nodes(h, points)
+        keep = hv != 0
+        if not keep.any():
             continue
-        total += weight * hv * (H(point) @ minor)
+        comps = np.array([H(point) for point in itertools.compress(points,
+                                                                   keep)])
+        dots = (comps[:, None, :] @ minors[keep][:, :, None])[:, 0, 0]
+        total = _add_in_order(total, [w * v * d for w, v, d in zip(
+            weights[keep].tolist(), hv[keep].tolist(), dots.tolist())])
     return face.sign * total
 
 
@@ -457,10 +502,12 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
     def compute(scale: int) -> complex:
         params, weights = gauss_legendre_grid(
             chart.window, [scale * c for c in chart.nodes])
-        total = 0.0 + 0.0j
-        for point, weight in zip(chart.points(params), weights):
-            total += weight * h(point) * point.pair(fc) ** (kappa - n)
-        return power * total
+        hv, points = _at_nodes(h, chart.points(params))
+        z = np.array([point.z for point in points])
+        pairs = frame.pair(fc, z, frame.q_w(z))
+        return power * _add_in_order(0.0 + 0.0j, [
+            w * v * pair ** (kappa - n) for w, v, pair in zip(
+                weights.tolist(), hv.tolist(), pairs.tolist())])
 
     return _doubling(compute, target, "cycle integral")
 
@@ -514,18 +561,32 @@ def _shell_strips(chart: CycleChart, e1: float, e2: float) -> list[_Box]:
 
 def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
                            e1: float, e2: float) -> complex:
+    """Integral of dbar h wedge P + h dbar P over the shell strips, one
+    block at a time: h and dbar h at every node, dbar_coeff and P at the
+    nodes where either is nonzero."""
     n = chart.frame.n
     total = 0.0 + 0.0j
     for strip in _shell_strips(chart, e1, e2):
-        for point, weight, det in _box_nodes(chart, strip, _top_det):
-            hv = h_field.value(point)
-            dbar_h = h_field.dbar(point)
-            if hv == 0 and not np.any(dbar_h):
+        for points, weights, dets in _box_blocks(chart, strip, _top_det):
+            hv, points = _at_nodes(h_field.value, points)
+            dbar_h, points = _at_nodes(h_field.dbar, points)
+            keep = (hv != 0) | dbar_h.any(axis=1)
+            if not keep.any():
                 continue
-            q_factor = measure_factor(n, point.q_y)
-            coeff = hv * dbar_coeff(point) - q_factor * complex(
-                dbar_h @ p_field(point))
-            total += strip.sign * weight * coeff * det / q_factor
+            coeffs, comps, q_factors = zip(*[
+                (dbar_coeff(point), p_field(point),
+                 measure_factor(n, point.q_y))
+                for point in itertools.compress(points, keep)])
+            dots = (dbar_h[keep][:, None, :]
+                    @ np.array(comps)[:, :, None])[:, 0, 0]
+            products = [strip.sign * w * (v * c - q * d) * det
+                        for w, v, c, q, d, det in zip(
+                            weights[keep].tolist(), hv[keep].tolist(),
+                            coeffs, q_factors, dots.tolist(),
+                            dets[keep].tolist())]
+            # divided as arrays: numpy's array and scalar complex
+            # divisions agree, Python's rounds differently
+            total = _add_in_order(total, np.array(products) / q_factors)
     return total
 
 
@@ -619,13 +680,6 @@ class WindowBump:
 # the coarse trapezoid's angles per circle fiber; the fine rule has twice
 # as many
 _ANGLE_NODES = 256
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """Sum of the rows of terms in index order, rounded as the loop
-    `acc = 0; acc += row` rounds it (np.sum may add pairwise); the `+ 0.0`
-    gives an exact zero the loop's sign."""
-    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,

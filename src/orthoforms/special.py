@@ -7,7 +7,7 @@ integrals.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -105,10 +105,20 @@ def hyp2f1(a: float, b: float, c: float, z):
 # quadrature
 
 
+@lru_cache(maxsize=None)
+def _legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count-node Gauss-Legendre rule of [-1, 1] as read-only (nodes,
+    weights), computed once per count."""
+    rule = np.polynomial.legendre.leggauss(count)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _gl_rule(lo: float, hi: float, count: int):
     """The count-node Gauss-Legendre rule of [-1, 1], moved to [lo, hi]:
     (nodes, unscaled weights, half-width)."""
-    t, w = np.polynomial.legendre.leggauss(count)
+    t, w = _legendre(count)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * t, w, half
 

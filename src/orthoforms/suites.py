@@ -659,6 +659,8 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
     p = ctx.params
     if not p.eps_schedule or not all(0 < e < 1 for e in p.eps_schedule):
         raise ConfigError("parameters.eps_schedule", "need radii in (0, 1)")
+    if not p.kappa_values or min(p.kappa_values) <= 2:
+        raise ConfigError("parameters.kappa_values", "need weights kappa > 2")
     _, frame, _ = load_frame(ctx.config.lattice)
     if frame.n != 2:
         raise ConfigError("lattice", "tube_limit needs a rank (2, 2) lattice")
@@ -667,8 +669,6 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
     h = WindowBump(chart)
     fc = frame.frame_coords(mu)
     for kappa in p.kappa_values:
-        if kappa <= 2:
-            continue
         H = lambda pt, kappa=kappa: p_tilde_components(fc, kappa, pt)
         ins = {"kappa": kappa, "eps": list(p.eps_schedule), "seed": p.seed}
         delta = cycle_integral_C(mu, h, kappa, chart, target=1e-9)

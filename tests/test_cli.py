@@ -419,6 +419,22 @@ def test_tube_limit_bad_eps_override_exits_2(capsys, eps):
     assert "config field 'parameters.eps_schedule'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappas", [[2], [3, 2], [1], []],
+                         ids=["two", "mixed", "one", "empty"])
+def test_tube_limit_bad_kappa_values_exit_2(tmp_path, capsys, kappas):
+    """A weight kappa <= 2 has no tube limit check: refused, not skipped
+    into a report of 0/0 checks."""
+    cfg = _write_config(tmp_path, {"suite": "tube_limit",
+                                   "parameters": {"kappa_values": kappas}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "config field 'parameters.kappa_values'" in capsys.readouterr().err
+
+
+def test_tube_limit_kappa_two_override_exits_2(capsys):
+    assert main(["tube-limit", "--kappa", "2"]) == 2
+    assert "config field 'parameters.kappa_values'" in capsys.readouterr().err
+
+
 def test_duality_without_cycle_data_exits_2(capsys):
     assert main(["verify", "duality"]) == 2
     err = capsys.readouterr().err

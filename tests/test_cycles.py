@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ import pytest
 from orthoforms import kernels
 from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
-    CycleChart, CycleError, QuadratureError, WindowBump, _box_nodes,
-    _face_form_integral, _shell_strips, _shell_volume_integral,
-    _tube_faces, cycle_integral_C, cycle_integral_T, hat_sign,
+    CycleChart, CycleError, QuadratureError, WindowBump, _box_blocks,
+    _face_form_integral, _hat_minors, _shell_strips, _shell_volume_integral,
+    _top_det, _tube_faces, cycle_integral_C, cycle_integral_T, hat_sign,
     restrict_samples, shell_stokes, transport_to, tube_boundary_integral,
 )
-from orthoforms.domain import DomainPoint, WittFrame, act
+from orthoforms.domain import DomainPoint, WittFrame, act, q_plus_minus
 from orthoforms.quadratic import lattice_from_config, standard_lattice
 from orthoforms.special import gauss_legendre_grid, limit_constant
 
@@ -337,8 +338,9 @@ def test_collar_boxes_tile_the_shell_and_orient_the_faces(geo):
         window = np.prod([b - a for a, b in chart.window])
         e1, e2 = 0.05, 0.1
         total = math.fsum(weight for strip in _shell_strips(chart, e1, e2)
-                          for _, weight, _ in _box_nodes(chart, strip,
-                                                           lambda cols: cols))
+                          for _, weights, _ in _box_blocks(chart, strip,
+                                                           lambda cols: cols)
+                          for weight in weights)
         expected = ((2 * e2) ** n - (2 * e1) ** n) * window
         assert abs(total - expected) <= 1e-14 * expected
         faces = _tube_faces(chart, e2)
@@ -503,6 +505,232 @@ def test_collar_drivers_match_per_node_reference(geo, n, which):
     val = _shell_volume_integral(chart, bump, H, dbar_coeff, 0.05, 0.1)
     assert ref != 0
     assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the block sums against the node loops they replace
+
+
+def _face_node_loop(chart, face, h, H):
+    """The face integral summed node by node over the same collar geometry
+    (test-only reference): h at each node, H where h != 0."""
+    total = 0.0 + 0.0j
+    for points, weights, minors in _box_blocks(chart, face, _hat_minors):
+        for point, weight, minor in zip(points, weights, minors):
+            hv = h(point)
+            if hv == 0:
+                continue
+            total += weight * hv * (H(point) @ minor)
+    return face.sign * total
+
+
+def _shell_node_loop(chart, h_field, p_field, dbar_coeff, e1, e2):
+    """The shell volume integral summed node by node over the same strips
+    (test-only reference)."""
+    n = chart.frame.n
+    total = 0.0 + 0.0j
+    for strip in _shell_strips(chart, e1, e2):
+        for points, weights, dets in _box_blocks(chart, strip, _top_det):
+            for point, weight, det in zip(points, weights, dets):
+                hv = h_field.value(point)
+                dbar_h = h_field.dbar(point)
+                if hv == 0 and not np.any(dbar_h):
+                    continue
+                q_factor = measure_factor(n, point.q_y)
+                coeff = hv * dbar_coeff(point) - q_factor * complex(
+                    dbar_h @ p_field(point))
+                total += strip.sign * weight * coeff * det / q_factor
+    return total
+
+
+def _cycle_C_node_loop(chart, h, kappa, scale):
+    """cycle_integral_C's sum at one node scale, node by node (test-only
+    reference)."""
+    frame = chart.frame
+    fc = frame.frame_coords(chart.vector)
+    n = frame.n
+    params, weights = gauss_legendre_grid(
+        chart.window, [scale * c for c in chart.nodes])
+    total = 0.0 + 0.0j
+    for point, weight in zip(chart.points(params), weights):
+        total += weight * h(point) * point.pair(fc) ** (kappa - n)
+    return chart.norm ** (0.5 * n - kappa) * total
+
+
+# (window nodes, collar nodes) per rank: every face and strip of n = 2, 3
+# spans more than one _BLOCK_ROWS block, and so does an n = 1 strip
+_BLOCK_NODES = {1: ([24], 24), 2: ([16, 17], 2), 3: ([4, 5, 7], 2)}
+
+
+def _block_case(geo, n, transported):
+    _, frame, _ = geo[n]
+    vec = _REFERENCE_VECTORS[n][1] if transported else MU[n]
+    nodes, collar = _BLOCK_NODES[n]
+    window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
+    chart = CycleChart.create(frame, vec, window, nodes, collar_nodes=collar)
+    fc = frame.frame_coords(vec)
+    kappa = n + 2
+    # at odd n p_tilde sums a non-terminating hypergeometric series per
+    # row; the closed-form row kernel p keeps those cases fast
+    if n == 2:
+        H = lambda pt: kernels.p_tilde_components(fc, kappa, pt)
+    else:
+        H = lambda pt: kernels.p_components(fc, pt)
+    dbar_coeff = lambda pt: kernels.dbar_image_reference(fc, kappa, pt)
+    # opaque fields that vanish on part of the grid: h where Re z_n > 0,
+    # dbar h where Re z_1 >= 0
+    opaque_h = lambda pt: (0.0 if pt.z[-1].real > 0
+                           else 1.0 + 0.25j * complex(pt.z.sum()))
+    opaque_field = SimpleNamespace(
+        value=opaque_h,
+        dbar=lambda pt: (0.5j * np.conj(pt.z) if pt.z[0].real < 0
+                         else np.zeros(n, dtype=complex)))
+    return chart, kappa, H, dbar_coeff, opaque_h, opaque_field
+
+
+@pytest.mark.parametrize("n,transported", [(1, False), (2, False),
+                                           (2, True), (3, False)],
+                         ids=["n=1", "n=2", "n=2-transported", "n=3"])
+def test_block_sums_equal_the_node_loops(geo, n, transported):
+    """The face, shell and cycle-C integrals, summed one block at a time,
+    equal (==) the node loops over the same geometry, for a WindowBump h
+    and for opaque callables that vanish on part of the grid."""
+    chart, kappa, H, dbar_coeff, opaque_h, opaque_field = _block_case(
+        geo, n, transported)
+    bump = WindowBump(chart)
+    faces = _tube_faces(chart, 0.1)
+    if n > 1:
+        assert all(len(list(_box_blocks(chart, face, _hat_minors))) > 1
+                   for face in faces)
+    for h in (bump, opaque_h):
+        for face in faces:
+            assert _face_form_integral(chart, face, h, H) == \
+                _face_node_loop(chart, face, h, H)
+        assert cycle_integral_C(chart.vector, h, kappa, chart,
+                                target=1.0) == \
+            _cycle_C_node_loop(chart, h, kappa, 2)
+    strip = _shell_strips(chart, 0.05, 0.1)[0]
+    assert len(list(_box_blocks(chart, strip, _top_det))) > 1
+    for field in (bump, opaque_field):
+        value = _shell_volume_integral(chart, field, H, dbar_coeff, 0.05, 0.1)
+        assert value != 0
+        assert value == _shell_node_loop(chart, field, H, dbar_coeff,
+                                         0.05, 0.1)
+
+
+def test_opaque_h_runs_once_per_node_before_H(geo):
+    """An opaque h runs once per node, in node order, over each whole block
+    before H runs at any node of it; H runs once per node where h != 0."""
+    chart, _, H, _, opaque_h, _ = _block_case(geo, 2, False)
+    face = _tube_faces(chart, 0.1)[0]
+    calls = []
+
+    def h(pt):
+        calls.append(("h", pt))
+        return opaque_h(pt)
+
+    def form(pt):
+        calls.append(("H", pt))
+        return H(pt)
+
+    _face_form_integral(chart, face, h, form)
+    expected = []
+    for points, _, _ in _box_blocks(chart, face, _hat_minors):
+        points = list(points)
+        expected += [("h", pt.z.tolist()) for pt in points]
+        expected += [("H", pt.z.tolist()) for pt in points
+                     if opaque_h(pt) != 0]
+    assert [(kind, pt.z.tolist()) for kind, pt in calls] == expected
+    assert 0 < sum(kind == "H" for kind, _ in calls) < len(expected) // 2
+
+
+def test_window_bump_evaluates_each_block_once(geo, monkeypatch):
+    """A WindowBump h is evaluated once per block by its row functions,
+    whose memo a later bump(point) at a node of the block reads."""
+    chart, _, H, dbar_coeff, _, _ = _block_case(geo, 2, False)
+    bump = WindowBump(chart)
+    runs = []
+    for name in ("_value_rows", "_dbar_rows"):
+        rows = getattr(bump, name)
+        monkeypatch.setattr(bump, name, lambda block, rows=rows, name=name: (
+            runs.append(name), rows(block))[1])
+    face = _tube_faces(chart, 0.1)[0]
+    blocks = list(_box_blocks(chart, face, _hat_minors))
+    seen = []
+    _face_form_integral(chart, face, bump,
+                        lambda pt: (seen.append(pt), H(pt))[1])
+    assert runs == ["_value_rows"] * len(blocks)
+    bump(seen[0])
+    bump(seen[-1])
+    assert runs == ["_value_rows"] * len(blocks)
+    runs.clear()
+    strips = _shell_strips(chart, 0.05, 0.1)
+    _shell_volume_integral(chart, bump, H, dbar_coeff, 0.05, 0.1)
+    count = sum(len(list(_box_blocks(chart, strip, _top_det)))
+                for strip in strips)
+    assert runs == ["_value_rows", "_dbar_rows"] * count
+
+
+def test_block_where_h_vanishes_contributes_exact_zero(geo):
+    """A block in which h vanishes at every node adds exactly nothing and
+    runs no form callback: a face whose h is zero on its first block sums
+    its other blocks alone, and a face or shell whose h and dbar h vanish
+    everywhere integrates to exactly 0."""
+    chart, _, H, dbar_coeff, _, _ = _block_case(geo, 2, False)
+    face = _tube_faces(chart, 0.1)[0]
+    first, *rest = _box_blocks(chart, face, _hat_minors)
+    first_block = {tuple(pt.z.tolist()) for pt in first[0]}
+    assert rest
+    seen = []
+
+    def h(pt):
+        return 0.0 if tuple(pt.z.tolist()) in first_block else 1.0
+
+    def form(pt):
+        seen.append(tuple(pt.z.tolist()))
+        return H(pt)
+
+    value = _face_form_integral(chart, face, h, form)
+    assert not first_block.intersection(seen)
+    assert value == _face_node_loop(chart, face, h, H)
+    never = lambda pt: pytest.fail("form callback ran where h = 0")
+    assert _face_form_integral(chart, face, lambda pt: 0.0, never) == 0
+    zero = SimpleNamespace(value=lambda pt: 0.0,
+                           dbar=lambda pt: np.zeros(2, dtype=complex))
+    assert _shell_volume_integral(chart, zero, never, never, 0.05, 0.1) == 0
+
+
+def test_singular_H_node_raises_the_node_loop_error(geo, monkeypatch):
+    """With the kernel guard raised so that part of the first face is
+    singular, tube_boundary_integral raises the KernelSingularity of the
+    first singular node the node loop meets, and runs H no further."""
+    _, frame, _ = geo[2]
+    chart = _chart_C(frame, 2, nodes=4, collar=4)
+    fc = frame.frame_coords(MU[2])
+    bump = WindowBump(chart)
+    face = _tube_faces(chart, 0.1)[0]
+    points = [pt for pts, _, _ in _box_blocks(chart, face, _hat_minors)
+              for pt in pts]
+    q_minus = [abs(q_plus_minus(frame, fc, pt)[1]) for pt in points]
+    monkeypatch.setattr(kernels, "GUARD",
+                        float(np.median(q_minus)) / max(1.0, abs(chart.norm)))
+    calls = []
+
+    def H(pt):
+        calls.append(pt)
+        return kernels.p_tilde_components(fc, 4, pt)
+
+    with pytest.raises(kernels.KernelSingularity) as loop:
+        _face_node_loop(chart, face, bump, H)
+    loop_calls = len(calls)
+    assert 1 < loop_calls < len(points)
+    calls.clear()
+    with pytest.raises(kernels.KernelSingularity) as blocked:
+        tube_boundary_integral(MU[2], bump, H, 0.1, chart)
+    assert len(calls) == loop_calls
+    assert str(blocked.value) == str(loop.value)
+    assert (blocked.value.quantity, blocked.value.value) == \
+        (loop.value.quantity, loop.value.value)
 
 
 # ---------------------------------------------------------------------------

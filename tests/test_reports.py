@@ -1,5 +1,6 @@
 """Frozen reports: every default-config record of the fast suites, byte for
-byte.
+byte, failing records included (tube_limit's printed-constant comparison
+fails by design).
 
 Each file ``tests/data/reports/<suite>.ndjson`` is the report of
 ``orthoforms verify <suite> --json`` at the default configuration.  A change
@@ -17,7 +18,7 @@ from orthoforms.suites import RunConfig, run
 
 REPORTS = Path(__file__).parent / "data" / "reports"
 SUITES = ("geometry", "metric", "identities", "kernel", "constants", "series",
-          "restrict")
+          "restrict", "tube_limit", "current_eq")
 
 
 @pytest.mark.parametrize("suite", SUITES)

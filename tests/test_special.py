@@ -8,10 +8,10 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from orthoforms.special import (SpecialFunctionError, gauss_legendre,
-                                gauss_legendre_grid, hyp2f1, hyp2f1_rows,
-                                integrate_adaptive, limit_constant,
-                                radial_integral, sphere_area)
+from orthoforms.special import (SpecialFunctionError, _gl_rule,
+                                gauss_legendre, gauss_legendre_grid, hyp2f1,
+                                hyp2f1_rows, integrate_adaptive,
+                                limit_constant, radial_integral, sphere_area)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -161,6 +161,17 @@ def test_gauss_legendre_grid_repeats_the_nested_loop():
         for a, i in enumerate(combo):
             expected *= rules[a][1][i]
         assert weight == expected
+
+
+def test_gauss_legendre_rule_is_shared_read_only():
+    """The [-1, 1] rule of a node count is computed once and shared by every
+    interval, read-only, so no caller can move another's nodes."""
+    _, first, _ = _gl_rule(0.0, 1.0, 7)
+    _, again, _ = _gl_rule(-2.0, 3.0, 7)
+    assert again is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
 
 
 @pytest.mark.parametrize("counts", [(1, 3), (2, 5), (4, 2), (3, 3, 2)])
