@@ -280,27 +280,15 @@ def row_value(point: DomainPoint, rows: Callable, *args):
         index = 0
     else:
         block, index = entry
-        values, failures = _memo(block, rows, args)
+        key = (rows, *[(a.shape, a.tobytes()) if type(a) is np.ndarray
+                       else a for a in args]) if args else rows
+        memo = block.memo.get(key)
+        if memo is None:
+            memo = block.memo[key] = rows(block, *args)
+        values, failures = memo
     if index in failures:
         raise failures[index]()
     return values[index].copy()
-
-
-def block_rows(point: DomainPoint, rows: Callable, *args):
-    """rows(block, *args) -> (values, failures) on the Block of a
-    DomainPoint.rows point, through the memo row_value reads: a later
-    row_value at any point of the block is a memo hit.  The values are the
-    memo's own array, to be read, not written."""
-    return _memo(point.__dict__["_row"][0], rows, args)
-
-
-def _memo(block: Block, rows: Callable, args: tuple):
-    key = (rows, *[(a.shape, a.tobytes()) if type(a) is np.ndarray
-                   else a for a in args]) if args else rows
-    memo = block.memo.get(key)
-    if memo is None:
-        memo = block.memo[key] = rows(block, *args)
-    return memo
 
 
 # ---------------------------------------------------------------------------
