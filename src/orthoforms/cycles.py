@@ -33,16 +33,15 @@ nodes.
 Every quadrature builds its points from the node rows as DomainPoint.rows
 blocks (a transported chart moves them node by node and blocks the images
 again).  The face, shell and cycle-C integrals are summed one block of at
-most _BLOCK_ROWS nodes at a time: h (and dbar h) once per node over the
-whole block before H runs at any node of it, then H (and the shell's dbar
-coefficient) once per node where h (or dbar h) is nonzero.  The library's
-own integrands, WindowBump.value and .dbar and the kernels, go through
-domain.row_value, so each evaluates its row function once per block and
-reads the other nodes from the block memo.  Dot products are one stacked
-matmul, products and powers are taken in Python arithmetic (numpy's
-complex array products and powers round differently from the node loop's
-scalar ones), and terms are added in node order, so every sum equals the
-node-by-node loop bit for bit.
+most _BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
+function through the block memo when it is a WindowBump or its bound value
+or dbar, otherwise once per node over the whole block before H runs at any
+node of it; then H (and the shell's dbar coefficient) once per node where h
+(or dbar h) is nonzero, which the kernels answer from the block memo.  Dot
+products are one stacked matmul, products and powers are taken in Python
+arithmetic (numpy's complex array products and powers round differently
+from the node loop's scalar ones), and terms are added in node order, so
+every sum equals the node-by-node loop bit for bit.
 
 All quadrature faces are oriented against the parameter order
 (x1', y1', x2', y2', ...), which is orientation-positive for the domain;
@@ -60,7 +59,7 @@ import numpy as np
 
 from .calculus import measure_factor, richardson
 from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame, \
-    act, q_plus_minus, row_value
+    act, block_rows, q_plus_minus, row_value
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
 from .special import gauss_legendre_grid
@@ -288,6 +287,26 @@ def _add_in_order(total, terms) -> complex:
     return _sum_in_order(np.array([total, *terms]))
 
 
+def _at_nodes(func, points: Iterable[DomainPoint]
+              ) -> tuple[np.ndarray, Iterable[DomainPoint]]:
+    """func at each point of one DomainPoint.rows block, one row per point,
+    and the points again, to be iterated once more.
+
+    A WindowBump, or its bound value or dbar, runs its row function once
+    over the block through the memo row_value reads (the memo's array is
+    returned, to be read), and the points stay a lazy iterator, so a block
+    never holds all its points at once; any other callable runs once per
+    point, in order."""
+    points = iter(points)
+    bump = getattr(func, "__self__", func)
+    if not isinstance(bump, WindowBump):
+        points = list(points)
+        return np.array([func(point) for point in points]), points
+    first = next(points)
+    rows = bump._dbar_rows if func == bump.dbar else bump._value_rows
+    return block_rows(first, rows), itertools.chain([first], points)
+
+
 def _phi(u: np.ndarray) -> np.ndarray:
     """Collar coordinates u = (x1', y1', x2', y2', ...) -> Z, row by row:
     (N, 2n) -> (N, n)."""
@@ -389,9 +408,9 @@ def _box_blocks(chart: CycleChart, box: _Box,
                 factor: Callable[[np.ndarray], np.ndarray]):
     """(points, weights, factor(columns)) of each block of at most
     _BLOCK_ROWS quadrature nodes of a box, in grid order: the points of one
-    DomainPoint.rows call as a list, their weights, and one factor row per
-    node of the columns d Z / d(free u) carried by the transport, computed
-    as arrays over the block."""
+    DomainPoint.rows call (a lazy iterator), their weights, and one factor
+    row per node of the columns d Z / d(free u) carried by the transport,
+    computed as arrays over the block."""
     n = chart.frame.n
     fixed, value = box.frozen or (None, None)
     free = [i for i in range(2 * n) if i != fixed]
@@ -404,7 +423,7 @@ def _box_blocks(chart: CycleChart, box: _Box,
             u[:, fixed] = value
         points, cols = _transport_rows(chart, _phi(u),
                                        _phi_jacobian(u)[:, :, free])
-        yield list(points), weights[lo:lo + _BLOCK_ROWS], factor(cols)
+        yield points, weights[lo:lo + _BLOCK_ROWS], factor(cols)
 
 
 def _face_form_integral(chart: CycleChart, face: _Box,
@@ -414,7 +433,7 @@ def _face_form_integral(chart: CycleChart, face: _Box,
     a time: h at every node, H at the nodes where h != 0."""
     total = 0.0 + 0.0j
     for points, weights, minors in _box_blocks(chart, face, _hat_minors):
-        hv = np.array([h(point) for point in points])
+        hv, points = _at_nodes(h, points)
         keep = hv != 0
         if not keep.any():
             continue
@@ -483,8 +502,7 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
     def compute(scale: int) -> complex:
         params, weights = gauss_legendre_grid(
             chart.window, [scale * c for c in chart.nodes])
-        points = list(chart.points(params))
-        hv = np.array([h(point) for point in points])
+        hv, points = _at_nodes(h, chart.points(params))
         z = np.array([point.z for point in points])
         pairs = frame.pair(fc, z, frame.q_w(z))
         return power * _add_in_order(0.0 + 0.0j, [
@@ -550,8 +568,8 @@ def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
     total = 0.0 + 0.0j
     for strip in _shell_strips(chart, e1, e2):
         for points, weights, dets in _box_blocks(chart, strip, _top_det):
-            hv = np.array([h_field.value(point) for point in points])
-            dbar_h = np.array([h_field.dbar(point) for point in points])
+            hv, points = _at_nodes(h_field.value, points)
+            dbar_h, points = _at_nodes(h_field.dbar, points)
             keep = (hv != 0) | dbar_h.any(axis=1)
             if not keep.any():
                 continue

@@ -291,6 +291,22 @@ def row_value(point: DomainPoint, rows: Callable, *args):
     return values[index].copy()
 
 
+def block_rows(point: DomainPoint, rows: Callable) -> np.ndarray:
+    """All values of rows(block) on the Block of a DomainPoint.rows point,
+    through the memo that row_value reads under the same key, so a later
+    row_value(p, rows) at any point of the block is a memo hit.  The array
+    is the memo's own, to be read, not written; if a row failed, the
+    exception of the first failed row is raised."""
+    block = point.__dict__["_row"][0]
+    memo = block.memo.get(rows)
+    if memo is None:
+        memo = block.memo[rows] = rows(block)
+    values, failures = memo
+    if failures:
+        raise failures[min(failures)]()
+    return values
+
+
 # ---------------------------------------------------------------------------
 # group action
 

@@ -9,7 +9,8 @@ from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
                                  star01, xi_scalar, xi_top)
 from orthoforms.cycles import transport_to
 from orthoforms.domain import (Block, BoundaryError, ComponentError,
-                               DomainPoint, act, q_plus_minus, sample_point)
+                               DomainPoint, act, block_rows, q_plus_minus,
+                               row_value, sample_point)
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -533,6 +534,33 @@ def test_row_values_are_fresh_copies(setup_n, rng):
         first[:] = 0.0
         assert np.array_equal(func(), kept)
 
+
+
+def test_block_rows_share_the_row_value_memo(setup_n, rng):
+    """block_rows gives every row of a row function on a point's block
+    through row_value's memo, so the function runs once per block, and a
+    block with failed rows raises the first failed row's exception."""
+    _, frame, _, _ = setup_n
+    points = list(DomainPoint.rows(
+        frame, np.array([sample_point(frame, rng).z for _ in range(4)])))
+    runs = []
+
+    def rows(block):
+        runs.append(len(block.z))
+        return 2.0 * block.q_y, {}
+
+    values = block_rows(points[2], rows)
+    assert np.array_equal(values, [2.0 * point.q_y for point in points])
+    assert row_value(points[3], rows) == values[3]
+    assert block_rows(points[0], rows) is values
+    assert runs == [4]
+
+    def failing(block):
+        return np.zeros(len(block.z)), {3: lambda: ValueError("row 3"),
+                                        1: lambda: ValueError("row 1")}
+
+    with pytest.raises(ValueError, match="row 1"):
+        block_rows(points[0], failing)
 
 def test_memo_keeps_one_entry_per_argument(setup_n, rng):
     """Two lambdas, two weights and two representations on one block each
