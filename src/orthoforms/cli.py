@@ -168,6 +168,12 @@ def cmd_eval_kernel(args) -> int:
     lam = _parse_vec(args.lam, lattice.dim, "--lam")
     point = _parse_point(args.z, frame)
     fc = frame.frame_coords(lam)
+    if args.kind == "ptilde":
+        if 2 * args.kappa <= frame.n:
+            raise ConfigError("--kappa", f"ptilde needs kappa > n/2 = "
+                              f"{frame.n / 2}, got {args.kappa}")
+        if lattice.q(lam) == 0:
+            raise ConfigError("--lam", "ptilde needs q(lambda) != 0")
     try:
         if args.kind == "omega":
             value = omega_kernel(fc, args.kappa, point)

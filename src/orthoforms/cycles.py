@@ -30,10 +30,10 @@ rule whose angles, phases, Z rows, denominators and slot weights are
 arrays, and the coarse rule of its error estimate is the even-indexed fine
 nodes.
 
-Every quadrature builds its points from the node rows as DomainPoint.rows
-blocks (a transported chart moves them node by node and blocks the images
-again).  The face, shell and cycle-C integrals are summed one block of at
-most _BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
+Every quadrature holds the points of its node rows as a domain.Block (a
+transported chart moves them node by node and blocks the images again).
+The face, shell and cycle-C integrals are summed one block of at most
+_BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
 function through the block memo when it is a WindowBump or its bound value
 or dbar, otherwise once per node over the whole block before H runs at any
 node of it; then H (and the shell's dbar coefficient) once per node where h
@@ -53,13 +53,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .calculus import measure_factor, richardson
-from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame, \
-    act, block_rows, q_plus_minus, row_value
+from .domain import Block, BoundaryError, ComponentError, DomainPoint, \
+    WittFrame, act, q_plus_minus, row_value
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
 from .special import gauss_legendre_grid
@@ -255,7 +255,7 @@ class CycleChart:
             z[..., :n - 1] = pairs[..., 0] + 1j * pairs[..., 1]
         return z
 
-    def points(self, params: np.ndarray) -> Iterator[DomainPoint]:
+    def points(self, params: np.ndarray) -> Block:
         """The chart's points at the parameter rows (N, axes) as one block:
         the model points, carried node by node by the transport unless it
         is the identity."""
@@ -287,24 +287,18 @@ def _add_in_order(total, terms) -> complex:
     return _sum_in_order(np.array([total, *terms]))
 
 
-def _at_nodes(func, points: Iterable[DomainPoint]
-              ) -> tuple[np.ndarray, Iterable[DomainPoint]]:
-    """func at each point of one DomainPoint.rows block, one row per point,
-    and the points again, to be iterated once more.
+def _at_nodes(func, points: Block) -> np.ndarray:
+    """func at each point of a block, one row per point.
 
     A WindowBump, or its bound value or dbar, runs its row function once
     over the block through the memo row_value reads (the memo's array is
-    returned, to be read), and the points stay a lazy iterator, so a block
-    never holds all its points at once; any other callable runs once per
-    point, in order."""
-    points = iter(points)
+    returned, to be read); any other callable runs once per point, in
+    order."""
     bump = getattr(func, "__self__", func)
     if not isinstance(bump, WindowBump):
-        points = list(points)
-        return np.array([func(point) for point in points]), points
-    first = next(points)
-    rows = bump._dbar_rows if func == bump.dbar else bump._value_rows
-    return block_rows(first, rows), itertools.chain([first], points)
+        return np.array([func(point) for point in points])
+    return points.values(bump._dbar_rows if func == bump.dbar
+                         else bump._value_rows)
 
 
 def _phi(u: np.ndarray) -> np.ndarray:
@@ -353,7 +347,7 @@ def _top_det(cols: np.ndarray) -> np.ndarray:
 
 
 def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
-                    ) -> tuple[Iterable[DomainPoint], np.ndarray]:
+                    ) -> tuple[Block, np.ndarray]:
     """Model-chart rows z (N, n) and tangent columns cols (N, n, k) carried
     by the chart transport: the image points as one block, and the columns
     multiplied by the action Jacobian at each node.  The identity returns
@@ -407,10 +401,10 @@ def _tube_faces(chart: CycleChart, eps: float, scale: int = 1) -> list[_Box]:
 def _box_blocks(chart: CycleChart, box: _Box,
                 factor: Callable[[np.ndarray], np.ndarray]):
     """(points, weights, factor(columns)) of each block of at most
-    _BLOCK_ROWS quadrature nodes of a box, in grid order: the points of one
-    DomainPoint.rows call (a lazy iterator), their weights, and one factor
-    row per node of the columns d Z / d(free u) carried by the transport,
-    computed as arrays over the block."""
+    _BLOCK_ROWS quadrature nodes of a box, in grid order: the points as one
+    Block, their weights, and one factor row per node of the columns
+    d Z / d(free u) carried by the transport, computed as arrays over the
+    block."""
     n = chart.frame.n
     fixed, value = box.frozen or (None, None)
     free = [i for i in range(2 * n) if i != fixed]
@@ -433,7 +427,7 @@ def _face_form_integral(chart: CycleChart, face: _Box,
     a time: h at every node, H at the nodes where h != 0."""
     total = 0.0 + 0.0j
     for points, weights, minors in _box_blocks(chart, face, _hat_minors):
-        hv, points = _at_nodes(h, points)
+        hv = _at_nodes(h, points)
         keep = hv != 0
         if not keep.any():
             continue
@@ -502,8 +496,9 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
     def compute(scale: int) -> complex:
         params, weights = gauss_legendre_grid(
             chart.window, [scale * c for c in chart.nodes])
-        hv, points = _at_nodes(h, chart.points(params))
-        z = np.array([point.z for point in points])
+        points = chart.points(params)
+        hv = _at_nodes(h, points)
+        z = points.z
         pairs = frame.pair(fc, z, frame.q_w(z))
         return power * _add_in_order(0.0 + 0.0j, [
             w * v * pair ** (kappa - n) for w, v, pair in zip(
@@ -568,8 +563,8 @@ def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
     total = 0.0 + 0.0j
     for strip in _shell_strips(chart, e1, e2):
         for points, weights, dets in _box_blocks(chart, strip, _top_det):
-            hv, points = _at_nodes(h_field.value, points)
-            dbar_h, points = _at_nodes(h_field.dbar, points)
+            hv = _at_nodes(h_field.value, points)
+            dbar_h = _at_nodes(h_field.dbar, points)
             keep = (hv != 0) | dbar_h.any(axis=1)
             if not keep.any():
                 continue
@@ -609,9 +604,9 @@ class WindowBump:
     the complex-analytic dbar gradient is available in closed form, so the
     Stokes checks need no finite differences.
 
-    value and dbar go through domain.row_value: on a DomainPoint.rows point
-    they are computed once for every row of its block per bump, and each
-    call returns its row (dbar as a fresh array).
+    value and dbar go through domain.row_value: they are computed once for
+    every row of the point's block per bump (one row for a standalone
+    point), and each call returns its row (dbar as a fresh array).
     """
 
     power = 4

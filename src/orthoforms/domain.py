@@ -148,51 +148,21 @@ class WittFrame:
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """A point Z = X + iY of the tube domain over a fixed frame."""
+    """A point Z = X + iY of the tube domain over a fixed frame: a row of a
+    Block, its own one-row Block when built alone."""
 
     frame: WittFrame
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        object.__setattr__(self, "z", z)
-        if len(z) != self.frame.n:
-            raise ValueError("dimension mismatch")
-        if self.q_y <= 0:
-            raise ComponentError("q(Y) must be positive")
-        if z[0].imag <= 0:
-            raise ComponentError("point lies in the wrong component (y_1 <= 0)")
+        block = Block(self.frame, np.asarray(self.z, dtype=complex)[None])
+        self.__dict__.update(z=block.z[0], q_y=float(block.q_y[0]),
+                             _row=(block, 0))
 
-    @classmethod
-    def rows(cls, frame: WittFrame, z: np.ndarray) -> Iterator["DomainPoint"]:
-        """One point per row of an (N, n) array, checked as one block.
-
-        The checks and messages are those of the single constructor, raised
-        here for the first failing row; q(Y) is computed for all rows by one
-        q_w and cached on each point, equal to the value the single
-        constructor computes.  Each point's z is a read-only view of its
-        row, and the points share one Block, through which row_value
-        evaluates a row function once for all of them."""
-        z = np.asarray(z, dtype=complex)
-        if z.ndim != 2 or z.shape[1] != frame.n:
-            raise ValueError("dimension mismatch")
-        q_y = frame.q_w(z.imag)
-        bad_q = q_y <= 0
-        bad = bad_q | (z[:, 0].imag <= 0)
-        if bad.any():
-            if bad_q[np.argmax(bad)]:
-                raise ComponentError("q(Y) must be positive")
-            raise ComponentError("point lies in the wrong component (y_1 <= 0)")
-        block = Block(frame, z, q_y)
-        new = object.__new__
-
-        def make(row: np.ndarray, q: float, entry: tuple) -> "DomainPoint":
-            point = new(cls)
-            point.__dict__.update(frame=frame, z=row, q_y=q, _row=entry)
-            return point
-
-        return map(make, block.z, q_y.tolist(),
-                   zip(repeat(block), range(len(z))))
+    @staticmethod
+    def rows(frame: WittFrame, z: np.ndarray) -> "Block":
+        """The points of the rows of an (N, n) array, as one Block."""
+        return Block(frame, z)
 
     @property
     def x(self) -> np.ndarray:
@@ -201,10 +171,6 @@ class DomainPoint:
     @property
     def y(self) -> np.ndarray:
         return self.z.imag
-
-    @cached_property
-    def q_y(self) -> float:
-        return float(self.frame.q_w(self.y))
 
     @cached_property
     def q_z(self) -> complex:
@@ -239,27 +205,67 @@ class DomainPoint:
 
 
 class Block:
-    """The rows of one DomainPoint.rows call: Z as a read-only (N, n) view,
-    its imaginary part y and the (N,) q(Y), the point-like argument of a
-    row function; and the memo of row functions evaluated on them."""
+    """Points of the tube domain as the rows of one (N, n) array: Z as a
+    read-only view, its imaginary part y and the (N,) q(Y), the point-like
+    argument of a row function; and the memo of row functions evaluated on
+    them.  The first row failing a component check (finite coordinates,
+    q(Y) > 0, y_1 > 0, in this order) raises ComponentError.  Each walk
+    yields one new DomainPoint per row: its z a view of the row, its q_y
+    the row's q(Y) as a float, its memo the block's."""
 
     __slots__ = ("frame", "z", "q_y", "memo")
 
-    def __init__(self, frame: WittFrame, z: np.ndarray, q_y: np.ndarray):
+    def __init__(self, frame: WittFrame, z: np.ndarray):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 2 or z.shape[1] != frame.n:
+            raise ValueError("dimension mismatch")
+        q_y = frame.q_w(z.imag)
+        ok = (q_y > 0) & (z[:, 0].imag > 0)
+        if not (ok.all() and np.isfinite(z).all()):
+            row = int(np.argmin(ok & np.isfinite(z).all(axis=1)))
+            bad = ~np.isfinite(z[row])
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ComponentError(f"z_{k + 1} = {z[row, k]} is not finite")
+            if not q_y[row] > 0:
+                raise ComponentError("q(Y) must be positive")
+            raise ComponentError("point lies in the wrong component (y_1 <= 0)")
         self.frame = frame
         self.z = z.view()
         self.z.flags.writeable = False
         self.q_y = q_y
         self.memo: dict = {}
 
-    @classmethod
-    def single(cls, point: DomainPoint) -> "Block":
-        """The point alone as a block of one row."""
-        return cls(point.frame, point.z[None], np.array([point.q_y]))
-
     @property
     def y(self) -> np.ndarray:
         return self.z.imag
+
+    def __iter__(self) -> Iterator[DomainPoint]:
+        frame = self.frame
+        cls = DomainPoint
+        new = object.__new__
+
+        def make(row: np.ndarray, q: float, entry: tuple) -> DomainPoint:
+            point = new(cls)
+            point.__dict__.update(frame=frame, z=row, q_y=q, _row=entry)
+            return point
+
+        return map(make, self.z, self.q_y.tolist(),
+                   zip(repeat(self), range(len(self.z))))
+
+    def values(self, rows: Callable) -> np.ndarray:
+        """All values of rows(self), through the memo that row_value reads
+        under the same key, so a later row_value(p, rows) at any point of
+        the block is a memo hit.  The array is the memo's own, to be read,
+        not written; if a row failed, the exception of the first failed row
+        is raised."""
+        memo = self.memo.get(rows)
+        if memo is None:
+            memo = self.memo[rows] = rows(self)
+        values, failures = memo
+        if failures:
+            raise failures[min(failures)]()
+        return values
 
 
 def row_value(point: DomainPoint, rows: Callable, *args):
@@ -267,44 +273,22 @@ def row_value(point: DomainPoint, rows: Callable, *args):
 
     rows maps a Block (frame, z, y and q_y with a leading row axis of N
     rows) to values with one leading row axis, and failures {row:
-    zero-argument exception factory} for the rows it cannot evaluate.  On a
-    point of a DomainPoint.rows block, rows runs once per key, the function
-    and every argument (an array by its shape and bytes), on all rows of
-    the block, and later calls read the memo; a standalone point is
-    evaluated as Block.single(point), with no memo.  A failed row raises a
-    fresh exception only when it is requested; the value is returned as a
+    zero-argument exception factory} for the rows it cannot evaluate.  rows
+    runs once per key, the function and every argument (an array by its
+    shape and bytes), on all rows of the point's block (one row for a
+    standalone point), and later calls read the memo.  A failed row raises
+    a fresh exception only when it is requested; the value is returned as a
     fresh copy."""
-    entry = point.__dict__.get("_row")
-    if entry is None:
-        values, failures = rows(Block.single(point), *args)
-        index = 0
-    else:
-        block, index = entry
-        key = (rows, *[(a.shape, a.tobytes()) if type(a) is np.ndarray
-                       else a for a in args]) if args else rows
-        memo = block.memo.get(key)
-        if memo is None:
-            memo = block.memo[key] = rows(block, *args)
-        values, failures = memo
+    block, index = point._row
+    key = (rows, *[(a.shape, a.tobytes()) if type(a) is np.ndarray
+                   else a for a in args]) if args else rows
+    memo = block.memo.get(key)
+    if memo is None:
+        memo = block.memo[key] = rows(block, *args)
+    values, failures = memo
     if index in failures:
         raise failures[index]()
     return values[index].copy()
-
-
-def block_rows(point: DomainPoint, rows: Callable) -> np.ndarray:
-    """All values of rows(block) on the Block of a DomainPoint.rows point,
-    through the memo that row_value reads under the same key, so a later
-    row_value(p, rows) at any point of the block is a memo hit.  The array
-    is the memo's own, to be read, not written; if a row failed, the
-    exception of the first failed row is raised."""
-    block = point.__dict__["_row"][0]
-    memo = block.memo.get(rows)
-    if memo is None:
-        memo = block.memo[rows] = rows(block)
-    values, failures = memo
-    if failures:
-        raise failures[min(failures)]()
-    return values
 
 
 # ---------------------------------------------------------------------------

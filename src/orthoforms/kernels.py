@@ -91,8 +91,8 @@ def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
                          point: DomainPoint) -> complex:
     """dmu-coefficient of dbar ptilde: (lambda, psi(Zbar))^-kappa q(Y)^kappa.
 
-    Evaluated through row_value: on a DomainPoint.rows point, once for
-    every row of its block per (lambda, kappa)."""
+    Evaluated through row_value: once for every row of the point's block
+    per (lambda, kappa)."""
     return complex(row_value(point, _dbar_reference_rows,
                              np.asarray(lam_fc, dtype=float), kappa))
 
@@ -120,11 +120,12 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
     evaluated once; its conjugate (lambda, psi(Zbar)), q_plus / q_minus and
     both prefactors are derived from it.
 
-    Evaluated through row_value by p_tilde_rows: on a DomainPoint.rows
-    point the kernel of every row of the block is computed at the first
-    call for (lambda, kappa, rep), and the block's other points read it
-    from the memo.  A singular row raises KernelSingularity only when that
-    row is requested; the returned array is a fresh copy.
+    Evaluated through row_value by p_tilde_rows: the kernel of every row
+    of the point's block (the point alone, when standalone) is computed at
+    the first call for (lambda, kappa, rep), and later calls at the
+    block's points read it from the memo.  A singular row raises
+    KernelSingularity only when that row is requested; the returned array
+    is a fresh copy.
     """
     return row_value(point, p_tilde_rows, np.asarray(lam_fc, dtype=float),
                      kappa, rep)

@@ -124,7 +124,7 @@ def _p_tilde_terms(frame: WittFrame, vectors, kappa: int, point: DomainPoint):
     if not vectors:
         return
     lam = np.array([frame.frame_coords(v) for v in vectors])
-    values, failures = p_tilde_rows(Block.single(point), lam, kappa)
+    values, failures = p_tilde_rows(Block(frame, point.z[None]), lam, kappa)
     for i, v in enumerate(vectors):
         if i in failures:
             exc = failures[i]()

@@ -523,6 +523,24 @@ def test_eval_kernel_bad_vector_exits_2(capsys):
     assert "--lam" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["eval-kernel", "--n", "2", "--lam", "0,0,1,1", "--kind", "ptilde",
+      "--z", "0.3+nanj,0.1+0.2j"], "--z"),
+    (["eval-series", "--n", "2", "--m", "1", "--kappa", "4", "--bound", "12",
+      "--z", "0.3+1.2j,nan+0.2j"], "--z"),
+    (["eval-kernel", "--n", "2", "--lam", "0,0,1,1", "--kind", "ptilde",
+      "--kappa", "1", "--z", "0.3+1.2j,0.1+0.2j"], "--kappa"),
+    (["eval-kernel", "--n", "2", "--lam", "0,0,0,0", "--kind", "ptilde",
+      "--z", "0.3+1.2j,0.1+0.2j"], "--lam"),
+])
+def test_evaluator_bad_argument_exits_2_naming_it(capsys, argv, field):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    if field == "--z":
+        assert "is not finite" in err
+
+
 def test_eval_series_reports_value_tail_count(capsys):
     code = main(["eval-series", "--n", "1", "--m", "1", "--kappa", "4",
                  "--bound", "10", "--z", "0.2+1.1j", "--json"])

@@ -5,7 +5,7 @@ import pytest
 
 from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint,
                                act, majorant_at, metric_det, metric_lower,
-                               metric_upper, project, q_plus_minus,
+                               metric_upper, project, q_plus_minus, row_value,
                                sample_point, sample_vector)
 from orthoforms.quadratic import as_vec, majorant_value, vec_float
 
@@ -123,10 +123,16 @@ def _bad_rows(n):
     null = np.zeros(n, dtype=complex)        # q(Y) = 0
     if n > 1:
         null[0], null[1] = 0.1j, 1.0j        # q(Y) < 0
-    return {"y1": wrong_half, "q_y": null}
+    nan = np.full(n, 0.1 + 0.2j)
+    nan[0] = 0.3 + 1.2j
+    nan[-1] += complex(0.0, np.nan)          # q(Y) = nan
+    inf = nan.copy()
+    inf[-1] = 0.1 + 0.2j
+    inf[0] = complex(0.3, np.inf)            # q(Y) = inf
+    return {"y1": wrong_half, "q_y": null, "nan": nan, "inf": inf}
 
 
-@pytest.mark.parametrize("kind", ["q_y", "y1"])
+@pytest.mark.parametrize("kind", ["q_y", "y1", "nan", "inf"])
 def test_rows_reject_a_bad_row_like_the_single_constructor(setup_n, rng,
                                                            kind):
     _, frame, _, n = setup_n
@@ -138,8 +144,11 @@ def test_rows_reject_a_bad_row_like_the_single_constructor(setup_n, rng,
     with pytest.raises(ComponentError) as batch:
         DomainPoint.rows(frame, block)
     assert str(batch.value) == str(single.value)
-    expected = "q(Y)" if kind == "q_y" else "y_1"
+    expected = {"q_y": "q(Y)", "y1": "y_1", "nan": f"z_{n} = ",
+                "inf": "z_1 = "}[kind]
     assert expected in str(batch.value)
+    if kind in ("nan", "inf"):
+        assert "is not finite" in str(batch.value)
 
 
 def test_rows_are_read_only(setup_n, rng):
@@ -153,7 +162,11 @@ def test_rows_are_read_only(setup_n, rng):
     with pytest.raises(ValueError, match="read-only"):
         point.z += 1.0
     assert np.array_equal(point.z, block[1])
+    single = DomainPoint(frame, block[2])
+    with pytest.raises(ValueError, match="read-only"):
+        single.z[0] = 2.0j
     block[1, 0] += 1.0  # the caller's own array stays writable
+    block[2, 0] += 1.0
 
 
 def test_rows_reject_wrong_width(setup_n, rng):
@@ -163,6 +176,28 @@ def test_rows_reject_wrong_width(setup_n, rng):
         DomainPoint.rows(frame, np.hstack([block, block[:, :1]]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         DomainPoint.rows(frame, block[0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DomainPoint(frame, block)
+
+
+def test_block_walks_twice_over_one_memo(setup_n, rng):
+    """Each walk of a Block yields new points on the same rows, and their
+    row functions share the block's one memo."""
+    _, frame, _, n = setup_n
+    block = DomainPoint.rows(frame, _seeded_rows(frame, rng, 4))
+    first, second = list(block), list(block)
+    assert len(first) == len(second) == 4
+    runs = []
+
+    def rows(b):
+        runs.append(len(b.z))
+        return 3.0 * b.q_y, {}
+
+    for a, b in zip(first, second):
+        assert a is not b and np.array_equal(a.z, b.z)
+        assert a._row[0] is b._row[0] is block
+        assert row_value(a, rows) == row_value(b, rows) == 3.0 * a.q_y
+    assert runs == [4]
 
 
 def test_metric_inverse_and_det(setup_n, rng):

@@ -9,8 +9,8 @@ from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
                                  star01, xi_scalar, xi_top)
 from orthoforms.cycles import transport_to
 from orthoforms.domain import (Block, BoundaryError, ComponentError,
-                               DomainPoint, act, block_rows, q_plus_minus,
-                               row_value, sample_point)
+                               DomainPoint, act, q_plus_minus, row_value,
+                               sample_point)
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -481,7 +481,7 @@ def test_lambda_rows_match_standalone_bit_for_bit(setup_n, rng):
     lams = [frame.frame_coords(_vector_with_sign(frame, rng, s))
             for s in (+1, -1, +1, +1, -1)]
     point = sample_point(frame, rng)
-    values, failures = kernels.p_tilde_rows(Block.single(point),
+    values, failures = kernels.p_tilde_rows(Block(frame, point.z[None]),
                                             np.array(lams), kappa)
     for i, fc in enumerate(lams):
         single = _outcome(lambda: p_tilde_components(fc, kappa, point))
@@ -537,22 +537,23 @@ def test_row_values_are_fresh_copies(setup_n, rng):
 
 
 def test_block_rows_share_the_row_value_memo(setup_n, rng):
-    """block_rows gives every row of a row function on a point's block
-    through row_value's memo, so the function runs once per block, and a
-    block with failed rows raises the first failed row's exception."""
+    """Block.values gives every row of a row function on the block through
+    row_value's memo, so the function runs once per block, and a block with
+    failed rows raises the first failed row's exception."""
     _, frame, _, _ = setup_n
-    points = list(DomainPoint.rows(
-        frame, np.array([sample_point(frame, rng).z for _ in range(4)])))
+    block = DomainPoint.rows(
+        frame, np.array([sample_point(frame, rng).z for _ in range(4)]))
+    points = list(block)
     runs = []
 
     def rows(block):
         runs.append(len(block.z))
         return 2.0 * block.q_y, {}
 
-    values = block_rows(points[2], rows)
+    values = block.values(rows)
     assert np.array_equal(values, [2.0 * point.q_y for point in points])
     assert row_value(points[3], rows) == values[3]
-    assert block_rows(points[0], rows) is values
+    assert block.values(rows) is values
     assert runs == [4]
 
     def failing(block):
@@ -560,7 +561,30 @@ def test_block_rows_share_the_row_value_memo(setup_n, rng):
                                         1: lambda: ValueError("row 1")}
 
     with pytest.raises(ValueError, match="row 1"):
-        block_rows(points[0], failing)
+        block.values(failing)
+
+
+def test_standalone_point_memoizes_its_row(setup_n, rng, monkeypatch):
+    """A standalone point is its own one-row block: two calls there run
+    p_tilde_rows once and return equal fresh copies."""
+    _, frame, _, n = setup_n
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    point = sample_point(frame, rng)
+    runs = []
+    rows = kernels.p_tilde_rows
+
+    def counted(block, *args):
+        runs.append(len(block.z))
+        return rows(block, *args)
+
+    monkeypatch.setattr(kernels, "p_tilde_rows", counted)
+    first = p_tilde_components(fc, n + 1, point)
+    second = p_tilde_components(fc, n + 1, point)
+    assert runs == [1]
+    assert np.array_equal(first, second)
+    first[:] = 0.0
+    assert np.array_equal(p_tilde_components(fc, n + 1, point), second)
+
 
 def test_memo_keeps_one_entry_per_argument(setup_n, rng):
     """Two lambdas, two weights and two representations on one block each
