@@ -205,6 +205,9 @@ def cmd_eval_series(args) -> int:
     try:
         spec = SeriesSpec.create(frame, coset, Fraction(args.m), args.kappa,
                                  args.bound, group)
+    except SeriesError as exc:
+        raise ConfigError(f"--{exc.field}", str(exc)) from exc
+    try:
         scalar = eval_omega(spec, point)
         payload = {
             "value": _fmt_complex(scalar.value),
@@ -217,7 +220,7 @@ def cmd_eval_series(args) -> int:
             payload["form_components"] = [_fmt_complex(c)
                                           for c in form.value]
             payload["form_tail"] = form.tail
-    except (SeriesError, KernelSingularity) as exc:
+    except KernelSingularity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_value(payload, args)

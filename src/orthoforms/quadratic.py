@@ -9,7 +9,10 @@ majorant form, which depends on a transcendental base point anyway.
 The enumeration searches the majorant ellipsoid depth first over all but the
 first coordinate and solves the norm equation, a quadratic or linear one in a
 single integer unknown, for the first; it never visits ellipsoid points of
-the wrong norm.
+the wrong norm.  It works in the integer vectors w = den v of the coset
+(den the lcm of its denominators): each solution is kept by the integer norm
+identity w^T G w == 2 m den^2, and only a kept vector is turned into
+fractions and, once, into floats.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +42,12 @@ def vec_scale(c, v: Vec) -> Vec:
 
 def vec_float(v: Vec) -> np.ndarray:
     return np.array([float(a) for a in v])
+
+
+def _gram_pair(gram, u: Sequence[int], v: Sequence[int]) -> int:
+    """u^T G v for integer vectors u and v."""
+    return sum(ui * sum(gij * vj for gij, vj in zip(row, v, strict=True) if vj)
+               for ui, row in zip(u, gram, strict=True) if ui)
 
 
 def _integral(v: Sequence) -> tuple[int, list[int]]:
@@ -81,10 +90,7 @@ class QuadraticLattice:
         # exact, in integers: (u, v) = (du u, dv v) / (du dv)
         du, iu = _integral(u)
         dv, iv = _integral(v)
-        total = sum(ui * sum(gij * vj
-                             for gij, vj in zip(row, iv, strict=True) if vj)
-                    for ui, row in zip(iu, self.gram, strict=True) if ui)
-        return Fraction(total, du * dv)
+        return Fraction(_gram_pair(self.gram, iu, iv), du * dv)
 
     def q(self, v: Sequence) -> Fraction:
         return self.bilinear(v, v) / 2
@@ -263,6 +269,16 @@ def majorant_value(m_gram: np.ndarray, v: Sequence) -> float:
     return float(x @ m_gram @ x)
 
 
+class MajorantPoint(NamedTuple):
+    """A vector kept by the majorant enumeration, with its float coordinates
+    (bit for bit ``vec_float(vec)``) and its majorant value (bit for bit
+    ``majorant_value(m_gram, vec)``)."""
+
+    vec: Vec
+    coords: np.ndarray
+    value: float
+
+
 def _integer_roots(a: int, b: int, c: int) -> list[int] | None:
     """Sorted integer roots of a w^2 + b w + c = 0, or None when every
     integer is one (a = b = c = 0)."""
@@ -280,10 +296,11 @@ def _integer_roots(a: int, b: int, c: int) -> list[int] | None:
     return None if c == 0 else []
 
 
-def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
-                       m: Fraction | int, coset: Sequence,
-                       bound: float) -> list[Vec]:
-    """All v in coset + L with q(v) == m and majorant(v) <= bound.
+def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
+                    m: Fraction | int, coset: Sequence,
+                    bound: float) -> list[MajorantPoint]:
+    """All v in coset + L with q(v) == m and majorant(v) <= bound, each with
+    its float coordinates and majorant value.
 
     A Fincke-Pohst depth-first search walks coordinates d-1 ... 1 over the
     majorant ellipsoid with a small slack.  The innermost coordinate is
@@ -292,12 +309,16 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
     ``G00 w0^2 + b w0 + c = 2 m den^2``, a quadratic (linear when G00 = 0,
     as on a hyperbolic plane) with at most two integer roots; only when b
     also vanishes and c already hits the target is the coordinate scanned.
-    Each root inside the ellipsoid is filtered by the canonical float
-    majorant value and the exact rational norm, so results agree with a
-    brute-force box scan and are monotone in the bound.  Sorted
+    Each root inside the ellipsoid is filtered by the integer norm identity
+    ``w^T G w == 2 m den^2`` over the full vector w and by the canonical
+    float majorant value, taken on the coordinates w_j / den (correctly
+    rounded, so equal to the floats of the fractions), so results agree
+    with a brute-force box scan and are monotone in the bound.  Sorted
     lexicographically for determinism.
     """
     d = lattice.dim
+    if not math.isfinite(bound):
+        raise LatticeError(f"majorant bound must be finite, got {bound}")
     if bound <= 0:
         return []
     try:
@@ -315,9 +336,9 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
         return []
     target = target.numerator
     g = lattice.gram
-    out: list[tuple[tuple[int, ...], Vec]] = []
+    found: list[tuple[tuple[int, ...], np.ndarray, float]] = []
     t = [0.0] * d
-    x = [0] * d
+    wv = [0] * d
 
     def window(i: int, remaining: float) -> tuple[float, float, int, int]:
         rii = r[i][i]
@@ -339,10 +360,14 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
             if not lo <= x0 <= hi:
                 continue
             if (r00 * (x0 + c[0]) + s) ** 2 <= remaining + 1e-12:
-                x[0] = x0
-                v = tuple(coset_v[j] + x[j] for j in range(d))
-                if lattice.q(v) == m and majorant_value(m_gram, v) <= bound:
-                    out.append((tuple(x), v))
+                wv[0] = den * x0 + offset[0]
+                w = tuple(wv)
+                if _gram_pair(g, w, w) != target:
+                    continue
+                coords = np.array([wj / den for wj in w])
+                value = float(coords @ m_gram @ coords)
+                if value <= bound:
+                    found.append((w, coords, value))
 
     def descend(i: int, remaining: float, lin: list[int], quad: int):
         # lin[k] = sum_{j > i} G_kj w_j and quad = sum_{j, l > i} w_j G_jl w_l
@@ -355,17 +380,27 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
             t[i] = xi + c[i]
             used = (rii * t[i] + s) ** 2
             if used <= remaining + 1e-12:
-                x[i] = xi
                 w = den * xi + offset[i]
+                wv[i] = w
                 descend(i - 1, remaining - used,
                         [lin[k] + gi[k] * w for k in range(i)],
                         quad + w * (gi[i] * w + 2 * lin[i]))
         t[i] = 0.0
 
     descend(d - 1, slack, [0] * d, 0)
-    # v = coset + x, so sorting the integer x sorts v lexicographically
-    out.sort()
-    return [v for _, v in out]
+    # w = den * (coset + x) with den > 0, so sorting w sorts v
+    # lexicographically; w is distinct per vector, so coords never compare
+    found.sort(key=lambda item: item[0])
+    return [MajorantPoint(tuple(Fraction(wj, den) for wj in w), coords, value)
+            for w, coords, value in found]
+
+
+def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
+                       m: Fraction | int, coset: Sequence,
+                       bound: float) -> list[Vec]:
+    """The vectors of :func:`majorant_points`: all v in coset + L with
+    q(v) == m and majorant(v) <= bound, sorted lexicographically."""
+    return [p.vec for p in majorant_points(lattice, m_gram, m, coset, bound)]
 
 
 # ---------------------------------------------------------------------------

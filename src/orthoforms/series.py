@@ -29,8 +29,7 @@ import numpy as np
 
 from .domain import Block, DomainPoint, WittFrame, act, majorant_at
 from .kernels import KernelSingularity, omega_kernel, p_tilde_rows
-from .quadratic import (Isometry, Vec, as_vec, enumerate_majorant,
-                        majorant_value)
+from .quadratic import Isometry, MajorantPoint, Vec, as_vec, majorant_points
 
 __all__ = [
     "SeriesError", "SeriesSpec", "SeriesResult", "enumerate_class",
@@ -40,7 +39,12 @@ __all__ = [
 
 
 class SeriesError(ValueError):
-    """Invalid series parameters."""
+    """Invalid series parameters; field names the offending SeriesSpec
+    field, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,17 @@ class SeriesSpec:
         bound = float(bound)
         if m == 0:
             raise SeriesError("norm m must be nonzero (m > 0 cusp family, "
-                              "m < 0 meromorphic family)")
+                              "m < 0 meromorphic family)", "m")
         if kappa <= frame.n:
             raise SeriesError(
-                f"weight kappa = {kappa} must exceed n = {frame.n}")
-        if not bound > 0:
-            raise SeriesError("truncation bound must be positive")
+                f"weight kappa = {kappa} must exceed n = {frame.n}", "kappa")
+        if not 0 < bound < float("inf"):
+            raise SeriesError(
+                f"truncation bound must be positive and finite, got {bound}",
+                "bound")
         coset_v = as_vec(coset)
         if len(coset_v) != frame.lattice.dim:
-            raise SeriesError("coset vector has the wrong dimension")
+            raise SeriesError("coset vector has the wrong dimension", "coset")
         return cls(frame, coset_v, m, kappa, bound, group)
 
     @property
@@ -89,12 +95,19 @@ class SeriesResult(NamedTuple):
     count: int
 
 
+def _class_points(spec: SeriesSpec,
+                  point: DomainPoint) -> list[MajorantPoint]:
+    """The class's kept vectors at the point with their float coordinates
+    and majorant values, from one enumeration."""
+    m_gram = majorant_at(spec.frame, point)
+    return majorant_points(spec.frame.lattice, m_gram, spec.m, spec.coset,
+                           spec.bound)
+
+
 def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
     """Lexicographically sorted coset vectors of norm m whose majorant at
     the point is at most the bound."""
-    m_gram = majorant_at(spec.frame, point)
-    return enumerate_majorant(spec.frame.lattice, m_gram, spec.m,
-                              spec.coset, spec.bound)
+    return [p.vec for p in _class_points(spec, point)]
 
 
 def _accumulate(terms, zero):
@@ -112,19 +125,27 @@ def _accumulate(terms, zero):
     return total, sizes
 
 
-def _omega_terms(frame: WittFrame, vectors, kappa: int, point: DomainPoint):
-    """The scalar kernels (lambda, psi(Z))^-kappa of the vectors, in order."""
-    return (omega_kernel(frame.frame_coords(v), kappa, point) for v in vectors)
+def _frame_rows(frame: WittFrame, vectors) -> list[np.ndarray]:
+    return [frame.frame_coords(v) for v in vectors]
 
 
-def _p_tilde_terms(frame: WittFrame, vectors, kappa: int, point: DomainPoint):
-    """The xi-preimage kernels of the vectors, in order, evaluated as one
-    row call (the vectors' rows against the one point); the first singular
-    term names its vector."""
+def _omega_terms(frame: WittFrame, vectors, lams, kappa: int,
+                 point: DomainPoint):
+    """The scalar kernels (lambda, psi(Z))^-kappa of the vectors, given by
+    their frame coordinates lams, in order."""
+    return (omega_kernel(lam, kappa, point) for lam in lams)
+
+
+def _p_tilde_terms(frame: WittFrame, vectors, lams, kappa: int,
+                   point: DomainPoint):
+    """The xi-preimage kernels of the vectors, given by their frame
+    coordinates lams, in order, evaluated as one row call (the vectors'
+    rows against the one point); the first singular term names its
+    vector."""
     if not vectors:
         return
-    lam = np.array([frame.frame_coords(v) for v in vectors])
-    values, failures = p_tilde_rows(Block(frame, point.z[None]), lam, kappa)
+    values, failures = p_tilde_rows(Block(frame, point.z[None]),
+                                    np.array(lams), kappa)
     for i, v in enumerate(vectors):
         if i in failures:
             exc = failures[i]()
@@ -140,25 +161,31 @@ def sum_omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> complex:
     """Compensated sum of (lambda, psi(Z))^-kappa over a fixed vector list,
     in list order."""
-    return _accumulate(_omega_terms(frame, vectors, kappa, point), 0j)[0]
+    vectors = list(vectors)
+    return _accumulate(_omega_terms(frame, vectors,
+                                    _frame_rows(frame, vectors), kappa,
+                                    point), 0j)[0]
 
 
 def sum_Omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> np.ndarray:
     """Componentwise compensated sum of the xi-preimage kernel over a fixed
     vector list, in list order."""
-    return _accumulate(_p_tilde_terms(frame, list(vectors), kappa, point),
+    vectors = list(vectors)
+    return _accumulate(_p_tilde_terms(frame, vectors,
+                                      _frame_rows(frame, vectors), kappa,
+                                      point),
                        np.zeros(frame.n, dtype=complex))[0]
 
 
-def _shell_tail(spec: SeriesSpec, m_gram: np.ndarray, vectors,
-                sizes) -> float:
-    """Count times max-term heuristic over the outer shell [B/2, B]."""
-    half = spec.bound / 2.0
+def _shell_tail(bound: float, values, sizes) -> float:
+    """Count times max-term heuristic over the outer shell [B/2, B], from
+    the terms' majorant values and sizes."""
+    half = bound / 2.0
     best = 0.0
     count = 0
-    for v, s in zip(vectors, sizes):
-        if majorant_value(m_gram, v) >= half:
+    for value, s in zip(values, sizes):
+        if value >= half:
             count += 1
             if s > best:
                 best = s
@@ -167,15 +194,19 @@ def _shell_tail(spec: SeriesSpec, m_gram: np.ndarray, vectors,
 
 def _evaluate(spec: SeriesSpec, point: DomainPoint, terms,
               zero) -> SeriesResult:
-    """Enumerate the class at the point, sum terms(frame, vectors, kappa,
-    point) from zero, and estimate the tail on the outer majorant shell."""
+    """Enumerate the class at the point once, sum terms(frame, vectors,
+    lams, kappa, point) from zero, and estimate the tail on the outer
+    majorant shell from the enumeration's majorant values.  lams are the
+    frame coordinates to_frame @ x of the kept vectors' float coordinates
+    x, one vector at a time, as frame.frame_coords computes them."""
+    found = _class_points(spec, point)
+    vectors = [p.vec for p in found]
     frame = spec.frame
-    m_gram = majorant_at(frame, point)
-    vectors = enumerate_majorant(frame.lattice, m_gram, spec.m, spec.coset,
-                                 spec.bound)
-    total, sizes = _accumulate(terms(frame, vectors, spec.kappa, point), zero)
-    return SeriesResult(total, _shell_tail(spec, m_gram, vectors, sizes),
-                        len(vectors))
+    lams = [frame.to_frame @ p.coords for p in found]
+    total, sizes = _accumulate(terms(frame, vectors, lams, spec.kappa, point),
+                               zero)
+    tail = _shell_tail(spec.bound, [p.value for p in found], sizes)
+    return SeriesResult(total, tail, len(found))
 
 
 def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:

@@ -353,13 +353,13 @@ def test_series_suite_evaluates_each_series_once(monkeypatch):
     series per generator image, and the form series with its vector list."""
     from orthoforms import series
     calls = []
-    enumerate_majorant = series.enumerate_majorant
+    majorant_points = series.majorant_points
 
     def counted(*args):
         calls.append(args)
-        return enumerate_majorant(*args)
+        return majorant_points(*args)
 
-    monkeypatch.setattr(series, "enumerate_majorant", counted)
+    monkeypatch.setattr(series, "majorant_points", counted)
     assert run(RunConfig(suite="series")).passed
     generators = sum(len(list(lattice_from_config(standard_lattice(n))[2]))
                      for n in (1, 2))
@@ -517,6 +517,14 @@ def test_eval_kernel_singular_point_exits_1(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_eval_series_singular_point_exits_1(capsys):
+    # (1, -1, 0) has norm -1 and (lambda, psi(Z)) = 1 - y^2 = 0 at y = 1
+    code = main(["eval-series", "--n", "1", "--m", "-1", "--kappa", "4",
+                 "--bound", "8", "--z", "1.0j"])
+    assert code == 1
+    assert "kernel pole" in capsys.readouterr().err
+
+
 def test_eval_kernel_bad_vector_exits_2(capsys):
     assert main(["eval-kernel", "--n", "2", "--lam", "1,2",
                  "--z", "0.3+1.2j,0.1+0.2j"]) == 2
@@ -532,6 +540,12 @@ def test_eval_kernel_bad_vector_exits_2(capsys):
       "--kappa", "1", "--z", "0.3+1.2j,0.1+0.2j"], "--kappa"),
     (["eval-kernel", "--n", "2", "--lam", "0,0,0,0", "--kind", "ptilde",
       "--z", "0.3+1.2j,0.1+0.2j"], "--lam"),
+    (["eval-series", "--n", "2", "--m", "1", "--kappa", "1", "--bound", "12",
+      "--z", "0.3+1.2j,0.1+0.2j"], "--kappa"),
+    (["eval-series", "--n", "2", "--m", "0", "--kappa", "4", "--bound", "12",
+      "--z", "0.3+1.2j,0.1+0.2j"], "--m"),
+    (["eval-series", "--n", "2", "--m", "1", "--kappa", "4", "--bound", "inf",
+      "--z", "0.3+1.2j,0.1+0.2j"], "--bound"),
 ])
 def test_evaluator_bad_argument_exits_2_naming_it(capsys, argv, field):
     assert main(argv) == 2

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from orthoforms.quadratic import (Isometry, LatticeError, QuadraticLattice,
                                   Vec, as_vec, eichler_isometry,
                                   enumerate_majorant, lattice_from_config,
-                                  majorant_value, standard_group,
+                                  majorant_points, majorant_value,
+                                  standard_group,
                                   standard_lattice, vec_float)
 
 
@@ -219,8 +220,10 @@ def test_enumeration_unreachable_norm_is_empty(m, coset, rng):
 
 
 def test_enumeration_norm_check_only_on_solutions(monkeypatch):
-    """At the series suite's point (n = 2, B = 80) the exact norm runs only
-    on the solved innermost coordinates, not on every ellipsoid point."""
+    """At the series suite's point (n = 2, B = 80) the exact integer norm
+    identity runs on every solved innermost coordinate, and only there, not
+    on every ellipsoid point."""
+    from orthoforms import quadratic
     from orthoforms.domain import DomainPoint, WittFrame, majorant_at
     cfg = standard_lattice(2)
     lat = QuadraticLattice(tuple(tuple(r) for r in cfg["gram"]))
@@ -228,12 +231,51 @@ def test_enumeration_norm_check_only_on_solutions(monkeypatch):
     m_gram = majorant_at(frame, DomainPoint(
         frame, np.array([0.31 + 1.27j, 0.17 + 0.29j])))
     calls = []
-    q = QuadraticLattice.q
-    monkeypatch.setattr(QuadraticLattice, "q",
-                        lambda self, v: calls.append(v) or q(self, v))
+    gram_pair = quadratic._gram_pair
+    monkeypatch.setattr(quadratic, "_gram_pair",
+                        lambda g, u, v: calls.append(u) or gram_pair(g, u, v))
     found = enumerate_majorant(lat, m_gram, 1, [0] * 4, 80.0)
     assert len(found) == 488
-    assert len(calls) <= 2 * 488
+    assert 488 <= len(calls) <= 2 * 488
+
+
+def _third_coset_cases():
+    """(lattice, m_gram, m, coset) for a coset of denominator 3 and a
+    non-integral norm, once on U + U (G00 = 0: the innermost coordinate
+    solves a linear equation) and once on <2> + U (a quadratic one)."""
+    rng = np.random.default_rng(3)
+    lat, m_gram = _point_majorant(2, rng)
+    yield "linear", lat, m_gram, Fraction(1, 3), [Fraction(1, 3), 0,
+                                                  Fraction(1, 3), 0]
+    lat, m_gram = _anisotropic_majorant(rng)
+    yield "quadratic", lat, m_gram, Fraction(4, 9), [Fraction(1, 3),
+                                                     Fraction(1, 3), 0]
+
+
+@pytest.mark.parametrize("case", list(_third_coset_cases()),
+                         ids=lambda case: case[0])
+def test_majorant_points_third_coset_match_box_oracle_exactly(case):
+    """The enumeration equals the box oracle, and each kept vector has norm
+    exactly m, float coordinates bit-equal to vec_float and the majorant
+    value of majorant_value."""
+    path, lat, m_gram, m, coset = case
+    assert (lat.gram[0][0] == 0) == (path == "linear")
+    points = majorant_points(lat, m_gram, m, coset, 12.0)
+    vectors = [p.vec for p in points]
+    assert vectors
+    assert vectors == enumerate_majorant(lat, m_gram, m, coset, 12.0)
+    assert vectors == enumerate_box_oracle(lat, m_gram, m, coset, 12.0)
+    for p in points:
+        assert lat.q(p.vec) == m
+        assert p.coords.tobytes() == vec_float(p.vec).tobytes()
+        assert p.value == majorant_value(m_gram, p.vec) <= 12.0
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_enumeration_rejects_non_finite_bound(bound, rng):
+    lat, m_gram = _point_majorant(2, rng)
+    with pytest.raises(LatticeError, match="finite"):
+        enumerate_majorant(lat, m_gram, 1, [0] * 4, bound)
 
 
 def test_enumeration_monotone_in_bound(rng):

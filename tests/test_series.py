@@ -61,6 +61,10 @@ def test_spec_rejects_bad_parameters(small_frames):
         SeriesSpec.create(frame, zero, 1, frame.n, 10.0)
     with pytest.raises(SeriesError):
         SeriesSpec.create(frame, zero, 1, 4, 0.0)
+    for bound in (float("inf"), float("nan")):
+        with pytest.raises(SeriesError) as info:
+            SeriesSpec.create(frame, zero, 1, 4, bound)
+        assert info.value.field == "bound"
     with pytest.raises(SeriesError):
         SeriesSpec.create(frame, [0, 0], 1, 4, 10.0)
     spec = SeriesSpec.create(frame, zero, 1, 4, 10.0, group)
