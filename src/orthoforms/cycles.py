@@ -15,14 +15,15 @@ Around the first family, the explicit collar map
     phi:  z1 = y1' x1' + i y1',   z_j = x_j' + i y1' y_j'
 
 identifies (cycle window) x (-eps, eps)^n with the tube of radius eps.
-Its faces (the caps x1' = +-eps and the laterals |y_j'| = eps) and the
-shell strips between two radii are boxes of these collar coordinates, all
-walked by one node generator: each box's collar map, closed-form Jacobian
-(pushed forward by the action Jacobian on a transported chart) and signed
-hat minors or volume determinant are computed once per quadrature grid, as
-arrays over its node rows.  Face integrals of (n, n-1)-forms above a
-compact window use tensor Gauss-Legendre quadrature with a node-doubling
-error estimate.
+Its faces (the caps x1' = +-eps and the laterals |y_j'| = eps), the shell
+strips between two radii and the cycle itself (x1', y2', ..., yn' frozen
+at 0, where phi is model_z) are boxes of these collar coordinates, walked
+by one node generator that computes each box's collar map and closed-form
+Jacobian once per grid, as arrays over its node rows.  On a transported
+chart the Jacobian is pushed forward by the action Jacobian, so the
+cycle's dZ is the model parameters' dy1' dx2' ... dxn' times det J =
+j(gamma, Z')^{-n}, as on the faces.  Every integral above a compact window
+is a tensor Gauss-Legendre rule with a node-doubling error estimate.
 
 The restriction to the algebraic family integrates over circle fibers
 |z_n| = eps sqrt(q(Y')) above the window nodes; each fiber is one trapezoid
@@ -31,7 +32,7 @@ arrays, and the coarse rule of its error estimate is the even-indexed fine
 nodes.
 
 Every quadrature holds the points of its node rows as a domain.Block (a
-transported chart moves them node by node and blocks the images again).
+transported chart moves them node by node, in _transport_rows alone).
 The face, shell and cycle-C integrals are summed one block of at most
 _BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
 function through the block memo when it is a WindowBump or its bound value
@@ -195,9 +196,8 @@ class CycleChart:
             raise CycleError(f"window must have {expected_axes} axes")
         if any(not b > a for a, b in window):
             raise CycleError("window intervals must be nondegenerate")
-        if kind == "real_analytic" and window[0][0] <= 0:
-            raise CycleError("the y1' window must stay positive")
-        if kind == "algebraic" and window[1][0] <= 0:
+        # y1' is the first window axis of C and the second of T
+        if window[0 if kind == "real_analytic" else 1][0] <= 0:
             raise CycleError("the y1' window must stay positive")
         nodes = tuple(int(k) for k in nodes)
         collar_nodes = int(collar_nodes)
@@ -227,12 +227,12 @@ class CycleChart:
         transported window nodes (the sign opposite to the vector's norm):
         three interior points per axis."""
         fc = self.frame.frame_coords(self.vector)
-        worst = 0.0
         samples = [np.linspace(a, b, 5)[1:-1] for a, b in self.window]
-        for point in self.points(np.array(list(itertools.product(*samples)))):
-            q_plus, q_minus = q_plus_minus(self.frame, fc, point)
-            worst = max(worst, abs(q_minus if self.norm > 0 else q_plus))
-        return worst
+        z = self.model_z(np.array(list(itertools.product(*samples))))
+        points, _ = _transport_rows(self, z, np.empty((*z.shape, 0)))
+        splits = [q_plus_minus(self.frame, fc, point) for point in points]
+        return max(abs(q_minus if self.norm > 0 else q_plus)
+                   for q_plus, q_minus in splits)
 
     # -- geometry -----------------------------------------------------------
 
@@ -254,16 +254,6 @@ class CycleChart:
             pairs = params.reshape(params.shape[:-1] + (n - 1, 2))
             z[..., :n - 1] = pairs[..., 0] + 1j * pairs[..., 1]
         return z
-
-    def points(self, params: np.ndarray) -> Block:
-        """The chart's points at the parameter rows (N, axes) as one block:
-        the model points, carried node by node by the transport unless it
-        is the identity."""
-        model = DomainPoint.rows(self.frame, self.model_z(params))
-        if self.is_identity_transport:
-            return model
-        return DomainPoint.rows(self.frame, np.array(
-            [act(self.frame, self.transport, point)[0].z for point in model]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +340,13 @@ def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
                     ) -> tuple[Block, np.ndarray]:
     """Model-chart rows z (N, n) and tangent columns cols (N, n, k) carried
     by the chart transport: the image points as one block, and the columns
-    multiplied by the action Jacobian at each node.  The identity returns
-    the model points and the columns as given."""
+    multiplied by the action Jacobian at each node (k may be 0).  The
+    identity returns the model points and the columns as given."""
     points = DomainPoint.rows(chart.frame, z)
     if chart.is_identity_transport:
         return points, cols
     moved = np.empty_like(z)
-    pushed = np.empty_like(cols)
+    pushed = np.empty(cols.shape, complex)
     for i, point in enumerate(points):
         moved[i] = act(chart.frame, chart.transport, point)[0].z
         pushed[i] = action_jacobian(chart.transport, point) @ cols[i]
@@ -365,10 +355,11 @@ def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
 
 class _Box(NamedTuple):
     """A box of collar coordinates: its free axes in u-order with their node
-    counts, the frozen (index, value) of a face or None, and its sign."""
+    counts, the (index, value) pairs it freezes (one per face, the n
+    transverse ones for the cycle), and its sign."""
     axes: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
-    frozen: tuple[int, float] | None
+    frozen: tuple[tuple[int, float], ...]
     sign: float
 
 
@@ -394,7 +385,8 @@ def _tube_faces(chart: CycleChart, eps: float, scale: int = 1) -> list[_Box]:
     and outward d = +1, -1, the box with u_i = d eps and sign d (-1)^i."""
     n = chart.frame.n
     axes = _collar_axes(chart, [(-eps, eps)] * n, scale)
-    return [_Box(*zip(*(axes[:i] + axes[i + 1:])), (i, d * eps), d * (-1) ** i)
+    return [_Box(*zip(*(axes[:i] + axes[i + 1:])), ((i, d * eps),),
+                 d * (-1) ** i)
             for i in _transverse(n) for d in (1.0, -1.0)]
 
 
@@ -406,15 +398,14 @@ def _box_blocks(chart: CycleChart, box: _Box,
     d Z / d(free u) carried by the transport, computed as arrays over the
     block."""
     n = chart.frame.n
-    fixed, value = box.frozen or (None, None)
-    free = [i for i in range(2 * n) if i != fixed]
+    fixed = dict(box.frozen)
+    free = [i for i in range(2 * n) if i not in fixed]
     params, weights = gauss_legendre_grid(box.axes, box.counts)
     for lo in range(0, len(weights), _BLOCK_ROWS):
         block = params[lo:lo + _BLOCK_ROWS]
         u = np.empty((len(block), 2 * n))
         u[:, free] = block
-        if fixed is not None:
-            u[:, fixed] = value
+        u[:, list(fixed)] = list(fixed.values())
         points, cols = _transport_rows(chart, _phi(u),
                                        _phi_jacobian(u)[:, :, free])
         yield points, weights[lo:lo + _BLOCK_ROWS], factor(cols)
@@ -482,8 +473,10 @@ def tube_boundary_integral(mu, h: Callable[[DomainPoint], complex],
 
 def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
                      chart: CycleChart, target: float = 1e-10) -> complex:
-    """q(mu)^{n/2 - kappa} int_window h (mu, psi(Z))^{kappa - n} dZ, with
-    dZ the transported dy1' dx2' ... dxn' orientation."""
+    """q(mu)^{n/2 - kappa} int_window h (mu, psi(Z))^{kappa - n} dZ over the
+    collar box at x1' = y2' = ... = yn' = 0, with dZ the collar faces'
+    measure: dy1' dx2' ... dxn' pushed forward by the transport, det J =
+    j(gamma, Z')^{-n} (each node's transported columns' det over i)."""
     if chart.kind != "real_analytic":
         raise CycleError("cycle_integral_C expects a positive-norm chart")
     if as_vec(mu) != chart.vector:
@@ -494,15 +487,18 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
     power = chart.norm ** (0.5 * n - kappa)
 
     def compute(scale: int) -> complex:
-        params, weights = gauss_legendre_grid(
-            chart.window, [scale * c for c in chart.nodes])
-        points = chart.points(params)
-        hv = _at_nodes(h, points)
-        z = points.z
-        pairs = frame.pair(fc, z, frame.q_w(z))
-        return power * _add_in_order(0.0 + 0.0j, [
-            w * v * pair ** (kappa - n) for w, v, pair in zip(
-                weights.tolist(), hv.tolist(), pairs.tolist())])
+        cycle = _Box(chart.window, tuple(scale * k for k in chart.nodes),
+                     tuple((i, 0.0) for i in _transverse(n)), 1.0)
+        total = 0.0 + 0.0j
+        for points, weights, dz in _box_blocks(
+                chart, cycle, lambda cols: np.linalg.det(cols) * -1j):
+            hv = _at_nodes(h, points)
+            pairs = frame.pair(fc, points.z, frame.q_w(points.z))
+            total = _add_in_order(total, [
+                w * v * pair ** (kappa - n) * m for w, v, pair, m in zip(
+                    weights.tolist(), hv.tolist(), pairs.tolist(),
+                    dz.tolist())])
+        return power * total
 
     return _doubling(compute, target, "cycle integral")
 
@@ -550,7 +546,7 @@ def _shell_strips(chart: CycleChart, e1: float, e2: float) -> list[_Box]:
     n = chart.frame.n
     return [_Box(*zip(*_collar_axes(
                 chart, [(-e1, e1)] * k + [side] + [(-e2, e2)] * (n - 1 - k),
-                1)), None, _top_sign(n))
+                1)), (), _top_sign(n))
             for k in range(n) for side in ((e1, e2), (-e2, -e1))]
 
 

@@ -113,16 +113,17 @@ def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
 def _accumulate(terms, zero):
     """Ordered compensated (Kahan) sum of terms starting from zero, a
     complex scalar or a fixed-shape array; returns (total, per-term max
-    moduli)."""
+    moduli), the moduli from one np.abs over the stacked terms."""
     total = comp = zero
-    sizes: list[float] = []
+    kept = []
     for t in terms:
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        sizes.append(float(np.max(np.abs(t))))
-    return total, sizes
+        kept.append(t)
+    sizes = np.abs(np.array(kept))
+    return total, (sizes.max(axis=1) if sizes.ndim > 1 else sizes).tolist()
 
 
 def _frame_rows(frame: WittFrame, vectors) -> list[np.ndarray]:

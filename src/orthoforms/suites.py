@@ -217,6 +217,8 @@ def parse_params(data: dict) -> RunParams:
     params = RunParams(**kwargs)
     if params.samples < 0:
         raise ConfigError("parameters.samples", "must be >= 0")
+    if not 0 < params.bound < math.inf:
+        raise ConfigError("parameters.bound", "must be positive and finite")
     if any(n < 1 or n > 4 for n in params.n_values):
         raise ConfigError("parameters.n_values", "entries must be in 1..4")
     if params.seed < 0 or params.seed >= 2 ** 64:
@@ -890,6 +892,7 @@ def suite_duality(ctx: SuiteContext) -> list[CheckRecord]:
         chart_C = CycleChart.create(frame, mu, window_C, nodes)
         # refuses n = 1, where limit_constant is undefined
         chart_T = CycleChart.create(frame, nu, window_T, nodes_T)
+        # tube_limit's limit_constant; chart_C's dZ carries j(gamma, Z')^-n
         lhs = limit_constant(n, kappa) * cycle_integral_C(
             mu, omega_mero, kappa, chart_C, target=1e-7)
         rhs = cycle_integral_T(nu, Omega_cusp, kappa, eps, chart_T,

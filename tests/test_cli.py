@@ -176,6 +176,18 @@ def test_bad_config_field_exits_2(tmp_path, capsys, suite, block, field):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["-1", "0", '"inf"', "1e400"],
+                         ids=["negative", "zero", "inf-string", "overflow"])
+def test_series_bad_bound_exits_2_naming_it(tmp_path, capsys, bound):
+    """A bound that is not positive and finite is a config error naming
+    parameters.bound; 1e400 is read from the JSON text as inf."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"suite": "series", "parameters": {"bound": %s}}'
+                    % bound)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "config field 'parameters.bound'" in capsys.readouterr().err
+
+
 def test_missing_suite_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"parameters": {"samples": 2}})
     assert main(["verify", "--config", cfg]) == 2

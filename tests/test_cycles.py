@@ -139,7 +139,8 @@ def test_cycle_integral_vector_scaling(geo):
 
 def test_cycle_integral_transport_invariance(geo):
     """Transporting the chart and weighting h by the automorphy factor
-    reproduces the model-window integral exactly."""
+    j^-kappa reproduces the model-window integral: the transported measure
+    carries the j^-n of dZ, the pairing the rest."""
     _, frame, _ = geo[2]
     kappa = 4
     model = _chart_C(frame, 2, nodes=8)
@@ -150,11 +151,35 @@ def test_cycle_integral_transport_invariance(geo):
 
     def h_weighted(pt):
         back, j_inv = act(frame, inv, pt)
-        return h(back) * j_inv ** (frame.n - kappa)
+        return h(back) * j_inv ** (-kappa)
 
     v_model = cycle_integral_C(MU[2], h, kappa, model)
     v_moved = cycle_integral_C(mu2, h_weighted, kappa, moved)
     assert abs(v_moved - v_model) <= 1e-10 * max(1.0, abs(v_model))
+
+
+@pytest.mark.parametrize("n,vec", [(1, (1, 1, 0)), (2, (1, 1, 0, 0)),
+                                   (2, (1, 1, 1, 1))])
+def test_transported_cycle_measure_is_j_to_the_minus_n(geo, n, vec):
+    """On a transported chart each node carries dZ = j(gamma, Z')^-n dZ':
+    cycle_integral_C equals the loop over the model nodes Z' that weights
+    each image gamma Z' by the automorphy factor act returns."""
+    _, frame, _ = geo[n]
+    kappa = n + 2
+    window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
+    chart = CycleChart.create(frame, vec, window, [5] * n)
+    assert not chart.is_identity_transport
+    fc = frame.frame_coords(vec)
+    h = lambda pt: 1.0 + 0.25j * complex(pt.z.sum())
+    params, weights = gauss_legendre_grid(window, [10] * n)
+    total = 0.0 + 0.0j
+    for row, weight in zip(params, weights):
+        model = DomainPoint(frame, np.r_[1j * row[0], row[1:]])
+        point, j = act(frame, chart.transport, model)
+        total += weight * h(point) * point.pair(fc) ** (kappa - n) * j ** -n
+    ref = chart.norm ** (0.5 * n - kappa) * total
+    val = cycle_integral_C(vec, h, kappa, chart, target=1.0)
+    assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
 def test_cycle_integral_rejects_mismatches(geo):
@@ -323,6 +348,30 @@ def test_tube_boundary_tracks_doubled_window_density(geo):
     assert abs(extrapolated - (-2.0) * c_lim * delta) <= 5e-3 * abs(c_lim * delta)
 
 
+def _tube_limit_ratio(frame, vec, kappa):
+    """The eps-extrapolated boundary integral of h ptilde over eps
+    0.0125 / 0.00625, divided by -C(2, kappa) times the windowed density."""
+    chart = CycleChart.create(frame, vec, [(0.9, 1.9), (-0.5, 0.5)], [8, 8],
+                              collar_nodes=8)
+    h = WindowBump(chart)
+    fc = frame.frame_coords(vec)
+    H = lambda pt: kernels.p_tilde_components(fc, kappa, pt)
+    delta = cycle_integral_C(vec, h, kappa, chart, target=1e-5)
+    v1, v2 = (tube_boundary_integral(vec, h, H, eps, chart, target=1e-4)
+              for eps in (0.0125, 0.00625))
+    return richardson(v1, v2) / (-limit_constant(2, kappa) * delta)
+
+
+@pytest.mark.parametrize("vec", [(1, 1, 1, 1), (1, 1, 0, 0)])
+def test_transported_tube_limit_ratio_matches_identity_chart(geo, vec):
+    """The cycle density and the collar faces share one measure on a
+    transported chart, so the tube-limit ratio is the identity chart's."""
+    _, frame, _ = geo[2]
+    identity = _tube_limit_ratio(frame, MU[2], 3)
+    assert abs(identity - 2.0) <= 1e-4
+    assert abs(_tube_limit_ratio(frame, vec, 3) - identity) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # the collar drivers against a per-node reference
 
@@ -346,7 +395,7 @@ def test_collar_boxes_tile_the_shell_and_orient_the_faces(geo):
         faces = _tube_faces(chart, e2)
         assert len(faces) == 2 * n
         for face in faces:
-            index, value = face.frozen
+            (index, value), = face.frozen
             assert abs(value) == e2
             assert face.sign == np.sign(value) * (-1) ** index
             assert len(face.axes) == 2 * n - 1
@@ -544,16 +593,22 @@ def _shell_node_loop(chart, h_field, p_field, dbar_coeff, e1, e2):
 
 
 def _cycle_C_node_loop(chart, h, kappa, scale):
-    """cycle_integral_C's sum at one node scale, node by node (test-only
-    reference)."""
+    """cycle_integral_C's sum at one node scale, node by node over the
+    collar nodes at zero transverse offset, each weighted by its transported
+    columns' determinant times -i (test-only reference)."""
     frame = chart.frame
     fc = frame.frame_coords(chart.vector)
     n = frame.n
     params, weights = gauss_legendre_grid(
         chart.window, [scale * c for c in chart.nodes])
+    window_axes = [1] + [2 * j for j in range(1, n)]
     total = 0.0 + 0.0j
-    for point, weight in zip(chart.points(params), weights):
-        total += weight * h(point) * point.pair(fc) ** (kappa - n)
+    for row, weight in zip(params, weights):
+        u = np.zeros(2 * n)
+        u[window_axes] = row
+        point, cols = _collar_node(chart, u, 1.0, window_axes)
+        total += (weight * h(point) * point.pair(fc) ** (kappa - n)
+                  * (np.linalg.det(cols) * -1j))
     return chart.norm ** (0.5 * n - kappa) * total
 
 
