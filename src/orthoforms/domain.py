@@ -274,14 +274,15 @@ def row_value(point: DomainPoint, rows: Callable, *args):
     rows maps a Block (frame, z, y and q_y with a leading row axis of N
     rows) to values with one leading row axis, and failures {row:
     zero-argument exception factory} for the rows it cannot evaluate.  rows
-    runs once per key, the function and every argument (an array by its
-    shape and bytes), on all rows of the point's block (one row for a
-    standalone point), and later calls read the memo.  A failed row raises
-    a fresh exception only when it is requested; the value is returned as a
-    fresh copy."""
+    runs once per key, the function and every argument (an array, which
+    comes first, by its shape and bytes), on all rows of the point's block
+    (one row for a standalone point), and later calls read the memo.  A
+    failed row raises a fresh exception only when it is requested; the
+    value is returned as a fresh copy."""
     block, index = point._row
-    key = (rows, *[(a.shape, a.tobytes()) if type(a) is np.ndarray
-                   else a for a in args]) if args else rows
+    lead = args[0] if args else None
+    key = ((rows, lead.shape, lead.tobytes(), args[1:])
+           if type(lead) is np.ndarray else (rows, args) if args else rows)
     memo = block.memo.get(key)
     if memo is None:
         memo = block.memo[key] = rows(block, *args)

@@ -6,13 +6,13 @@ Vectors are tuples of :class:`fractions.Fraction` in lattice coordinates, so
 norms, pairings and isometry checks are exact.  Floats only enter through the
 majorant form, which depends on a transcendental base point anyway.
 
-The enumeration searches the majorant ellipsoid depth first over all but the
-first coordinate and solves the norm equation, a quadratic or linear one in a
-single integer unknown, for the first; it never visits ellipsoid points of
-the wrong norm.  It works in the integer vectors w = den v of the coset
-(den the lcm of its denominators): each solution is kept by the integer norm
-identity w^T G w == 2 m den^2, and only a kept vector is turned into
-fractions and, once, into floats.
+The enumeration walks the majorant ellipsoid one level at a time over all
+but the first coordinate, as arrays of integer frontier rows, and solves the
+norm equation (quadratic or linear in one integer unknown) for the first
+over every row at once.  It works in the integer vectors w = den v of the
+coset (den the lcm of its denominators): each solution is kept by the int64
+identity w^T G w == 2 m den^2, a kept vector is turned into floats once, and
+into fractions only when read.
 """
 from __future__ import annotations
 
@@ -270,30 +270,36 @@ def majorant_value(m_gram: np.ndarray, v: Sequence) -> float:
 
 
 class MajorantPoint(NamedTuple):
-    """A vector kept by the majorant enumeration, with its float coordinates
-    (bit for bit ``vec_float(vec)``) and its majorant value (bit for bit
-    ``majorant_value(m_gram, vec)``)."""
+    """A kept vector as integers w = den v (``vec`` builds the fractions at
+    each read) with its float coordinates and majorant value, bit for bit
+    ``vec_float(vec)`` and ``majorant_value(m_gram, vec)``."""
 
-    vec: Vec
+    w: tuple[int, ...]
+    den: int
     coords: np.ndarray
     value: float
 
+    @property
+    def vec(self) -> Vec:
+        return tuple(Fraction(wj, self.den) for wj in self.w)
 
-def _integer_roots(a: int, b: int, c: int) -> list[int] | None:
-    """Sorted integer roots of a w^2 + b w + c = 0, or None when every
-    integer is one (a = b = c = 0)."""
-    if a:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return []
-        root = math.isqrt(disc)
-        if root * root != disc:
-            return []
-        nums = {-b - root, -b + root}
-        return sorted(num // (2 * a) for num in nums if num % (2 * a) == 0)
-    if b:
-        return [-c // b] if c % b == 0 else []
-    return None if c == 0 else []
+
+# children a frontier slice expands to (plus one row's window, at most),
+# so that memory stays bounded at any bound
+_FRONTIER_ROWS = 8192
+
+
+def _row_norms(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^T G w for every integer row of w, exactly in int64."""
+    return ((w @ gram) * w).sum(axis=1)
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, x) for every integer x in each row's window [lo, hi]."""
+    counts = np.maximum(hi - lo + 1, 0)
+    rows = np.repeat(np.arange(len(lo)), counts)
+    firsts = np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, lo[rows] + np.arange(len(rows)) - firsts
 
 
 def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
@@ -302,19 +308,20 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     """All v in coset + L with q(v) == m and majorant(v) <= bound, each with
     its float coordinates and majorant value.
 
-    A Fincke-Pohst depth-first search walks coordinates d-1 ... 1 over the
-    majorant ellipsoid with a small slack.  The innermost coordinate is
-    solved for instead of scanned: with w = den * v integral (den the lcm of
-    the coset denominators), q(v) = m reads
-    ``G00 w0^2 + b w0 + c = 2 m den^2``, a quadratic (linear when G00 = 0,
-    as on a hyperbolic plane) with at most two integer roots; only when b
-    also vanishes and c already hits the target is the coordinate scanned.
-    Each root inside the ellipsoid is filtered by the integer norm identity
-    ``w^T G w == 2 m den^2`` over the full vector w and by the canonical
-    float majorant value, taken on the coordinates w_j / den (correctly
-    rounded, so equal to the floats of the fractions), so results agree
-    with a brute-force box scan and are monotone in the bound.  Sorted
-    lexicographically for determinism.
+    A Fincke-Pohst search walks coordinates d-1 ... 1 of the majorant
+    ellipsoid (with a small slack) one level at a time: each row of an
+    integer frontier array takes its window from the Cholesky row and its
+    remaining slack and expands over it, in slices of about _FRONTIER_ROWS
+    children.  Over all rows at once, the innermost coordinate solves
+    q(v) = m, ``G00 w0^2 + b w0 + c = 2 m den^2`` in w = den * v (den the
+    lcm of the coset denominators): a quadratic with an exact integer
+    square root, linear when G00 = 0, scanned only where b = 0 and c hits
+    the target.  Roots in the ellipsoid are kept by the integer identity
+    ``w^T G w == 2 m den^2`` (one int64 product) and by the canonical
+    float majorant value of w / den (the floats of the fractions), so
+    results equal a box scan's.  A bound whose windows or discriminants
+    leave the exact integer range (2^53) raises LatticeError.  Sorted
+    lexicographically.
     """
     d = lattice.dim
     if not math.isfinite(bound):
@@ -322,77 +329,84 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     if bound <= 0:
         return []
     try:
-        low = np.linalg.cholesky(m_gram)
+        r = np.linalg.cholesky(m_gram).T  # upper, x^T M x = ||r x||^2
     except np.linalg.LinAlgError as exc:
         raise LatticeError("majorant form is not positive definite") from exc
-    r = low.T.tolist()  # upper triangular, x^T M x = ||r x||^2
     slack = bound * (1 + 1e-9) + 1e-9
-    m = Fraction(m)
     coset_v = as_vec(coset)
-    c = [float(a) for a in coset_v]
+    c = np.array([float(a) for a in coset_v])
     den, offset = _integral(coset_v)  # w_j = den * x_j + offset_j
-    target = 2 * m * den * den  # w^T G w for w = den * v of norm m
+    target = 2 * Fraction(m) * den * den  # w^T G w for w = den v of norm m
     if target.denominator != 1:
         return []
     target = target.numerator
-    g = lattice.gram
-    found: list[tuple[tuple[int, ...], np.ndarray, float]] = []
-    t = [0.0] * d
-    wv = [0] * d
+    g = np.array(lattice.gram, dtype=np.int64)
+    a = lattice.gram[0][0]
+    # |w_j| <= den (sqrt(slack (M^-1)_jj) + 1) in every window; the
+    # largest entry of M^-1 > 0 is on its diagonal
+    reach = den * (math.sqrt(slack * np.linalg.inv(m_gram).max()) + 1)
+    size = int(np.abs(g).sum())
+    if 8 * size * (size * reach ** 2 + abs(target)) >= 2.0 ** 53:
+        raise LatticeError(f"majorant bound {bound} is too large for the "
+                           "exact integer search")
+    offset = np.array(offset, dtype=np.int64)
+    found = [np.empty((0, d), dtype=np.int64)]
 
-    def window(i: int, remaining: float) -> tuple[float, float, int, int]:
-        rii = r[i][i]
-        s = sum(r[i][j] * t[j] for j in range(i + 1, d))
-        half = math.sqrt(max(remaining, 0.0))
-        lo = math.ceil((-half - s) / rii - c[i] - 1e-12)
-        hi = math.floor((half - s) / rii - c[i] + 1e-12)
-        return rii, s, lo, hi
-
-    def innermost(remaining: float, lin: list[int], quad: int):
-        r00, s, lo, hi = window(0, remaining)
-        roots = _integer_roots(g[0][0], 2 * lin[0], quad - target)
-        if roots is None:
-            xs = range(lo, hi + 1)
-        else:
-            xs = [(w - offset[0]) // den for w in roots
-                  if (w - offset[0]) % den == 0]
-        for x0 in xs:
-            if not lo <= x0 <= hi:
-                continue
-            if (r00 * (x0 + c[0]) + s) ** 2 <= remaining + 1e-12:
-                wv[0] = den * x0 + offset[0]
-                w = tuple(wv)
-                if _gram_pair(g, w, w) != target:
-                    continue
-                coords = np.array([wj / den for wj in w])
-                value = float(coords @ m_gram @ coords)
-                if value <= bound:
-                    found.append((w, coords, value))
-
-    def descend(i: int, remaining: float, lin: list[int], quad: int):
-        # lin[k] = sum_{j > i} G_kj w_j and quad = sum_{j, l > i} w_j G_jl w_l
+    def descend(i: int, w: np.ndarray, rem: np.ndarray):
+        # w: frontier rows (0 from level i down), rem: their slack left
+        s = (w[:, i + 1:] / den) @ r[i, i + 1:]
+        half = np.sqrt(np.maximum(rem, 0.0))
+        lo = np.ceil((-half - s) / r[i, i] - c[i] - 1e-12).astype(np.int64)
+        hi = np.floor((half - s) / r[i, i] - c[i] + 1e-12).astype(np.int64)
         if i == 0:
-            innermost(remaining, lin, quad)
-            return
-        rii, s, lo, hi = window(i, remaining)
-        gi = g[i]
-        for xi in range(lo, hi + 1):
-            t[i] = xi + c[i]
-            used = (rii * t[i] + s) ** 2
-            if used <= remaining + 1e-12:
-                w = den * xi + offset[i]
-                wv[i] = w
-                descend(i - 1, remaining - used,
-                        [lin[k] + gi[k] * w for k in range(i)],
-                        quad + w * (gi[i] * w + 2 * lin[i]))
-        t[i] = 0.0
+            return innermost(w, rem, s, lo, hi)
+        counts = np.maximum(hi - lo + 1, 0)
+        piece = (np.cumsum(counts) - counts) // _FRONTIER_ROWS
+        cuts = np.flatnonzero(np.diff(piece)) + 1
+        for part in np.split(np.arange(len(w)), cuts):
+            rows, x = _expand(lo[part], hi[part])
+            rows = part[rows]
+            used = (r[i, i] * (x + c[i]) + s[rows]) ** 2
+            keep = used <= rem[rows] + 1e-12
+            child = w[rows[keep]]
+            child[:, i] = den * x[keep] + offset[i]
+            descend(i - 1, child, rem[rows[keep]] - used[keep])
 
-    descend(d - 1, slack, [0] * d, 0)
+    def innermost(w, rem, s, lo, hi):
+        lin = w @ g  # w0 = 0 here: b = 2 lin_0, c = lin . w - target
+        b, cc = 2 * lin[:, 0], (lin * w).sum(axis=1) - target
+        if a:
+            disc = b * b - 4 * a * cc
+            root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+            real = (disc >= 0) & (root * root == disc)
+            twice = real & (root > 0)  # a zero root is one root
+            rows = np.concatenate([real.nonzero()[0], twice.nonzero()[0]])
+            num = -b[rows] + np.concatenate([-root[real], root[twice]])
+            even = num % (2 * a) == 0
+            rows, w0 = rows[even], num[even] // (2 * a)
+        else:
+            linear = (b != 0) & (cc % np.where(b, b, 1) == 0)
+            scan = ((b == 0) & (cc == 0)).nonzero()[0]
+            srows, sx = _expand(lo[scan], hi[scan])
+            rows = np.concatenate([linear.nonzero()[0], scan[srows]])
+            w0 = np.concatenate([-cc[linear] // b[linear],
+                                 den * sx + offset[0]])
+        x0 = (w0 - offset[0]) // den
+        keep = (((w0 - offset[0]) % den == 0) & (lo[rows] <= x0)
+                & (x0 <= hi[rows]) & ((r[0, 0] * (x0 + c[0]) + s[rows]) ** 2
+                                      <= rem[rows] + 1e-12))
+        cand = w[rows[keep]]
+        cand[:, 0] = w0[keep]
+        found.append(cand[_row_norms(g, cand) == target])
+
+    descend(d - 1, np.zeros((1, d), dtype=np.int64), np.array([slack]))
+    w = np.concatenate(found)
     # w = den * (coset + x) with den > 0, so sorting w sorts v
     # lexicographically; w is distinct per vector, so coords never compare
-    found.sort(key=lambda item: item[0])
-    return [MajorantPoint(tuple(Fraction(wj, den) for wj in w), coords, value)
-            for w, coords, value in found]
+    kept = sorted(zip(w.tolist(), w / den), key=lambda item: item[0])
+    points = (MajorantPoint(tuple(wi), den, x, float(x @ m_gram @ x))
+              for wi, x in kept)
+    return [p for p in points if p.value <= bound]
 
 
 def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,

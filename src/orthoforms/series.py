@@ -130,30 +130,30 @@ def _frame_rows(frame: WittFrame, vectors) -> list[np.ndarray]:
     return [frame.frame_coords(v) for v in vectors]
 
 
-def _omega_terms(frame: WittFrame, vectors, lams, kappa: int,
+def _omega_terms(frame: WittFrame, vector, lams, kappa: int,
                  point: DomainPoint):
     """The scalar kernels (lambda, psi(Z))^-kappa of the vectors, given by
     their frame coordinates lams, in order."""
     return (omega_kernel(lam, kappa, point) for lam in lams)
 
 
-def _p_tilde_terms(frame: WittFrame, vectors, lams, kappa: int,
+def _p_tilde_terms(frame: WittFrame, vector, lams, kappa: int,
                    point: DomainPoint):
     """The xi-preimage kernels of the vectors, given by their frame
     coordinates lams, in order, evaluated as one row call (the vectors'
     rows against the one point); the first singular term names its
-    vector."""
-    if not vectors:
+    vector, vector(i)."""
+    if not lams:
         return
     values, failures = p_tilde_rows(Block(frame, point.z[None]),
                                     np.array(lams), kappa)
-    for i, v in enumerate(vectors):
+    for i in range(len(lams)):
         if i in failures:
             exc = failures[i]()
             if not isinstance(exc, KernelSingularity):
                 raise exc
             raise KernelSingularity(
-                f"series term singular at lattice vector {tuple(v)}",
+                f"series term singular at lattice vector {tuple(vector(i))}",
                 exc.lam, exc.quantity, exc.value) from exc
         yield values[i]
 
@@ -163,7 +163,7 @@ def sum_omega(frame: WittFrame, vectors, kappa: int,
     """Compensated sum of (lambda, psi(Z))^-kappa over a fixed vector list,
     in list order."""
     vectors = list(vectors)
-    return _accumulate(_omega_terms(frame, vectors,
+    return _accumulate(_omega_terms(frame, vectors.__getitem__,
                                     _frame_rows(frame, vectors), kappa,
                                     point), 0j)[0]
 
@@ -173,7 +173,7 @@ def sum_Omega(frame: WittFrame, vectors, kappa: int,
     """Componentwise compensated sum of the xi-preimage kernel over a fixed
     vector list, in list order."""
     vectors = list(vectors)
-    return _accumulate(_p_tilde_terms(frame, vectors,
+    return _accumulate(_p_tilde_terms(frame, vectors.__getitem__,
                                       _frame_rows(frame, vectors), kappa,
                                       point),
                        np.zeros(frame.n, dtype=complex))[0]
@@ -195,17 +195,17 @@ def _shell_tail(bound: float, values, sizes) -> float:
 
 def _evaluate(spec: SeriesSpec, point: DomainPoint, terms,
               zero) -> SeriesResult:
-    """Enumerate the class at the point once, sum terms(frame, vectors,
+    """Enumerate the class at the point once, sum terms(frame, vector,
     lams, kappa, point) from zero, and estimate the tail on the outer
     majorant shell from the enumeration's majorant values.  lams are the
     frame coordinates to_frame @ x of the kept vectors' float coordinates
-    x, one vector at a time, as frame.frame_coords computes them."""
+    x, one vector at a time, as frame.frame_coords computes them;
+    vector(i) builds the i-th vector, read only to name a singular term."""
     found = _class_points(spec, point)
-    vectors = [p.vec for p in found]
     frame = spec.frame
     lams = [frame.to_frame @ p.coords for p in found]
-    total, sizes = _accumulate(terms(frame, vectors, lams, spec.kappa, point),
-                               zero)
+    total, sizes = _accumulate(terms(frame, lambda i: found[i].vec, lams,
+                                     spec.kappa, point), zero)
     tail = _shell_tail(spec.bound, [p.value for p in found], sizes)
     return SeriesResult(total, tail, len(found))
 

@@ -567,6 +567,14 @@ def test_evaluator_bad_argument_exits_2_naming_it(capsys, argv, field):
         assert "is not finite" in err
 
 
+def test_eval_series_bound_beyond_exact_range_exits_2(capsys):
+    """A finite bound too large for the exact integer search is refused by
+    the enumeration's range guard, naming the bound, not wrapped."""
+    assert main(["eval-series", "--n", "2", "--m", "1", "--kappa", "4",
+                 "--bound", "1e30", "--z", "0.3+1.2j,0.1+0.2j"]) == 2
+    assert "majorant bound 1e+30 is too large" in capsys.readouterr().err
+
+
 def test_eval_series_reports_value_tail_count(capsys):
     code = main(["eval-series", "--n", "1", "--m", "1", "--kappa", "4",
                  "--bound", "10", "--z", "0.2+1.1j", "--json"])

@@ -200,6 +200,33 @@ def test_block_walks_twice_over_one_memo(setup_n, rng):
     assert runs == [4]
 
 
+def test_row_value_memo_keys_by_array_bytes_and_arguments(setup_n, rng):
+    """The memo key is the function, the leading array's shape and bytes
+    and the other arguments: a lambda mutated in place or reshaped is a
+    miss, and different kappa or rep values never share an entry."""
+    _, frame, _, _ = setup_n
+    point = next(iter(DomainPoint.rows(frame, _seeded_rows(frame, rng, 3))))
+    runs = []
+
+    def rows(b, lam, kappa, rep="auto"):
+        runs.append((lam.tolist(), kappa, rep))
+        value = float(lam.sum()) * kappa + len(rep)
+        return np.full(len(b.z), value), {}
+
+    lam = np.array([1.0, 2.0])
+    assert row_value(point, rows, lam, 3, "plus") == 13.0
+    lam[0] = 5.0
+    assert row_value(point, rows, lam, 3, "plus") == 25.0
+    assert row_value(point, rows, lam.reshape(2, 1), 3, "plus") == 25.0
+    assert row_value(point, rows, lam, 4, "plus") == 32.0
+    assert row_value(point, rows, lam, 3, "minus") == 26.0
+    assert row_value(point, rows, lam, 3) == 25.0
+    assert row_value(point, rows, lam.copy(), 3, "plus") == 25.0
+    assert runs == [([1.0, 2.0], 3, "plus"), ([5.0, 2.0], 3, "plus"),
+                    ([[5.0], [2.0]], 3, "plus"), ([5.0, 2.0], 4, "plus"),
+                    ([5.0, 2.0], 3, "minus"), ([5.0, 2.0], 3, "auto")]
+
+
 def test_metric_inverse_and_det(setup_n, rng):
     _, frame, _, n = setup_n
     p = sample_point(frame, rng)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -230,13 +231,15 @@ def test_enumeration_norm_check_only_on_solutions(monkeypatch):
     frame = WittFrame.build(lat, cfg["e"], cfg["e_prime"])
     m_gram = majorant_at(frame, DomainPoint(
         frame, np.array([0.31 + 1.27j, 0.17 + 0.29j])))
-    calls = []
-    gram_pair = quadratic._gram_pair
-    monkeypatch.setattr(quadratic, "_gram_pair",
-                        lambda g, u, v: calls.append(u) or gram_pair(g, u, v))
+    checked = []
+    row_norms = quadratic._row_norms
+    monkeypatch.setattr(quadratic, "_row_norms",
+                        lambda g, w: checked.extend(w.tolist())
+                        or row_norms(g, w))
     found = enumerate_majorant(lat, m_gram, 1, [0] * 4, 80.0)
     assert len(found) == 488
-    assert 488 <= len(calls) <= 2 * 488
+    assert 488 <= len(checked) <= 2 * 488
+    assert len(set(map(tuple, checked))) == len(checked)
 
 
 def _third_coset_cases():
@@ -305,3 +308,51 @@ def test_config_standard_roundtrip():
     lat, data, gens = lattice_from_config({"standard": 2})
     assert lat.signature() == (2, 2)
     assert len(gens) == 4
+
+
+def _property_cases():
+    """Seeded (id, lattice, m_gram, m, coset, bound) cases: n = 1 ... 3 on
+    the standard lattices and the G00 = 2 lattice <2> + U, cosets of
+    denominator 1, 2 and 3, and m = q(coset) + k for k in {-2, ..., 2}
+    (m = 0 on U + U takes the b = c = 0 scan).  Rank 3 keeps a smaller
+    bound and fewer norms: the box oracle scans a 5-dimensional box."""
+    rng = np.random.default_rng(17)
+    every = (-2, -1, 0, 1, 2)
+    for name, (lat, m_gram) in (("n1", _point_majorant(1, rng)),
+                                ("n2", _point_majorant(2, rng)),
+                                ("n3", _point_majorant(3, rng)),
+                                ("G00=2", _anisotropic_majorant(rng))):
+        d = lat.dim
+        cosets = {"0": [0] * d,
+                  "1/2": [Fraction(1, 2)] + [0] * (d - 1),
+                  "1/3": [Fraction(1, 3), Fraction(1, 3)] + [0] * (d - 2)}
+        for label, coset in cosets.items():
+            small = name == "n3"
+            for k in ((-1, 0, 1) if small and label == "0" else
+                      (-1,) if small else every):
+                yield (f"{name}-coset{label}-m{k:+d}", lat, m_gram,
+                       lat.q(coset) + k, coset, 3.0 if small else 10.0)
+
+
+@pytest.mark.parametrize("case", list(_property_cases()),
+                         ids=lambda case: case[0])
+def test_majorant_points_match_box_oracle_property(case):
+    """Every seeded case equals the box oracle, and every kept vector has
+    the float coordinates of vec_float and the value of majorant_value,
+    bit for bit."""
+    _, lat, m_gram, m, coset, bound = case
+    points = majorant_points(lat, m_gram, m, coset, bound)
+    assert [p.vec for p in points] == enumerate_box_oracle(
+        lat, m_gram, m, coset, bound)
+    for p in points:
+        assert p.coords.tobytes() == vec_float(p.vec).tobytes()
+        assert p.value == majorant_value(m_gram, p.vec)
+
+
+@pytest.mark.parametrize("bound", [1e13, 1e30, 1e300])
+def test_enumeration_range_guard_names_the_bound(bound, rng):
+    """A bound whose windows or discriminants leave the exact int64/float
+    range raises instead of wrapping."""
+    lat, m_gram = _point_majorant(2, rng)
+    with pytest.raises(LatticeError, match=re.escape(f"bound {bound} ")):
+        majorant_points(lat, m_gram, 1, [0] * 4, bound)
