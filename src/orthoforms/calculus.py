@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .domain import DomainPoint, metric_lower, metric_upper
+from .domain import Block, DomainPoint, metric_lower, metric_upper
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +75,13 @@ def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
     dbar_j = (d/dx_j + i d/dy_j)/2; shape (n,) for a scalar function.
 
     The 8n shifted points of both Richardson steps are built as one
-    DomainPoint.rows block, so a row-memoized callback evaluates them at
-    once."""
+    domain.Block, so a row-memoized callback evaluates them at once."""
     n = point.frame.n
     h = 1e-4 * max(1.0, float(np.max(np.abs(point.z))))
     units = np.eye(n, dtype=complex)
     shifted = _shifted(point.z, np.concatenate([units, 1j * units]), h)
     d = _richardson_differences(
-        map(vec_func, DomainPoint.rows(point.frame, np.array(shifted))), h)
+        map(vec_func, Block(point.frame, np.array(shifted))), h)
     return (d[..., :n] + 1j * d[..., n:]) / 2.0
 
 

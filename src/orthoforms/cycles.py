@@ -31,8 +31,8 @@ rule whose angles, phases, Z rows, denominators and slot weights are
 arrays, and the coarse rule of its error estimate is the even-indexed fine
 nodes.
 
-Every quadrature holds the points of its node rows as a domain.Block (a
-transported chart moves them node by node, in _transport_rows alone).
+Every quadrature holds the points of its node rows as a domain.Block,
+which a transported chart moves by one act and one action_jacobian.
 The face, shell and cycle-C integrals are summed one block of at most
 _BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
 function through the block memo when it is a WindowBump or its bound value
@@ -226,13 +226,12 @@ class CycleChart:
         """max |q(lambda_{Z-+})| of the cycle vector over a coarse sample of
         transported window nodes (the sign opposite to the vector's norm):
         three interior points per axis."""
-        fc = self.frame.frame_coords(self.vector)
         samples = [np.linspace(a, b, 5)[1:-1] for a, b in self.window]
         z = self.model_z(np.array(list(itertools.product(*samples))))
-        points, _ = _transport_rows(self, z, np.empty((*z.shape, 0)))
-        splits = [q_plus_minus(self.frame, fc, point) for point in points]
-        return max(abs(q_minus if self.norm > 0 else q_plus)
-                   for q_plus, q_minus in splits)
+        points, _ = act(self.frame, self.transport, Block(self.frame, z))
+        q_plus, q_minus = q_plus_minus(
+            self.frame, self.frame.frame_coords(self.vector), points)
+        return float(np.max(np.abs(q_minus if self.norm > 0 else q_plus)))
 
     # -- geometry -----------------------------------------------------------
 
@@ -340,17 +339,13 @@ def _transport_rows(chart: CycleChart, z: np.ndarray, cols: np.ndarray
                     ) -> tuple[Block, np.ndarray]:
     """Model-chart rows z (N, n) and tangent columns cols (N, n, k) carried
     by the chart transport: the image points as one block, and the columns
-    multiplied by the action Jacobian at each node (k may be 0).  The
-    identity returns the model points and the columns as given."""
-    points = DomainPoint.rows(chart.frame, z)
+    multiplied by the action Jacobian at each node, by one act and one
+    action_jacobian.  The identity returns the points and columns as given."""
+    points = Block(chart.frame, z)
     if chart.is_identity_transport:
         return points, cols
-    moved = np.empty_like(z)
-    pushed = np.empty(cols.shape, complex)
-    for i, point in enumerate(points):
-        moved[i] = act(chart.frame, chart.transport, point)[0].z
-        pushed[i] = action_jacobian(chart.transport, point) @ cols[i]
-    return DomainPoint.rows(chart.frame, moved), pushed
+    return (act(chart.frame, chart.transport, points)[0],
+            action_jacobian(chart.transport, points) @ cols)
 
 
 class _Box(NamedTuple):
@@ -493,7 +488,7 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
         for points, weights, dz in _box_blocks(
                 chart, cycle, lambda cols: np.linalg.det(cols) * -1j):
             hv = _at_nodes(h, points)
-            pairs = frame.pair(fc, points.z, frame.q_w(points.z))
+            pairs = points.pair(fc)
             total = _add_in_order(total, [
                 w * v * pair ** (kappa - n) * m for w, v, pair, m in zip(
                     weights.tolist(), hv.tolist(), pairs.tolist(),
@@ -698,8 +693,7 @@ def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
     z = np.empty((len(theta), n), dtype=complex)
     z[:] = chart.model_z(params)
     z[:, -1] = z_n
-    comps = np.array([H(point) for point in DomainPoint.rows(frame, z)],
-                     dtype=complex)
+    comps = np.array([H(point) for point in Block(frame, z)], dtype=complex)
     weights = np.full((len(theta), n), 2j * radius, dtype=complex)
     if sector == "holomorphic":
         weights[:, -1] = 1j * radius * turn

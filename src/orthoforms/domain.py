@@ -101,8 +101,8 @@ class WittFrame:
         return self.lattice.gram_float()
 
     @cached_property
-    def e_float(self) -> np.ndarray:
-        return vec_float(self.e)
+    def e_covector(self) -> np.ndarray:
+        return (vec_float(self.e) @ self.gram_float)[None]
 
     def _check(self) -> None:
         g = self.gram_float
@@ -121,9 +121,6 @@ class WittFrame:
         """Frame coordinates (v_e, v_e', v_1..v_n) of a lattice-coordinate
         vector (real)."""
         return self.to_frame @ vec_float(as_vec(v))
-
-    def lattice_coords(self, fc: np.ndarray) -> np.ndarray:
-        return self.from_frame @ fc
 
     # -- core scalars -------------------------------------------------------
 
@@ -159,15 +156,6 @@ class DomainPoint:
         self.__dict__.update(z=block.z[0], q_y=float(block.q_y[0]),
                              _row=(block, 0))
 
-    @staticmethod
-    def rows(frame: WittFrame, z: np.ndarray) -> "Block":
-        """The points of the rows of an (N, n) array, as one Block."""
-        return Block(frame, z)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.z.real
-
     @property
     def y(self) -> np.ndarray:
         return self.z.imag
@@ -178,9 +166,8 @@ class DomainPoint:
 
     @cached_property
     def psi(self) -> np.ndarray:
-        """psi(Z) in lattice coordinates (complex)."""
-        fc = np.concatenate(([-self.q_z, 1.0], self.z))
-        return self.frame.from_frame.astype(complex) @ fc
+        """psi(Z) in lattice coordinates: the one row of psi_rows."""
+        return psi_rows(self.frame, self.z[None])[0, :, 0]
 
     @cached_property
     def psi_x(self) -> np.ndarray:
@@ -199,9 +186,6 @@ class DomainPoint:
         pairing commutes with conjugation, so this is exactly the conjugate
         of (lambda, psi(Z))."""
         return self.pair(lam).conjugate()
-
-    def replace(self, z: np.ndarray) -> "DomainPoint":
-        return DomainPoint(self.frame, z)
 
 
 class Block:
@@ -239,6 +223,11 @@ class Block:
     @property
     def y(self) -> np.ndarray:
         return self.z.imag
+
+    def pair(self, lam: np.ndarray) -> np.ndarray:
+        """(lambda, psi(Z)) of WittFrame.pair for one lambda or lambda rows
+        (M, n+2) against the Z rows."""
+        return self.frame.pair(lam, self.z, self.frame.q_w(self.z))
 
     def __iter__(self) -> Iterator[DomainPoint]:
         frame = self.frame
@@ -303,20 +292,43 @@ def isometry_matrix(sigma) -> np.ndarray:
     return np.asarray(sigma, dtype=float)
 
 
-def act(frame: WittFrame, sigma, point: DomainPoint) -> tuple[DomainPoint, complex]:
-    """Apply an isometry to a point; returns (sigma Z, j(sigma, Z)) where
-    j(sigma, Z) = (e, sigma psi(Z)) is the factor of automorphy."""
-    w = isometry_matrix(sigma).astype(complex) @ point.psi
-    j = complex(frame.e_float @ frame.gram_float @ w)
-    if abs(j) < 1e-12:
-        raise BoundaryError("isometry maps the point to the boundary")
-    fc = frame.to_frame.astype(complex) @ (w / j)
-    z_new = fc[2:]
+def psi_frame(frame: WittFrame, z: np.ndarray) -> np.ndarray:
+    """psi(Z) = Z - q(Z) e + e~' of each row of z (N, n) in frame
+    coordinates (-q(Z), 1, Z), as (N, n+2, 1) columns."""
+    fc = np.empty((len(z), frame.n + 2), dtype=complex)
+    fc[:, 0] = -frame.q_w(z)
+    fc[:, 1] = 1.0
+    fc[:, 2:] = z
+    return fc[:, :, None]
+
+
+def psi_rows(frame: WittFrame, z: np.ndarray) -> np.ndarray:
+    """psi(Z) of each row of z in lattice coordinates, (N, n+2, 1)."""
+    return frame.from_frame.astype(complex) @ psi_frame(frame, z)
+
+
+def act(frame: WittFrame, sigma, points):
+    """Apply an isometry to a point, or to the rows of a Block; returns
+    (sigma Z, j(sigma, Z)) where j(sigma, Z) = (e, sigma psi(Z)) is the
+    factor of automorphy, as a DomainPoint and a complex, or a Block and an
+    (N,) array.  Every step is one stacked matmul, each row rounded as at
+    one point.  The first row sent to the boundary (|j| < 1e-12) or out of
+    the fixed component raises BoundaryError or ComponentError."""
+    block = isinstance(points, Block)
+    z = points.z if block else points.z[None]
+    w = isometry_matrix(sigma).astype(complex) @ psi_rows(frame, z)
+    j = frame.e_covector @ w
+    stop = min((np.abs(j) < 1e-12).nonzero()[0], default=len(j))
+    fc = frame.to_frame.astype(complex) @ (w[:stop] / j[:stop])
     try:
-        return DomainPoint(frame, z_new), j
+        moved = Block(frame, np.ascontiguousarray(fc[:, 2:, 0]))
     except ComponentError as exc:
         raise ComponentError(
             f"isometry leaves the fixed component: {exc}") from exc
+    if stop < len(j):
+        raise BoundaryError("isometry maps the point to the boundary")
+    j = j[:, 0, 0]
+    return (moved, j) if block else (next(iter(moved)), complex(j[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +364,8 @@ def norm_split(q_lam, pair, q_y):
     return q_plus, q_lam - q_plus
 
 
-def q_plus_minus(frame: WittFrame, lam_frame: np.ndarray,
-                 point: DomainPoint) -> tuple[float, float]:
-    """(q_plus, q_minus) from the product formula, for frame coordinates."""
+def q_plus_minus(frame: WittFrame, lam_frame: np.ndarray, point):
+    """(q_plus, q_minus) by the product formula, at a point or Block rows."""
     return norm_split(frame.q_lambda(lam_frame), point.pair(lam_frame),
                       point.q_y)
 

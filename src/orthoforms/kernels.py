@@ -25,7 +25,8 @@ from functools import partial
 import numpy as np
 
 from .calculus import ratio_dbar, star01
-from .domain import DomainPoint, act, isometry_matrix, norm_split, row_value
+from .domain import (Block, DomainPoint, act, isometry_matrix, norm_split,
+                     psi_frame, row_value)
 from .special import hyp2f1_rows
 
 GUARD = 1e-12
@@ -56,12 +57,6 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
     return pair ** (-kappa)
 
 
-def _pair(block, lam: np.ndarray) -> np.ndarray:
-    """(lambda, psi(Z)) for lambda rows (M, n+2) against the block's Z
-    rows."""
-    return block.frame.pair(lam, block.z, block.frame.q_w(block.z))
-
-
 def _p_hat(block, lam: np.ndarray, pair_bar: np.ndarray) -> np.ndarray:
     """p(lambda) in the hat basis, one row per (lambda, Z) row, given
     pair_bar = (lambda, psi(Zbar)): q(Y) star01(ratio_dbar)."""
@@ -78,7 +73,7 @@ def p_components(lam_fc: np.ndarray, point: DomainPoint) -> np.ndarray:
 
 def _p_rows(block, lam):
     lam = lam.reshape(1, -1)
-    return _p_hat(block, lam, np.conj(_pair(block, lam))), {}
+    return _p_hat(block, lam, np.conj(block.pair(lam))), {}
 
 
 def xi_image_reference(lam_fc: np.ndarray, kappa: int,
@@ -98,7 +93,7 @@ def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
 
 
 def _dbar_reference_rows(block, lam, kappa):
-    pair_bar = np.conj(_pair(block, lam.reshape(1, -1)))
+    pair_bar = np.conj(block.pair(lam.reshape(1, -1)))
     out = np.empty(len(pair_bar), dtype=complex)
     failures = {}
     for i, (pb, q) in enumerate(zip(pair_bar.tolist(),
@@ -154,7 +149,7 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
         plus = np.full(len(q_lam), rep == "plus")
     else:
         raise ValueError(f"unknown representation {rep!r}")
-    pair = _pair(block, lam)
+    pair = block.pair(lam)
     rows = len(pair)
     q_plus, q_minus = norm_split(q_lam, pair, block.q_y)
     plus, q_lam, q_y = (a if len(a) == rows else a.repeat(rows)
@@ -228,26 +223,27 @@ def _singular(lam, plus, q_lam, q_y, pair, q_plus, q_minus):
 # form-level slash action
 
 
-def action_jacobian(sigma, point: DomainPoint) -> np.ndarray:
+def action_jacobian(sigma, points) -> np.ndarray:
     """Holomorphic Jacobian J[i, k] = d(sigma Z)_i / d z_k of the action, in
-    closed form.
+    closed form: (n, n) at a point, (N, n, n) at the rows of a Block.
 
     In frame coordinates psi(Z) = (-q(Z), 1, Z) and
-    d psi / d z_k = (-2 eps_k z_k, 0, e_k); one matrix product gives
+    d psi / d z_k = (-2 eps_k z_k, 0, e_k); one stacked matmul gives
     w = sigma psi(Z) and its partials.  j = (e, w) is the e~'-coordinate of
     w and sigma Z = w_W / j, so by the quotient rule
     J = (d w_W - (sigma Z) d j) / j."""
-    frame = point.frame
+    frame = points.frame
+    block = isinstance(points, Block)
+    z = points.z if block else points.z[None]
     n = frame.n
-    lift = np.zeros((n + 2, n + 1), dtype=complex)
-    lift[0, 0] = -point.q_z
-    lift[1, 0] = 1.0
-    lift[2:, 0] = point.z
-    lift[0, 1:] = -2.0 * frame.eps * point.z
-    lift[2:, 1:] = np.eye(n)
+    lift = np.zeros((len(z), n + 2, n + 1), dtype=complex)
+    lift[:, :, :1] = psi_frame(frame, z)
+    lift[:, 0, 1:] = -2.0 * frame.eps * z
+    lift[:, 2:, 1:] = np.eye(n)
     w = (frame.to_frame @ isometry_matrix(sigma) @ frame.from_frame) @ lift
-    j = w[1, 0]
-    return (w[2:, 1:] - np.outer(w[2:, 0] / j, w[1, 1:])) / j
+    j = w[:, 1:2, :1]
+    jac = (w[:, 2:, 1:] - w[:, 2:, :1] / j * w[:, 1:2, 1:]) / j
+    return jac if block else jac[0]
 
 
 def form_slash(sigma, vec_func, weight: int, point: DomainPoint) -> np.ndarray:

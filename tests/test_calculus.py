@@ -8,8 +8,8 @@ from orthoforms.calculus import (central_differences, dbar_jacobian,
                                  pair_bar_dbar, q_y_dbar, ratio_field,
                                  star01, star_nn1, star_pair, star_top,
                                  xi_scalar, xi_top)
-from orthoforms.domain import (metric_upper, q_plus_minus, sample_point,
-                               sample_vector)
+from orthoforms.domain import (DomainPoint, metric_upper, q_plus_minus,
+                               sample_point, sample_vector)
 from orthoforms.quadratic import vec_float
 
 
@@ -98,7 +98,7 @@ def test_central_differences_exact_on_cubics():
 
 def test_dbar_jacobian_evaluates_one_block_in_difference_order(setup_n,
                                                                rng):
-    """The 8n shifted points come from one DomainPoint.rows block, in the
+    """The 8n shifted points come from one domain.Block, in the
     order of central_differences, and give its result bit for bit."""
     _, frame, n, p, _, fc = _setup(setup_n, rng)
     seen = []
@@ -113,8 +113,9 @@ def test_dbar_jacobian_evaluates_one_block_in_difference_order(setup_n,
     units = np.eye(n, dtype=complex)
     order = []
     ref = central_differences(
-        lambda z: order.append(z) or p.replace(z).pair_bar(fc)
-        * p.replace(z).q_y, p.z, np.concatenate([units, 1j * units]), h)
+        lambda z: order.append(z) or DomainPoint(frame, z).pair_bar(fc)
+        * DomainPoint(frame, z).q_y, p.z,
+        np.concatenate([units, 1j * units]), h)
     assert all(np.array_equal(z, want) for (_, z), want in zip(seen, order))
     assert np.array_equal(jac, (ref[..., :n] + 1j * ref[..., n:]) / 2.0)
 

@@ -7,16 +7,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orthoforms import kernels
+from orthoforms import cycles, kernels
 from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
     CycleChart, CycleError, QuadratureError, WindowBump, _box_blocks,
-    _face_form_integral, _hat_minors, _shell_strips, _shell_volume_integral,
-    _top_det, _tube_faces, cycle_integral_C, cycle_integral_T, hat_sign,
-    restrict_samples, shell_stokes, transport_to, tube_boundary_integral,
+    _face_form_integral, _hat_minors, _phi, _phi_jacobian, _shell_strips,
+    _shell_volume_integral, _top_det, _transport_rows, _tube_faces,
+    cycle_integral_C, cycle_integral_T, hat_sign, restrict_samples,
+    shell_stokes, transport_to, tube_boundary_integral,
 )
-from orthoforms.domain import DomainPoint, WittFrame, act, q_plus_minus
-from orthoforms.quadratic import lattice_from_config, standard_lattice
+from orthoforms.domain import (Block, BoundaryError, ComponentError,
+                               DomainPoint, WittFrame, act, isometry_matrix,
+                               q_plus_minus, sample_point)
+from orthoforms.kernels import action_jacobian
+from orthoforms.quadratic import (lattice_from_config, standard_lattice,
+                                  vec_float)
 from orthoforms.special import gauss_legendre_grid, limit_constant
 
 MU = {1: (0, 0, 1), 2: (0, 0, 1, 1), 3: (0, 0, 1, 1, 0)}
@@ -213,17 +218,17 @@ def test_window_bump_support_and_gradient(geo):
     for j in range(2):
         dx = np.zeros(2, complex)
         dx[j] = step
-        d_re = (h(probe.replace(probe.z + dx)) -
-                h(probe.replace(probe.z - dx))) / (2 * step)
-        d_im = (h(probe.replace(probe.z + 1j * dx)) -
-                h(probe.replace(probe.z - 1j * dx))) / (2 * step)
+        d_re = (h(DomainPoint(frame, probe.z + dx)) -
+                h(DomainPoint(frame, probe.z - dx))) / (2 * step)
+        d_im = (h(DomainPoint(frame, probe.z + 1j * dx)) -
+                h(DomainPoint(frame, probe.z - 1j * dx))) / (2 * step)
         fd = 0.5 * (d_re + 1j * d_im)
         assert abs(fd - analytic[j]) <= 5e-9 * max(1.0, abs(analytic[j]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_window_bump_rows_match_standalone_bit_for_bit(geo, n):
-    """value and dbar of DomainPoint.rows points equal those of standalone
+    """value and dbar of Block points equal those of standalone
     points bit for bit, inside the window and at the zeros outside it."""
     _, frame, _ = geo[n]
     h = WindowBump(_chart_C(frame, n, nodes=4))
@@ -232,7 +237,7 @@ def test_window_bump_rows_match_standalone_bit_for_bit(geo, n):
          + 1j * rng.uniform(0.7, 2.1, (40, 1)) * np.r_[1.0, [0.2] * (n - 1)])
     z[:5, 0] = 0.3 + 1.9j                   # on the window's edge
     outside = 0
-    for point in DomainPoint.rows(frame, z):
+    for point in Block(frame, z):
         single = DomainPoint(frame, point.z.copy())
         value, grad = h.value(point), h.dbar(point)
         assert np.asarray(value).tobytes() == np.asarray(
@@ -247,7 +252,7 @@ def test_window_bumps_keep_their_own_memo_entries(geo):
     narrow = WindowBump(_chart_C(frame, 2, nodes=4))
     wide = WindowBump(CycleChart.create(frame, MU[2], [(0.5, 2.5), (-1, 1)],
                                         [4, 4]))
-    points = list(DomainPoint.rows(frame, np.array(
+    points = list(Block(frame, np.array(
         [[0.1 + 1.4j, 0.2 + 0.1j], [0.2 + 2.2j, 0.9 + 0.1j]])))
     memo = points[0]._row[0].memo
     for point in points:
@@ -554,6 +559,146 @@ def test_collar_drivers_match_per_node_reference(geo, n, which):
     val = _shell_volume_integral(chart, bump, H, dbar_coeff, 0.05, 0.1)
     assert ref != 0
     assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the row-wise group action against pointwise reference bodies
+
+
+def _act_node(frame, sigma, point):
+    """The pointwise act: (sigma Z, j) at one point, through lattice
+    coordinates (test-only reference)."""
+    psi = frame.from_frame.astype(complex) @ np.concatenate(
+        ([-point.q_z, 1.0], point.z))
+    w = isometry_matrix(sigma).astype(complex) @ psi
+    j = complex(vec_float(frame.e) @ frame.gram_float @ w)
+    if abs(j) < 1e-12:
+        raise BoundaryError("isometry maps the point to the boundary")
+    fc = frame.to_frame.astype(complex) @ (w / j)
+    try:
+        return DomainPoint(frame, fc[2:]), j
+    except ComponentError as exc:
+        raise ComponentError(
+            f"isometry leaves the fixed component: {exc}") from exc
+
+
+def _action_jacobian_node(sigma, point):
+    """The pointwise action Jacobian at one point, through the frame matrix
+    of sigma (test-only reference)."""
+    frame = point.frame
+    n = frame.n
+    lift = np.zeros((n + 2, n + 1), dtype=complex)
+    lift[0, 0] = -point.q_z
+    lift[1, 0] = 1.0
+    lift[2:, 0] = point.z
+    lift[0, 1:] = -2.0 * frame.eps * point.z
+    lift[2:, 1:] = np.eye(n)
+    w = (frame.to_frame @ isometry_matrix(sigma) @ frame.from_frame) @ lift
+    j = w[1, 0]
+    return (w[2:, 1:] - np.outer(w[2:, 0] / j, w[1, 1:])) / j
+
+
+def test_block_action_equals_the_pointwise_bodies(setup_n, rng):
+    """act and action_jacobian over a Block give, row by row and bit for
+    bit, the sigma Z, q(Y), j and J of the pointwise bodies, for every
+    group generator and two chart transports; at a point they give the
+    same values as a DomainPoint and a complex."""
+    _, frame, group, n = setup_n
+    transports = [transport_to(frame, (1, 1) + (0,) * n),
+                  transport_to(frame, (1, 2) + (0,) * n)]
+    assert all(np.max(np.abs(t - np.eye(n + 2))) > 0 for t in transports)
+    block = Block(frame, np.array([sample_point(frame, rng).z
+                                   for _ in range(48)]))
+    for sigma in list(group) + transports:
+        moved, j = act(frame, sigma, block)
+        jac = action_jacobian(sigma, block)
+        assert isinstance(moved, Block) and jac.shape == (48, n, n)
+        for i, point in enumerate(block):
+            ref, ref_j = _act_node(frame, sigma, point)
+            assert np.array_equal(moved.z[i], ref.z)
+            assert moved.q_y[i] == ref.q_y and j[i] == ref_j
+            ref_jac = _action_jacobian_node(sigma, point)
+            assert np.array_equal(jac[i], ref_jac)
+            one, one_j = act(frame, sigma, point)
+            assert type(one) is DomainPoint and type(one_j) is complex
+            assert np.array_equal(one.z, ref.z) and one.q_y == ref.q_y
+            assert one_j == ref_j
+            assert np.array_equal(action_jacobian(sigma, point), ref_jac)
+
+
+@pytest.mark.parametrize("n,vec", [(1, (1, 1, 0)), (2, (1, 1, 0, 0)),
+                                   (2, (1, 1, 1, 1)), (3, (1, 1, 0, 0, 0))])
+def test_transport_rows_equal_the_node_loop(geo, monkeypatch, n, vec):
+    """_transport_rows carries a transported chart's rows by one act and
+    one action_jacobian over the block, and its points and pushed columns
+    equal the node-by-node loop of the pointwise bodies bit for bit."""
+    _, frame, _ = geo[n]
+    window = [(0.9, 1.9)] + [(-0.5, 0.5)] * (n - 1)
+    chart = CycleChart.create(frame, vec, window, [4] * n)
+    assert not chart.is_identity_transport
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-0.1, 0.1, (300, 2 * n))
+    u[:, 2::2] = rng.uniform(-0.5, 0.5, (300, n - 1))
+    u[:, 1] = rng.uniform(0.9, 1.9, 300)
+    z, cols = _phi(u), _phi_jacobian(u)
+    calls = []
+    for name in ("act", "action_jacobian"):
+        monkeypatch.setattr(cycles, name,
+                            lambda *args, f=getattr(cycles, name), name=name:
+                            calls.append(name) or f(*args))
+    points, pushed = _transport_rows(chart, z, cols)
+    assert calls == ["act", "action_jacobian"]
+    assert pushed.shape == cols.shape
+    for i, model in enumerate(Block(frame, z)):
+        ref, _ = _act_node(frame, chart.transport, model)
+        assert np.array_equal(points.z[i], ref.z)
+        assert points.q_y[i] == ref.q_y
+        assert np.array_equal(
+            pushed[i],
+            _action_jacobian_node(chart.transport, model) @ cols[i])
+
+
+def _bent_action(frame):
+    """A float matrix sigma with j(sigma, Z) = 1 + q(Z) and sigma Z = Z / j:
+    the point (i y, 0, ..., 0) stays in the component for y < 1, reaches
+    the boundary at y = 1 and leaves the component for y > 1."""
+    bent = np.eye(frame.n + 2)
+    bent[1, 0] = -1.0
+    return frame.from_frame @ bent @ frame.to_frame
+
+
+@pytest.mark.parametrize("bad", ["B", "C", "BC", "CB"],
+                         ids=["boundary", "component", "boundary-first",
+                              "component-first"])
+def test_block_action_raises_for_the_first_bad_row(setup_n, bad):
+    """A block whose first bad row is a later one raises what the node loop
+    raises there: BoundaryError for a row sent to the boundary, and
+    ComponentError naming the isometry for a row carried out of the
+    component, whichever comes first."""
+    _, frame, _, n = setup_n
+    sigma = _bent_action(frame)
+    good = [np.r_[1j * y, [0.05] * (n - 1)] for y in (0.3, 0.5, 0.6, 0.7)]
+    rows = {"B": np.r_[1j, [0.0] * (n - 1)], "C": np.r_[1.5j, [0.0] * (n - 1)]}
+    block = Block(frame, np.array(good[:2] + [rows[k] for k in bad]
+                                  + good[2:]))
+    expected = []
+    for point in block:
+        try:
+            _act_node(frame, sigma, point)
+        except (BoundaryError, ComponentError) as exc:
+            expected.append(exc)
+    assert len(expected) == len(bad)
+    assert type(expected[0]) is (BoundaryError if bad[0] == "B"
+                                 else ComponentError)
+    with pytest.raises((BoundaryError, ComponentError)) as raised:
+        act(frame, sigma, block)
+    assert type(raised.value) is type(expected[0])
+    assert str(raised.value) == str(expected[0])
+    if bad[0] == "C":
+        assert str(raised.value).startswith(
+            "isometry leaves the fixed component: ")
+    moved, _ = act(frame, sigma, Block(frame, np.array(good)))
+    assert len(moved.z) == len(good)
 
 
 # ---------------------------------------------------------------------------

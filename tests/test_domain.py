@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthoforms.domain import (BoundaryError, ComponentError, DomainPoint,
-                               act, majorant_at, metric_det, metric_lower,
-                               metric_upper, project, q_plus_minus, row_value,
-                               sample_point, sample_vector)
+from orthoforms.domain import (Block, BoundaryError, ComponentError,
+                               DomainPoint, act, majorant_at, metric_det,
+                               metric_lower, metric_upper, project,
+                               q_plus_minus, row_value, sample_point,
+                               sample_vector)
 from orthoforms.quadratic import as_vec, majorant_value, vec_float
 
 TOL = 1e-10
@@ -106,7 +107,7 @@ def test_rows_match_single_constructor(setup_n, rng):
     bit, as points built one at a time."""
     _, frame, _, n = setup_n
     block = _seeded_rows(frame, rng, 64)
-    points = list(DomainPoint.rows(frame, block))
+    points = list(Block(frame, block))
     assert len(points) == len(block)
     for point, z in zip(points, block):
         single = DomainPoint(frame, z)
@@ -142,7 +143,7 @@ def test_rows_reject_a_bad_row_like_the_single_constructor(setup_n, rng,
     block = _seeded_rows(frame, rng, 9)
     block[4] = bad
     with pytest.raises(ComponentError) as batch:
-        DomainPoint.rows(frame, block)
+        Block(frame, block)
     assert str(batch.value) == str(single.value)
     expected = {"q_y": "q(Y)", "y1": "y_1", "nan": f"z_{n} = ",
                 "inf": "z_1 = "}[kind]
@@ -156,7 +157,7 @@ def test_rows_are_read_only(setup_n, rng):
     out of step with the cached q(Y) and the block's memo."""
     _, frame, _, n = setup_n
     block = _seeded_rows(frame, rng, 3)
-    point = list(DomainPoint.rows(frame, block))[1]
+    point = list(Block(frame, block))[1]
     with pytest.raises(ValueError, match="read-only"):
         point.z[0] = 2.0j
     with pytest.raises(ValueError, match="read-only"):
@@ -173,9 +174,9 @@ def test_rows_reject_wrong_width(setup_n, rng):
     _, frame, _, n = setup_n
     block = _seeded_rows(frame, rng, 3)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        DomainPoint.rows(frame, np.hstack([block, block[:, :1]]))
+        Block(frame, np.hstack([block, block[:, :1]]))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        DomainPoint.rows(frame, block[0])
+        Block(frame, block[0])
     with pytest.raises(ValueError, match="dimension mismatch"):
         DomainPoint(frame, block)
 
@@ -184,7 +185,7 @@ def test_block_walks_twice_over_one_memo(setup_n, rng):
     """Each walk of a Block yields new points on the same rows, and their
     row functions share the block's one memo."""
     _, frame, _, n = setup_n
-    block = DomainPoint.rows(frame, _seeded_rows(frame, rng, 4))
+    block = Block(frame, _seeded_rows(frame, rng, 4))
     first, second = list(block), list(block)
     assert len(first) == len(second) == 4
     runs = []
@@ -205,7 +206,7 @@ def test_row_value_memo_keys_by_array_bytes_and_arguments(setup_n, rng):
     and the other arguments: a lambda mutated in place or reshaped is a
     miss, and different kappa or rep values never share an entry."""
     _, frame, _, _ = setup_n
-    point = next(iter(DomainPoint.rows(frame, _seeded_rows(frame, rng, 3))))
+    point = next(iter(Block(frame, _seeded_rows(frame, rng, 3))))
     runs = []
 
     def rows(b, lam, kappa, rep="auto"):
@@ -249,8 +250,8 @@ def test_translation_action(setup_n, rng):
         # the shift is the W-part of the transvection direction
         shift = moved.z - p.z
         assert np.allclose(shift.imag, 0.0, atol=TOL)
-        lattice_shift = frame.lattice_coords(
-            np.concatenate(([0, 0], shift.real)))
+        lattice_shift = frame.from_frame @ np.concatenate(([0, 0],
+                                                           shift.real))
         assert np.allclose(lattice_shift, np.round(lattice_shift), atol=1e-8)
 
 

@@ -241,8 +241,8 @@ def test_p_tilde_evaluates_the_pairing_once(setup_n, rng, monkeypatch, rep):
         monkeypatch.setattr(DomainPoint, name,
                             lambda self, lam, method=method:
                             calls.append(lam) or method(self, lam))
-    rows = kernels._pair
-    monkeypatch.setattr(kernels, "_pair",
+    rows = Block.pair
+    monkeypatch.setattr(Block, "pair",
                         lambda block, lam: calls.append(lam)
                         or rows(block, lam))
     p_tilde_components(fc, kappa, p, rep=rep)
@@ -353,7 +353,7 @@ def test_action_jacobian_closed_form_matches_differences(setup_n, rng):
             except (BoundaryError, ComponentError):
                 continue
             ref = central_differences(
-                lambda z: act(frame, sigma, p.replace(z))[0].z, p.z,
+                lambda z: act(frame, sigma, DomainPoint(frame, z))[0].z, p.z,
                 np.eye(n, dtype=complex), 1e-5)
             jac = action_jacobian(sigma, p)
             assert jac.shape == (n, n)
@@ -429,7 +429,7 @@ def test_p_tilde_continuation_near_negative_cycle():
 
 
 # ---------------------------------------------------------------------------
-# row blocks: DomainPoint.rows points evaluate the kernels once per block
+# row blocks: Block points evaluate the kernels once per block
 
 
 def _outcome(func):
@@ -443,7 +443,7 @@ def _outcome(func):
 
 @pytest.mark.parametrize("rep", ["plus", "minus"])
 def test_rows_match_standalone_bit_for_bit(setup_n, rng, rep):
-    """Every kernel row of a DomainPoint.rows block equals the kernel at a
+    """Every kernel row of a Block equals the kernel at a
     standalone point with the same Z, bit for bit, in both
     representations."""
     _, frame, _, n = setup_n
@@ -451,7 +451,7 @@ def test_rows_match_standalone_bit_for_bit(setup_n, rng, rep):
     fc = frame.frame_coords(_vector_with_sign(frame, rng, sign))
     kappa = n + 1
     block = np.array([sample_point(frame, rng).z for _ in range(12)])
-    for point in DomainPoint.rows(frame, block):
+    for point in Block(frame, block):
         single = DomainPoint(frame, point.z.copy())
         for func in (
                 lambda pt: p_tilde_components(fc, kappa, pt, rep=rep),
@@ -466,7 +466,7 @@ def test_p_rows_equal_the_calculus_closed_forms_bit_for_bit(setup_n, rng):
     closed forms, with the same rounding."""
     _, frame, _, n = setup_n
     block = np.array([sample_point(frame, rng).z for _ in range(6)])
-    for point in DomainPoint.rows(frame, block):
+    for point in Block(frame, block):
         fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
         f = ratio_dbar(fc, point, point.pair_bar(fc))
         ref = point.q_y * star01(f, frame.eps, point.y, point.q_y)
@@ -497,7 +497,7 @@ def _block_with_singular_row(frame, n):
     "plus" kernel of b_1 is singular, and whose other rows do not."""
     rows = np.zeros((4, n), dtype=complex)
     rows[:, 0] = [0.2 + 1.1j, 0.3 + 1.3j, 1.1j, 0.4 + 0.9j]
-    return list(DomainPoint.rows(frame, rows))
+    return list(Block(frame, rows))
 
 
 def test_singular_row_raises_only_when_requested(setup_n):
@@ -526,7 +526,7 @@ def test_row_values_are_fresh_copies(setup_n, rng):
     _, frame, _, n = setup_n
     fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
     block = np.array([sample_point(frame, rng).z for _ in range(3)])
-    point = list(DomainPoint.rows(frame, block))[1]
+    point = list(Block(frame, block))[1]
     for func in (lambda: p_tilde_components(fc, n + 1, point),
                  lambda: p_components(fc, point)):
         first = func()
@@ -541,7 +541,7 @@ def test_block_rows_share_the_row_value_memo(setup_n, rng):
     row_value's memo, so the function runs once per block, and a block with
     failed rows raises the first failed row's exception."""
     _, frame, _, _ = setup_n
-    block = DomainPoint.rows(
+    block = Block(
         frame, np.array([sample_point(frame, rng).z for _ in range(4)]))
     points = list(block)
     runs = []
@@ -596,7 +596,7 @@ def test_memo_keeps_one_entry_per_argument(setup_n, rng):
     while np.array_equal(fcs[0], fcs[1]):
         fcs[1] = frame.frame_coords(_vector_with_sign(frame, rng, +1))
     block = np.array([sample_point(frame, rng).z for _ in range(5)])
-    points = list(DomainPoint.rows(frame, block))
+    points = list(Block(frame, block))
     memo = points[0]._row[0].memo
     calls = [(fc, kappa, rep) for fc in fcs for kappa in (n + 1, n + 2)
              for rep in ("plus", "minus")]
