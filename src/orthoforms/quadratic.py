@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -111,6 +112,10 @@ class Isometry:
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self):
+        if any(len(row) != len(self.matrix) for row in self.matrix):
+            raise LatticeError("isometry matrix must be square")
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Isometry":
         return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
@@ -123,26 +128,42 @@ class Isometry:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def _integer(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * matrix), den the lcm of the entries' denominators."""
+        d = self.dim
+        den, flat = _integral([a for row in self.matrix for a in row])
+        return den, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d))
+
     def apply(self, v: Sequence) -> Vec:
-        return tuple(sum(row[j] * Fraction(v[j]) for j in range(len(v)))
-                     for row in self.matrix)
+        den, rows = self._integer
+        if len(v) != len(rows):
+            raise LatticeError(f"vector of length {len(v)} for size {self.dim}")
+        dv, w = _integral(v)
+        return tuple(Fraction(sum(map(mul, row, w)), den * dv) for row in rows)
 
     def compose(self, other: "Isometry") -> "Isometry":
-        a, b = self.matrix, other.matrix
-        d = len(a)
+        (da, a), (db, b) = self._integer, other._integer
+        cols = list(zip(*b))  # a size mismatch leaves the product non-square
         return Isometry(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-            for i in range(d)))
+            tuple(Fraction(sum(map(mul, row, col)), da * db) for col in cols)
+            for row in a))
 
     def inverse(self) -> "Isometry":
-        m = self.float_matrix
-        inv = np.linalg.inv(m)
-        # entries of the inverse of an integral isometry are rational with
-        # denominator dividing det; recover them exactly via rounding
-        det = round(np.linalg.det(m))
-        scaled = inv * det
-        rows = [[Fraction(round(x), det) for x in row] for row in scaled]
-        out = Isometry.from_rows(rows)
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Isometry":
+        # N = den M is integral, so N^-1 = adj(N) / det(N) with adj(N)
+        # integral: recover it by rounding, then check exactly
+        den, rows = self._integer
+        n = np.array(rows, dtype=float)
+        det = round(np.linalg.det(n))
+        if det == 0:
+            raise LatticeError("could not invert isometry exactly: singular")
+        adj = np.linalg.inv(n) * det
+        out = Isometry(tuple(tuple(Fraction(den * round(x), det) for x in row)
+                             for row in adj))
         if out.compose(self).matrix != Isometry.identity(self.dim).matrix:
             raise LatticeError("could not invert isometry exactly")
         return out
@@ -155,17 +176,14 @@ class Isometry:
         return m
 
     def preserves(self, lattice: QuadraticLattice) -> bool:
-        """Exact check of M^T G M == G."""
-        g = lattice.gram
-        d = self.dim
-        m = self.matrix
-        for i in range(d):
-            for j in range(i, d):
-                val = sum(m[a][i] * Fraction(g[a][b]) * m[b][j]
-                          for a in range(d) for b in range(d))
-                if val != g[i][j]:
-                    return False
-        return True
+        """Exact check of M^T G M == G, as N^T G N == den^2 G for N = den M."""
+        den, rows = self._integer
+        g, d = lattice.gram, lattice.dim
+        if len(rows) != d:
+            raise LatticeError(f"isometry of size {len(rows)} on rank {d}")
+        cols = list(zip(*rows))
+        return all(_gram_pair(g, cols[i], cols[j]) == den * den * g[i][j]
+                   for i in range(d) for j in range(i, d))
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +231,23 @@ def standard_lattice(n: int) -> dict:
 def eichler_isometry(lattice: QuadraticLattice, iso_vec: Sequence,
                      k: Sequence) -> Isometry:
     """The transvection v -> v + (v,u)k - (v,k)u - q(k)(v,u)u for an isotropic
-    u and k orthogonal to u.  Exact; preserves the lattice when u, k are
-    integral."""
-    u = as_vec(iso_vec)
-    kv = as_vec(k)
-    if lattice.q(u) != 0:
+    u and k orthogonal to u: M = I + k(Gu)^T - u(Gk)^T - q(k) u(Gu)^T, built
+    exactly from the integer vectors du u and dk k.  Preserves the lattice
+    when u, k are integral."""
+    g = lattice.gram
+    du, u = _integral(iso_vec)
+    dk, kv = _integral(k)
+    if _gram_pair(g, u, u) != 0:
         raise LatticeError("transvection base vector must be isotropic")
-    if lattice.bilinear(u, kv) != 0:
+    if _gram_pair(g, u, kv) != 0:
         raise LatticeError("transvection direction must be orthogonal to base")
-    d = lattice.dim
-    qk = lattice.q(kv)
-    cols = []
-    for i in range(d):
-        basis = [Fraction(0)] * d
-        basis[i] = Fraction(1)
-        vu = lattice.bilinear(basis, u)
-        vk = lattice.bilinear(basis, kv)
-        img = [basis[j] + vu * kv[j] - vk * u[j] - qk * vu * u[j] for j in range(d)]
-        cols.append(img)
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return Isometry.from_rows(rows)
+    gu, gk = ([sum(map(mul, row, x)) for row in g] for x in (u, kv))
+    qk = _gram_pair(g, kv, kv)  # 2 q(k) dk^2
+    d, den = len(g), 2 * du * du * dk * dk
+    return Isometry(tuple(tuple(
+        Fraction(den * (i == j) + 2 * du * dk * (kv[i] * gu[j] - u[i] * gk[j])
+                 - qk * u[i] * gu[j], den) for j in range(d))
+        for i in range(d)))
 
 
 def standard_group(lattice: QuadraticLattice,

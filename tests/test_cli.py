@@ -188,6 +188,17 @@ def test_series_bad_bound_exits_2_naming_it(tmp_path, capsys, bound):
     assert "config field 'parameters.bound'" in capsys.readouterr().err
 
 
+def test_generator_of_wrong_size_exits_2(tmp_path, capsys):
+    """A 3x3 generator on the rank-4 lattice U + U is refused."""
+    cfg = _write_config(tmp_path, {"suite": "restrict", "lattice": {
+        "gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        "e": [1, 0, 0, 0], "e_prime": [0, 1, 0, 0],
+        "k_basis": [[0, 0, 1, 0], [0, 0, 0, 1]],
+        "group_generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "isometry of size 3 on rank 4" in capsys.readouterr().err
+
+
 def test_missing_suite_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"parameters": {"samples": 2}})
     assert main(["verify", "--config", cfg]) == 2

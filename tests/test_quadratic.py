@@ -116,6 +116,167 @@ def test_eichler_generators_are_isometries(n):
         assert eichler_isometry(lat, cfg["e"], k).apply(e) == e
 
 
+# The Fraction bodies of apply, compose, preserves and eichler_isometry as
+# they were before the integer view: the reference for the exact operations.
+
+
+def _ref_apply(g: Isometry, v) -> Vec:
+    return tuple(sum(row[j] * Fraction(v[j]) for j in range(len(v)))
+                 for row in g.matrix)
+
+
+def _ref_compose(g: Isometry, other: Isometry) -> Isometry:
+    a, b = g.matrix, other.matrix
+    d = len(a)
+    return Isometry(tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
+        for i in range(d)))
+
+
+def _ref_preserves(g: Isometry, lattice: QuadraticLattice) -> bool:
+    gram = lattice.gram
+    d = g.dim
+    m = g.matrix
+    for i in range(d):
+        for j in range(i, d):
+            val = sum(m[a][i] * Fraction(gram[a][b]) * m[b][j]
+                      for a in range(d) for b in range(d))
+            if val != gram[i][j]:
+                return False
+    return True
+
+
+def _ref_eichler(lattice: QuadraticLattice, iso_vec, k) -> Isometry:
+    u = as_vec(iso_vec)
+    kv = as_vec(k)
+    d = lattice.dim
+    qk = lattice.q(kv)
+    cols = []
+    for i in range(d):
+        basis = [Fraction(0)] * d
+        basis[i] = Fraction(1)
+        vu = lattice.bilinear(basis, u)
+        vk = lattice.bilinear(basis, kv)
+        img = [basis[j] + vu * kv[j] - vk * u[j] - qk * vu * u[j]
+               for j in range(d)]
+        cols.append(img)
+    return Isometry.from_rows([[cols[j][i] for j in range(d)]
+                               for i in range(d)])
+
+
+def _reflection(lattice: QuadraticLattice, v) -> Isometry:
+    """x -> x - ((x, v)/q(v)) v, in Fractions (entries with denominators)."""
+    v = as_vec(v)
+    qv = lattice.q(v)
+    d = lattice.dim
+    gv = [lattice.bilinear(v, [int(i == j) for j in range(d)])
+          for i in range(d)]
+    return Isometry.from_rows([[int(i == j) - v[i] * gv[j] / qv
+                                for j in range(d)] for i in range(d)])
+
+
+_STANDARD = {n: lattice_from_config({"standard": n}) for n in (1, 2, 3, 4)}
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_operations_equal_the_fraction_reference(n, data):
+    """apply, compose and preserves equal the Fraction reference on words in
+    the standard generators and on rational reflections, result for result;
+    each inverse is computed once, and twice an isometry preserves nothing."""
+    lat, _, group = _STANDARD[n]
+    d = lat.dim
+    word = data.draw(st.lists(st.integers(0, len(group) - 1), max_size=5))
+    vec = data.draw(st.lists(_fractions, min_size=d, max_size=d))
+    mirror = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+                       .filter(lambda v: lat.q(v) != 0))
+    g = ref = Isometry.identity(d)
+    for i in word:
+        g, ref = g.compose(group[i]), _ref_compose(ref, group[i])
+        assert g.matrix == ref.matrix
+    r = _reflection(lat, mirror)
+    for m in (g, r, g.compose(r), r.compose(g)):
+        assert m.preserves(lat) and _ref_preserves(m, lat)
+        assert m.apply(vec) == _ref_apply(m, vec)
+        assert all(type(x) is Fraction for x in m.apply(vec))
+    assert g.compose(r).matrix == _ref_compose(g, r).matrix
+    assert r.compose(g).matrix == _ref_compose(r, g).matrix
+    assert r.inverse().matrix == r.matrix
+    assert g.inverse() is g.inverse()
+    assert g.inverse().compose(g).matrix == Isometry.identity(d).matrix
+    for m in (Isometry.identity(d), g):
+        twice = Isometry.from_rows([[2 * x for x in row] for row in m.matrix])
+        assert not twice.preserves(lat) and not _ref_preserves(twice, lat)
+
+
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eichler_isometry_equals_the_fraction_reference(n, data):
+    """The integer outer-product transvection equals the per-entry Fraction
+    one, for rational multiples of e or e' and rational directions."""
+    lat, cfg, _ = _STANDARD[n]
+    u = as_vec(cfg[data.draw(st.sampled_from(["e", "e_prime"]))])
+    u = tuple(data.draw(_fractions.filter(bool)) * a for a in u)
+    k = [data.draw(_fractions) * a for a in u]
+    for basis in cfg["k_basis"]:
+        c = data.draw(_fractions)
+        k = [a + c * b for a, b in zip(k, basis)]
+    g = eichler_isometry(lat, u, k)
+    assert g.matrix == _ref_eichler(lat, u, k).matrix
+    assert g.preserves(lat)
+
+
+def test_rational_reflection_is_exact_and_its_own_inverse():
+    """The reflection in (1, 2, 0, 0) on U + U has entries in (1/2)Z; every
+    exact operation keeps them."""
+    lat, _, _ = _STANDARD[2]
+    r = _reflection(lat, (1, 2, 0, 0))
+    assert r.matrix[0][0] == Fraction(0) and r.matrix[0][1] == Fraction(-1, 2)
+    assert r.preserves(lat)
+    assert r.inverse().matrix == r.matrix
+    assert r.apply((1, 0, 0, 0)) == _ref_apply(r, (1, 0, 0, 0)) == \
+        as_vec((0, -2, 0, 0))
+    assert r.compose(r).matrix == Isometry.identity(4).matrix
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0]], [[1, 0, 0], [0, 1, 0]],
+                                  [[1, 0]]], ids=["ragged", "2x3", "1x2"])
+def test_isometry_rejects_non_square_matrix(rows):
+    with pytest.raises(LatticeError, match="square"):
+        Isometry.from_rows(rows)
+
+
+@pytest.mark.parametrize("v", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
+def test_apply_rejects_vector_of_wrong_length(v):
+    with pytest.raises(LatticeError, match=f"length {len(v)}"):
+        Isometry.identity(3).apply(v)
+
+
+def test_compose_rejects_isometry_of_other_size():
+    with pytest.raises(LatticeError):
+        Isometry.identity(3).compose(Isometry.identity(4))
+    with pytest.raises(LatticeError):
+        Isometry.identity(4).compose(Isometry.identity(3))
+
+
+def test_config_rejects_generator_of_wrong_size():
+    """A 3x3 identity on the rank-4 lattice U + U is refused, not checked
+    on its leading block."""
+    cfg = {"gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+           "e": [1, 0, 0, 0], "e_prime": [0, 1, 0, 0],
+           "group_generators": [np.eye(3, dtype=int).tolist()]}
+    with pytest.raises(LatticeError, match="size 3 on rank 4"):
+        lattice_from_config(cfg)
+    cfg["group_generators"] = [np.eye(4, dtype=int).tolist()]
+    assert lattice_from_config(cfg)[2] == (Isometry.identity(4),)
+
+
+def test_singular_matrix_inverse_raises_lattice_error():
+    with pytest.raises(LatticeError, match="invert"):
+        Isometry.from_rows([[1, 0], [0, 0]]).inverse()
+
+
 def test_eichler_rejects_bad_input():
     cfg = standard_lattice(2)
     lat = QuadraticLattice(tuple(tuple(r) for r in cfg["gram"]))
