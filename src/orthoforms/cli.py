@@ -29,7 +29,7 @@ from .kernels import (
 )
 from .quadratic import LatticeError
 from .series import SeriesError, SeriesSpec, eval_Omega, eval_omega
-from .special import limit_constant
+from .special import SpecialFunctionError, limit_constant
 from .suites import (
     ConfigError, RunConfig, check_config_fields, load_frame, parse_config,
     run,
@@ -190,6 +190,10 @@ def cmd_eval_kernel(args) -> int:
         print(f"error: kernel singular at the requested point: {exc}",
               file=sys.stderr)
         return 1
+    except SpecialFunctionError as exc:
+        print(f"error: kernel not evaluated at the requested point: {exc}",
+              file=sys.stderr)
+        return 1
     payload.update({"kappa": args.kappa, "lam": [str(c) for c in lam]})
     _print_value(payload, args)
     return 0
@@ -220,7 +224,7 @@ def cmd_eval_series(args) -> int:
             payload["form_components"] = [_fmt_complex(c)
                                           for c in form.value]
             payload["form_tail"] = form.tail
-    except KernelSingularity as exc:
+    except (KernelSingularity, SpecialFunctionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_value(payload, args)

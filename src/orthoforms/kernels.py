@@ -37,6 +37,7 @@ class KernelSingularity(ArithmeticError):
 
     def __init__(self, message: str, lam, quantity: str, value: float):
         super().__init__(f"{message} ({quantity} = {value:.3e}, lambda = {lam})")
+        self.reason = message
         self.lam = lam
         self.quantity = quantity
         self.value = value
@@ -47,14 +48,32 @@ class KernelSingularity(ArithmeticError):
 
 
 def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
-    """(lambda, psi(Z))^-kappa, with a pole guard reporting the distance
-    proxy |(lambda, psi(Z))|."""
-    pair = point.pair(lam_fc)
-    scale = max(1.0, float(np.sqrt(point.q_y)))
-    if abs(pair) < GUARD * scale:
-        raise KernelSingularity("scalar kernel pole", np.asarray(lam_fc),
-                                "|(lambda, psi(Z))|", abs(pair))
-    return pair ** (-kappa)
+    """(lambda, psi(Z))^-kappa, through row_value like p_tilde_components:
+    once for every row of the point's block per (lambda, kappa)."""
+    return complex(row_value(point, omega_rows,
+                             np.asarray(lam_fc, dtype=float), kappa))
+
+
+def omega_rows(block, lam: np.ndarray, kappa: int) -> tuple[np.ndarray, dict]:
+    """The scalar kernel (lambda, psi(Z))^-kappa of lambda rows (M, n+2) or
+    one lambda (n+2,) against the Z rows (N, n) of a domain.Block, where M or
+    N is 1, as (values, failures).  A row with |(lambda, psi(Z))| below
+    GUARD max(1, sqrt(q(Y))) fails as a scalar kernel pole; each power is
+    taken in Python complex, bit for bit that of a single evaluation."""
+    lam = lam.reshape(-1, block.frame.n + 2)
+    pair = block.pair(lam)
+    scale = np.broadcast_to(GUARD * np.maximum(1.0, np.sqrt(block.q_y)),
+                            pair.shape)
+    out = np.zeros(len(pair), dtype=complex)
+    failures = {}
+    for i, (pr, s) in enumerate(zip(pair.tolist(), scale.tolist())):
+        if abs(pr) < s:
+            failures[i] = partial(KernelSingularity, "scalar kernel pole",
+                                  lam[i % len(lam)].copy(),
+                                  "|(lambda, psi(Z))|", abs(pr))
+        else:
+            out[i] = pr ** (-kappa)
+    return out, failures
 
 
 def _p_hat(block, lam: np.ndarray, pair_bar: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import Block, DomainPoint, WittFrame, act, majorant_at
-from .kernels import KernelSingularity, omega_kernel, p_tilde_rows
+from .kernels import KernelSingularity, omega_rows, p_tilde_rows
 from .quadratic import Isometry, MajorantPoint, Vec, as_vec, majorant_points
 
 __all__ = [
@@ -79,10 +79,6 @@ class SeriesSpec:
             raise SeriesError("coset vector has the wrong dimension", "coset")
         return cls(frame, coset_v, m, kappa, bound, group)
 
-    @property
-    def cusp_type(self) -> bool:
-        return self.m > 0
-
     def rescale(self, bound: float) -> "SeriesSpec":
         """Same class at a different truncation bound."""
         return SeriesSpec.create(self.frame, self.coset, self.m, self.kappa,
@@ -110,73 +106,64 @@ def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
     return [p.vec for p in _class_points(spec, point)]
 
 
-def _accumulate(terms, zero):
-    """Ordered compensated (Kahan) sum of terms starting from zero, a
-    complex scalar or a fixed-shape array; returns (total, per-term max
-    moduli), the moduli from one np.abs over the stacked terms."""
+def _accumulate(values: np.ndarray, zero):
+    """Ordered compensated (Kahan) sum of the rows of values starting from
+    zero, a complex scalar (the rows as Python complex) or a fixed-shape
+    array; returns (total, per-term max moduli), the moduli from one np.abs
+    over values."""
     total = comp = zero
-    kept = []
-    for t in terms:
+    for t in values.tolist() if values.ndim == 1 else values:
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        kept.append(t)
-    sizes = np.abs(np.array(kept))
+    sizes = np.abs(values)
     return total, (sizes.max(axis=1) if sizes.ndim > 1 else sizes).tolist()
 
 
-def _frame_rows(frame: WittFrame, vectors) -> list[np.ndarray]:
-    return [frame.frame_coords(v) for v in vectors]
-
-
-def _omega_terms(frame: WittFrame, vector, lams, kappa: int,
-                 point: DomainPoint):
-    """The scalar kernels (lambda, psi(Z))^-kappa of the vectors, given by
-    their frame coordinates lams, in order."""
-    return (omega_kernel(lam, kappa, point) for lam in lams)
-
-
-def _p_tilde_terms(frame: WittFrame, vector, lams, kappa: int,
-                   point: DomainPoint):
-    """The xi-preimage kernels of the vectors, given by their frame
-    coordinates lams, in order, evaluated as one row call (the vectors'
-    rows against the one point); the first singular term names its
+def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
+          point: DomainPoint, zero):
+    """The compensated sum from zero and the per-term sizes of the kernels
+    rows(block, lams, kappa) of the vectors, given by their frame
+    coordinates lams, in order, from one row call (the vectors' rows
+    against the one point).  The first singular term raises, naming its
     vector, vector(i)."""
     if not lams:
-        return
-    values, failures = p_tilde_rows(Block(frame, point.z[None]),
-                                    np.array(lams), kappa)
-    for i in range(len(lams)):
-        if i in failures:
-            exc = failures[i]()
-            if not isinstance(exc, KernelSingularity):
-                raise exc
-            raise KernelSingularity(
-                f"series term singular at lattice vector {tuple(vector(i))}",
-                exc.lam, exc.quantity, exc.value) from exc
-        yield values[i]
+        return zero, []
+    values, failures = rows(Block(frame, point.z[None]), np.array(lams),
+                            kappa)
+    if failures:
+        i = min(failures)
+        exc = failures[i]()
+        if not isinstance(exc, KernelSingularity):
+            raise exc
+        raise KernelSingularity(
+            f"series term singular at lattice vector {tuple(vector(i))}: "
+            f"{exc.reason}", exc.lam, exc.quantity, exc.value) from exc
+    return _accumulate(values, zero)
+
+
+def _sum(rows, frame: WittFrame, vectors, kappa: int, point: DomainPoint,
+         zero):
+    vectors = list(vectors)
+    return _walk(rows, frame, vectors.__getitem__,
+                 [frame.frame_coords(v) for v in vectors], kappa, point,
+                 zero)[0]
 
 
 def sum_omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> complex:
     """Compensated sum of (lambda, psi(Z))^-kappa over a fixed vector list,
     in list order."""
-    vectors = list(vectors)
-    return _accumulate(_omega_terms(frame, vectors.__getitem__,
-                                    _frame_rows(frame, vectors), kappa,
-                                    point), 0j)[0]
+    return _sum(omega_rows, frame, vectors, kappa, point, 0j)
 
 
 def sum_Omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> np.ndarray:
     """Componentwise compensated sum of the xi-preimage kernel over a fixed
     vector list, in list order."""
-    vectors = list(vectors)
-    return _accumulate(_p_tilde_terms(frame, vectors.__getitem__,
-                                      _frame_rows(frame, vectors), kappa,
-                                      point),
-                       np.zeros(frame.n, dtype=complex))[0]
+    return _sum(p_tilde_rows, frame, vectors, kappa, point,
+                np.zeros(frame.n, dtype=complex))
 
 
 def _shell_tail(bound: float, values, sizes) -> float:
@@ -193,32 +180,32 @@ def _shell_tail(bound: float, values, sizes) -> float:
     return count * best
 
 
-def _evaluate(spec: SeriesSpec, point: DomainPoint, terms,
+def _evaluate(spec: SeriesSpec, point: DomainPoint, rows,
               zero) -> SeriesResult:
-    """Enumerate the class at the point once, sum terms(frame, vector,
-    lams, kappa, point) from zero, and estimate the tail on the outer
-    majorant shell from the enumeration's majorant values.  lams are the
-    frame coordinates to_frame @ x of the kept vectors' float coordinates
-    x, one vector at a time, as frame.frame_coords computes them;
-    vector(i) builds the i-th vector, read only to name a singular term."""
+    """Enumerate the class at the point once, sum the kernels rows(block,
+    lams, kappa) of its vectors from zero, and estimate the tail on the
+    outer majorant shell from the enumeration's majorant values.  lams are
+    the frame coordinates to_frame @ x of the kept vectors' float
+    coordinates x, one vector at a time, as frame.frame_coords computes
+    them."""
     found = _class_points(spec, point)
     frame = spec.frame
     lams = [frame.to_frame @ p.coords for p in found]
-    total, sizes = _accumulate(terms(frame, lambda i: found[i].vec, lams,
-                                     spec.kappa, point), zero)
+    total, sizes = _walk(rows, frame, lambda i: found[i].vec, lams,
+                         spec.kappa, point, zero)
     tail = _shell_tail(spec.bound, [p.value for p in found], sizes)
     return SeriesResult(total, tail, len(found))
 
 
 def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated scalar series: (value, tail estimate, term count)."""
-    return _evaluate(spec, point, _omega_terms, 0j)
+    return _evaluate(spec, point, omega_rows, 0j)
 
 
 def eval_Omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated form-valued series: componentwise sum of the xi-preimage
     kernel, with the analogous shell tail estimate."""
-    return _evaluate(spec, point, _p_tilde_terms,
+    return _evaluate(spec, point, p_tilde_rows,
                      np.zeros(spec.frame.n, dtype=complex))
 
 

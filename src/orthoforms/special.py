@@ -1,8 +1,7 @@
 """Special-function helpers: a Gauss hypergeometric evaluator for the real
-parameter ranges the kernels need, Gauss-Legendre quadrature with node
-doubling, the tensor Gauss-Legendre grid of the cycle quadratures, and the
-explicit constant appearing in the boundary limit of the singular kernel
-integrals.
+parameter ranges the kernels need, the tensor Gauss-Legendre grid of the
+cycle quadratures, and the explicit constant appearing in the boundary
+limit of the singular kernel integrals.
 """
 from __future__ import annotations
 
@@ -123,12 +122,6 @@ def _gl_rule(lo: float, hi: float, count: int):
     return mid + half * t, w, half
 
 
-def gauss_legendre(func, lo: float, hi: float, nodes: int) -> float:
-    x, w, half = _gl_rule(lo, hi, nodes)
-    vals = np.array([func(xi) for xi in x])
-    return float(half * np.sum(w * vals))
-
-
 def gauss_legendre_grid(axes, counts) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule on the box prod [lo, hi] of axes.
 
@@ -143,20 +136,6 @@ def gauss_legendre_grid(axes, counts) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([g.ravel() for g in grid], axis=-1), weights
 
 
-def integrate_adaptive(func, lo: float, hi: float) -> float:
-    """Gauss-Legendre with node doubling from 16 nodes until two refinements
-    agree to 1e-13 (relative above 1), giving up past 4096 nodes."""
-    nodes = 16
-    prev = gauss_legendre(func, lo, hi, nodes)
-    while nodes <= 4096:
-        nodes *= 2
-        cur = gauss_legendre(func, lo, hi, nodes)
-        if abs(cur - prev) <= 1e-13 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise SpecialFunctionError("quadrature did not converge")
-
-
 # ---------------------------------------------------------------------------
 # geometric constants
 
@@ -169,11 +148,17 @@ def sphere_area(m: int) -> float:
 
 
 def radial_integral(n: int) -> float:
-    """int_0^1 r^{n-2} (r^2 + 1)^{-n/2} dr for n >= 2."""
+    """int_0^1 r^{n-2} (r^2 + 1)^{-n/2} dr for n >= 2 in closed form: r =
+    tan(theta) makes it S(n - 2), S(k) = int_0^{pi/4} sin^k theta dtheta,
+    and S(k) = ((k - 1)/k) S(k - 2) - 2^{-k/2}/k from S(0) = pi/4 or
+    S(1) = 1 - 1/sqrt(2)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return integrate_adaptive(lambda r: r ** (n - 2) * (r * r + 1.0) ** (-n / 2.0),
-                              0.0, 1.0)
+    k = n - 2
+    value = 1.0 - 1.0 / math.sqrt(2.0) if k % 2 else math.pi / 4.0
+    for j in range(2 + k % 2, k + 1, 2):
+        value = (j - 1) / j * value - 2.0 ** (-j / 2.0) / j
+    return value
 
 
 def limit_constant(n: int, kappa: float) -> complex:

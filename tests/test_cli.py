@@ -548,6 +548,22 @@ def test_eval_series_singular_point_exits_1(capsys):
     assert "kernel pole" in capsys.readouterr().err
 
 
+# within 1e-5 of the positive-norm cycle of (-1, -1, 1), where the n = 1
+# "plus" hypergeometric series does not converge
+NEAR_CYCLE = "-0.13488983175517144+1.121540087097482j"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-kernel", "--lam=-1,-1,1", "--kind", "ptilde"],
+    ["eval-series", "--m", "2", "--bound", "160", "--form"],
+], ids=["eval-kernel", "eval-series"])
+def test_eval_hypergeometric_failure_exits_1(capsys, argv):
+    code = main(argv + ["--n", "1", "--kappa", "6", f"--z={NEAR_CYCLE}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "did not converge" in err
+
+
 def test_eval_kernel_bad_vector_exits_2(capsys):
     assert main(["eval-kernel", "--n", "2", "--lam", "1,2",
                  "--z", "0.3+1.2j,0.1+0.2j"]) == 2

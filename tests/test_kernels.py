@@ -492,6 +492,92 @@ def test_lambda_rows_match_standalone_bit_for_bit(setup_n, rng):
             assert single == _outcome(lambda: values[i])
 
 
+def _omega_reference(lam_fc, kappa, point):
+    """The per-point scalar kernel body: the pole guard and the power on
+    the point's own pairing, the reference of omega_rows."""
+    pair = point.pair(lam_fc)
+    scale = max(1.0, float(np.sqrt(point.q_y)))
+    if abs(pair) < kernels.GUARD * scale:
+        raise KernelSingularity("scalar kernel pole", np.asarray(lam_fc),
+                                "|(lambda, psi(Z))|", abs(pair))
+    return pair ** (-kappa)
+
+
+def _omega_pole(frame, n):
+    """lambda = (1, -1, 0, ...) in frame coordinates and a block whose row
+    2, Z = (i, 0, ...), has (lambda, psi(Z)) = 1 + q(Z) = 0."""
+    fc = np.zeros(n + 2)
+    fc[:2] = 1.0, -1.0
+    rows = np.zeros((4, n), dtype=complex)
+    rows[:, 0] = [0.2 + 1.1j, 0.3 + 1.3j, 1.0j, 0.4 + 0.9j]
+    return fc, Block(frame, rows)
+
+
+@pytest.mark.parametrize("sign", [+1, -1], ids=["q>0", "q<0"])
+def test_omega_rows_match_the_per_point_kernel_bit_for_bit(setup_n, rng,
+                                                           sign):
+    """omega_kernel at Block and standalone points, and omega_rows over Z
+    rows and over lambda rows, give the per-point kernel bit for bit,
+    poles included."""
+    _, frame, _, n = setup_n
+    kappa = n + 1
+    lams = [frame.frame_coords(_vector_with_sign(frame, rng, sign))
+            for _ in range(5)]
+    pole_fc, pole_block = _omega_pole(frame, n)
+    blocks = [(fc, Block(frame, np.array(
+        [sample_point(frame, rng).z for _ in range(8)]))) for fc in lams]
+    for fc, block in blocks + [(pole_fc, pole_block)]:
+        values, failures = kernels.omega_rows(block, fc, kappa)
+        for i, point in enumerate(block):
+            single = DomainPoint(frame, point.z.copy())
+            reference = _outcome(lambda: _omega_reference(fc, kappa, single))
+            exc = failures[i]() if i in failures else None
+            row = (("raise", type(exc), str(exc)) if exc
+                   else _outcome(lambda: values[i]))
+            assert row == reference
+            assert _outcome(lambda: omega_kernel(fc, kappa, point)) == (
+                reference)
+            assert _outcome(lambda: omega_kernel(fc, kappa, single)) == (
+                reference)
+    assert sorted(kernels.omega_rows(pole_block, pole_fc, kappa)[1]) == [2]
+    lams.insert(3, pole_fc)
+    for point in (sample_point(frame, rng), list(pole_block)[2]):
+        values, failures = kernels.omega_rows(Block(frame, point.z[None]),
+                                              np.array(lams), kappa)
+        for i, fc in enumerate(lams):
+            exc = failures[i]() if i in failures else None
+            assert (("raise", type(exc), str(exc)) if exc
+                    else _outcome(lambda: values[i])) == _outcome(
+                lambda: _omega_reference(fc, kappa, point))
+        assert (3 in failures) == (point.z[0] == 1j)
+
+
+def test_omega_kernel_evaluates_once_per_block(setup_n, rng, monkeypatch):
+    """omega_kernel runs omega_rows once per (lambda, kappa) on a block,
+    and a singular row raises only when it is requested."""
+    _, frame, _, n = setup_n
+    runs = []
+    rows = kernels.omega_rows
+
+    def counted(block, *args):
+        runs.append(len(block.z))
+        return rows(block, *args)
+
+    monkeypatch.setattr(kernels, "omega_rows", counted)
+    fc, block = _omega_pole(frame, n)
+    other = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    points = list(block)
+    for lam, kappa in ((fc, n + 1), (fc, n + 2), (other, n + 1)):
+        for i, point in enumerate(points):
+            if lam is fc and i == 2:
+                with pytest.raises(KernelSingularity, match="kernel pole"):
+                    omega_kernel(lam, kappa, point)
+            else:
+                assert isinstance(omega_kernel(lam, kappa, point), complex)
+    assert runs == [4, 4, 4]
+    assert len(block.memo) == 3
+
+
 def _block_with_singular_row(frame, n):
     """A block whose row 2 lies on the positive-norm cycle of b_1, where the
     "plus" kernel of b_1 is singular, and whose other rows do not."""

@@ -9,8 +9,7 @@ import scipy.integrate
 import scipy.special
 
 from orthoforms.special import (SpecialFunctionError, _gl_rule,
-                                gauss_legendre, gauss_legendre_grid, hyp2f1,
-                                hyp2f1_rows, integrate_adaptive,
+                                gauss_legendre_grid, hyp2f1, hyp2f1_rows,
                                 limit_constant, radial_integral, sphere_area)
 
 
@@ -136,12 +135,6 @@ def test_hyp2f1_rejects_bad_arguments():
         hyp2f1(0.5, 0.5, -1.0, 0.3)
 
 
-def test_gauss_legendre_polynomial_exact():
-    # 16 nodes integrate degree-31 polynomials exactly
-    val = gauss_legendre(lambda x: x ** 7 - 2 * x ** 3 + 1, 0.0, 1.0, 16)
-    assert abs(val - (1.0 / 8 - 2.0 / 4 + 1.0)) < 1e-14
-
-
 def test_gauss_legendre_grid_repeats_the_nested_loop():
     """Rows come in itertools.product order and each weight is the product
     of the axis weights, left to right, bit for bit."""
@@ -185,12 +178,6 @@ def test_gauss_legendre_grid_exact_for_separable_polynomials(counts):
     exact = math.prod((hi ** (d + 1) - lo ** (d + 1)) / (d + 1) + (hi - lo)
                       for d, (lo, hi) in zip(degrees, axes))
     assert abs(weights @ values - exact) < 1e-13 * abs(exact)
-
-
-def test_integrate_adaptive_vs_closed_form():
-    assert abs(integrate_adaptive(math.exp, 0.0, 1.0) - (math.e - 1.0)) < 1e-13
-    assert abs(integrate_adaptive(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0)
-               - math.pi / 4.0) < 1e-13
 
 
 def test_sphere_area_small_dimensions():
