@@ -126,8 +126,8 @@ def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
     """The compensated sum from zero and the per-term sizes of the kernels
     rows(block, lams, kappa) of the vectors, given by their frame
     coordinates lams, in order, from one row call (the vectors' rows
-    against the one point).  The first singular term raises, naming its
-    vector, vector(i)."""
+    against the one point).  The first failing term raises its exception's
+    type, naming its vector, vector(i)."""
     if not lams:
         return zero, []
     values, failures = rows(Block(frame, point.z[None]), np.array(lams),
@@ -135,11 +135,12 @@ def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
     if failures:
         i = min(failures)
         exc = failures[i]()
-        if not isinstance(exc, KernelSingularity):
-            raise exc
-        raise KernelSingularity(
-            f"series term singular at lattice vector {tuple(vector(i))}: "
-            f"{exc.reason}", exc.lam, exc.quantity, exc.value) from exc
+        where = f"lattice vector {tuple(vector(i))}"
+        if isinstance(exc, KernelSingularity):
+            raise KernelSingularity(
+                f"series term singular at {where}: {exc.reason}", exc.lam,
+                exc.quantity, exc.value) from exc
+        raise type(exc)(f"series term failed at {where}: {exc}") from exc
     return _accumulate(values, zero)
 
 

@@ -1,6 +1,7 @@
 """Special-function helpers: a Gauss hypergeometric evaluator for the real
-parameter ranges the kernels need, the tensor Gauss-Legendre grid of the
-cycle quadratures, and the explicit constant appearing in the boundary
+parameter ranges the kernels need (with closed forms for the kernels' two
+non-terminating families near z = 1), the tensor Gauss-Legendre grid of
+the cycle quadratures, and the explicit constant appearing in the boundary
 limit of the singular kernel integrals.
 """
 from __future__ import annotations
@@ -35,9 +36,55 @@ def _series(a: float, b: float, c: float, z: float) -> float:
         f"hypergeometric series did not converge for z={z}")
 
 
+# Where the kernels' two non-terminating families (odd n) leave the series
+# for a closed form.  Measured against the series and mpmath at n = 1 and 3,
+# kappa <= 9: the plus connection formula is faster from about z = 0.65 on,
+# but its two terms cancel (more at n = 1 and large kappa), so it matches the
+# series' accuracy only from about 0.8 on; the minus recursion is faster and
+# more accurate from 1/2 on, and loses accuracy below.
+PLUS_SWITCH = 0.8
+MINUS_SWITCH = 0.5
+
+
+def _is_half_odd(x: float) -> bool:
+    return abs(x - 0.5 - round(x - 0.5)) < 1e-12
+
+
+def _plus(a: float, b: float, z: float) -> float:
+    """F(a, b; b + 1; z) for a half-odd-integer a <= 1/2, b > 0 and
+    0 < z < 1 by the 1 - z connection formula (DLMF 15.8.4), c - a - b =
+    1 - a not being an integer: its first series F(a, b; a; 1 - z) is z^-b
+    exactly, and the second, F(b + 1 - a, 1; 2 - a; 1 - z), converges
+    geometrically."""
+    lead = math.gamma(b + 1.0) * math.gamma(1.0 - a) / math.gamma(b + 1.0 - a)
+    return (lead * z ** (-b) - b / (1.0 - a) * (1.0 - z) ** (1.0 - a)
+            * _series(b + 1.0 - a, 1.0, 2.0 - a, 1.0 - z))
+
+
+def _minus(a: float, c: float, z: float) -> float:
+    """F(a, 1; c; z) for a = +-1/2, c - 1/2 a positive integer and
+    0 < z < 1, from Euler's integral with u = s^2:
+    F = 2(c - 1) I_p, p = c - 3/2, I_q = int_0^1 s^2q (A + B s^2)^-a ds,
+    A = 1 - z, B = z.  I_0 is 1/2 (1 + (A / sqrt B) asinh sqrt(B/A)) at
+    a = -1/2 and asinh sqrt(B/A) / sqrt B at a = 1/2; integration by parts
+    gives I_q = (1 - (2q - 1) A I_{q-1}) / ((2q + 1 - 2a) B), stable while
+    A <= B."""
+    big_a = 1.0 - z
+    asinh = math.asinh(math.sqrt(z / big_a))
+    if a < 0:
+        value = 0.5 * (1.0 + big_a / math.sqrt(z) * asinh)
+    else:
+        value = asinh / math.sqrt(z)
+    for q in range(1, int(round(c - 1.5)) + 1):
+        value = (1.0 - (2 * q - 1) * big_a * value) / ((2 * q + 1 - 2 * a) * z)
+    return 2.0 * (c - 1.0) * value
+
+
 def _nonterminating(a: float, b: float, c: float, z: float) -> float:
     """F(a, b; c; z) at one z when neither a nor b is a non-positive
-    integer."""
+    integer: the Gauss value at z = 1, Pfaff for z <= -1/2, the closed
+    forms of the kernels' families from their switch points, and otherwise
+    the series."""
     if z == 1.0:
         if c - a - b <= 0:
             raise SpecialFunctionError("divergent at z = 1")
@@ -49,6 +96,12 @@ def _nonterminating(a: float, b: float, c: float, z: float) -> float:
         # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1))
         w = z / (z - 1.0)
         return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
+    if (z >= PLUS_SWITCH and c == b + 1.0 and b > 0 and a <= 0.5
+            and _is_half_odd(a)):
+        return _plus(a, b, z)
+    if (z >= MINUS_SWITCH and b == 1.0 and abs(a) == 0.5 and c >= 1.5
+            and _is_half_odd(c)):
+        return _minus(a, c, z)
     return _series(a, b, c, z)
 
 
@@ -56,11 +109,14 @@ def hyp2f1_rows(a: float, b: float, c: float,
                 z: np.ndarray) -> tuple[np.ndarray, dict]:
     """F(a, b; c; z) at each element of a 1-D array z, as (values,
     failures): a terminating series is summed over the whole array, and
-    otherwise each element goes through the scalar branches and series
-    loop on its own, so every value is that of the scalar call.  An element
-    whose evaluation raises SpecialFunctionError is returned in failures
-    {index: factory of that exception} instead.  An invalid parameter c
-    raises at once."""
+    otherwise each element goes through the scalar branches (closed form or
+    series loop) on its own, so every value is that of the scalar call.
+    The kernels' odd-n families take closed forms from their switch points
+    on: F(1 - n/2, beta; beta + 1; z) from PLUS_SWITCH at every odd n, and
+    F(1 - n/2, 1; beta + 1; z) from MINUS_SWITCH at n = 1 and 3.  An
+    element whose evaluation raises SpecialFunctionError is returned in
+    failures {index: factory of that exception} instead.  An invalid
+    parameter c raises at once."""
     if _is_nonpositive_int(c) and not (
             _is_nonpositive_int(a) and round(a) >= round(c)) and not (
             _is_nonpositive_int(b) and round(b) >= round(c)):
@@ -89,9 +145,10 @@ def hyp2f1(a: float, b: float, c: float, z):
     z < 1, or z = 1 when c - a - b > 0 (principal branch).
 
     Terminating cases are summed exactly; z <= -1/2 is mapped into [0, 1) by
-    the Pfaff transformation z -> z/(z-1).  z may be an array: each element
-    is evaluated as the scalar call evaluates it (hyp2f1_rows), and the
-    first element that fails raises."""
+    the Pfaff transformation z -> z/(z-1); the kernels' odd-n families take
+    closed forms near z = 1.  z may be an array: each element is evaluated
+    as the scalar call evaluates it (hyp2f1_rows), and the first element
+    that fails raises."""
     values, failures = hyp2f1_rows(a, b, c, np.ravel(z))
     if failures:
         raise failures[min(failures)]()

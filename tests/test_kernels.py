@@ -428,6 +428,46 @@ def test_p_tilde_continuation_near_negative_cycle():
     assert max(norms) < 10.0 * min(norms)
 
 
+# lambda = (-1, -1, 1) at n = 1 and a point within about 1e-5 of its
+# positive-norm cycle: the plus factor's argument is z = 0.999996, where its
+# series gave up after 200,000 terms
+NEAR_CYCLE = -0.13488983175517144 + 1.121540087097482j
+
+
+def _near_cycle_n1():
+    from orthoforms.domain import WittFrame
+    from orthoforms.quadratic import lattice_from_config
+    lattice, data, _ = lattice_from_config({"standard": 1})
+    frame = WittFrame.build(lattice, data["e"], data["e_prime"])
+    fc = frame.frame_coords(as_vec([-1, -1, 1]))
+    return fc, DomainPoint(frame, np.array([NEAR_CYCLE]))
+
+
+@pytest.mark.parametrize("kappa", [3, 4, 6, 9])
+def test_p_tilde_evaluates_near_positive_cycle_n1(kappa):
+    fc, point = _near_cycle_n1()
+    _, q_minus = q_plus_minus(point.frame, fc, point)
+    assert 0.0 < -q_minus < 1e-5   # far above the 1e-12 guard
+    values = p_tilde_components(fc, kappa, point)
+    assert np.all(np.isfinite(values)) and np.any(values != 0)
+
+
+@pytest.mark.parametrize("kappa", [3, 4, 6, 9])
+def test_p_tilde_factor_near_positive_cycle_n1_vs_mpmath(kappa):
+    """The plus factor F(1/2, kappa - 1/2; kappa + 1/2; q/q_plus) that the
+    kernel reads there, against mpmath at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    from orthoforms.special import hyp2f1
+    fc, point = _near_cycle_n1()
+    q_plus, _ = q_plus_minus(point.frame, fc, point)
+    z = float(point.frame.q_lambda(fc)) / float(q_plus)
+    assert 0.99999 < z < 1.0
+    args = (0.5, kappa - 0.5, kappa + 0.5)
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyp2f1(*args, mpmath.mpf(z)))
+    assert abs(hyp2f1(*args, z) - ref) < 1e-13 * ref
+
+
 # ---------------------------------------------------------------------------
 # row blocks: Block points evaluate the kernels once per block
 

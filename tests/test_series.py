@@ -12,10 +12,12 @@ Oracle strategy:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+from orthoforms import series
 from orthoforms.calculus import xi_top
 from orthoforms.domain import DomainPoint, WittFrame, act
 from orthoforms.kernels import (KernelSingularity, omega_kernel,
@@ -24,6 +26,7 @@ from orthoforms.quadratic import Isometry, lattice_from_config
 from orthoforms.series import (SeriesError, SeriesSpec, enumerate_class,
                                eval_Omega, eval_omega, modularity_defect,
                                sum_Omega, sum_omega)
+from orthoforms.special import SpecialFunctionError
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +323,49 @@ def test_form_sum_names_the_first_singular_vector(small_frames):
             with pytest.raises(KernelSingularity) as info:
                 total(frame, vecs, 4, on_cycle)
             assert f"lattice vector {vecs[0]}: {reason}" in str(info.value)
+
+
+def test_failing_term_names_its_vector_and_keeps_its_type(small_frames):
+    """A term that fails for any other reason than a singularity raises its
+    own exception type, prefixed with its lattice vector."""
+    _, frame, _ = small_frames[1]
+    vecs = [(1, 1, 0), (2, 1, 0), (1, 2, 1)]
+
+    def rows(block, lams, kappa):
+        return np.zeros(len(lams), dtype=complex), {
+            2: partial(SpecialFunctionError, "series did not converge"),
+            1: partial(SpecialFunctionError, "argument above the branch")}
+
+    with pytest.raises(SpecialFunctionError) as info:
+        series._sum(rows, frame, vecs, 4, _generic_point(frame), 0j)
+    assert str(info.value) == ("series term failed at lattice vector "
+                               "(2, 1, 0): argument above the branch")
+
+
+# n = 1, m = 2, kappa = 6, B = 160: the 11 of 400 seeded points (x uniform
+# in [-0.5, 0.5], then y in [0.9, 3.0], numpy default_rng(2)) at which a
+# plus-family series term once gave up (z from 0.99992 to 1 - 1.6e-8)
+NEAR_CYCLE_POINTS = [
+    -0.4448533726669318 + 1.313267638173603j,
+    0.004014482401596631 + 0.9843290696490901j,
+    0.11332767649039888 + 1.1019093464824632j,
+    0.06302318325590783 + 1.058780797154568j,
+    0.16869075855017335 + 1.135796991397068j,
+    0.11769248048211911 + 1.401098786701613j,
+    -0.3197526373912889 + 1.377066419658998j,
+    -0.1511602435338355 + 1.408064457403353j,
+    -0.2632730454316866 + 1.2073836155337379j,
+    0.10395614961951816 + 1.0967785924145268j,
+    -0.012926702231623066 + 1.4267226124356633j,
+]
+
+
+@pytest.mark.parametrize("z", NEAR_CYCLE_POINTS)
+def test_form_series_evaluates_near_positive_cycles_n1(small_frames, z):
+    _, frame, _ = small_frames[1]
+    spec = SeriesSpec.create(frame, [0, 0, 0], 2, 6, 160.0)
+    result = eval_Omega(spec, _point(frame, [z]))
+    assert result.count > 0 and np.all(np.isfinite(result.value))
 
 
 def test_half_integer_coset_class(small_frames):

@@ -5,25 +5,44 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.special
 
-from orthoforms.special import (SpecialFunctionError, _gl_rule,
+from orthoforms.special import (MINUS_SWITCH, PLUS_SWITCH,
+                                SpecialFunctionError, _gl_rule,
                                 gauss_legendre_grid, hyp2f1, hyp2f1_rows,
                                 limit_constant, radial_integral, sphere_area)
 
 
+# z from below the closed forms' switch points to the n = 1 defect point
+# z = 0.999996 near a positive-norm cycle
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("kappa", [2, 3, 4, 5])
-@pytest.mark.parametrize("z", [-3.0, -0.9, -0.3, 0.0, 0.2, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("kappa", [2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("z", [-3.0, -0.9, -0.3, 0.0, 0.2, 0.5, 0.8, 0.95,
+                               0.65, 0.9, 0.99, 0.9999, 0.999996])
 def test_hyp2f1_kernel_parameters_vs_scipy(n, kappa, z):
+    scipy_special = pytest.importorskip("scipy.special")
     if kappa <= n / 2:
         pytest.skip("outside the weight range")
     for a, b in [(1 - n / 2, kappa - n / 2), (1 - n / 2, 1.0)]:
         c = kappa - n / 2 + 1
         ours = hyp2f1(a, b, c, z)
-        ref = float(scipy.special.hyp2f1(a, b, c, z))
+        ref = float(scipy_special.hyp2f1(a, b, c, z))
         assert abs(ours - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("family, switch", [("plus", PLUS_SWITCH),
+                                            ("minus", MINUS_SWITCH)])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kappa", range(2, 10))
+def test_hyp2f1_closed_forms_vs_mpmath(family, switch, n, kappa):
+    """The kernels' non-terminating families at odd n, from each switch
+    point to the n = 1 defect point z = 0.999996."""
+    mpmath = pytest.importorskip("mpmath")
+    half = kappa - n / 2.0
+    a, b, c = 1.0 - n / 2.0, half if family == "plus" else 1.0, half + 1.0
+    with mpmath.workdps(30):
+        for z in np.linspace(switch, 0.9999, 9).tolist() + [0.999996]:
+            ref = float(mpmath.hyp2f1(a, b, c, mpmath.mpf(z)))
+            assert abs(hyp2f1(a, b, c, z) - ref) < 1e-13 * abs(ref), z
 
 
 def test_hyp2f1_terminating_exact():
@@ -34,9 +53,9 @@ def test_hyp2f1_terminating_exact():
 
 
 def _scalar_hyp2f1(a, b, c, z):
-    """The scalar evaluator written out once more in plain Python floats:
-    the terminating sum, Pfaff below z = -1/2, the series and its stop
-    rule."""
+    """The scalar evaluator below the closed forms' switch points written
+    out once more in plain Python floats: the terminating sum, Pfaff below
+    z = -1/2, the series and its stop rule."""
     def series(a, b, c, z):
         total = term = 1.0
         for k in range(200_000):
@@ -58,6 +77,12 @@ def _scalar_hyp2f1(a, b, c, z):
     return series(a, b, c, z)
 
 
+# where the non-terminating parameter sets below leave the series for a
+# closed form: plus family at n = 3 and 5, minus family at n = 3
+_SWITCH = {(-0.5, 2.5, 3.5): PLUS_SWITCH, (-1.5, 3.5, 4.5): PLUS_SWITCH,
+           (-0.5, 1.0, 2.5): MINUS_SWITCH}
+
+
 @pytest.mark.parametrize("params", [
     (0.0, 2.5, 3.5), (-1.0, 2.5, 3.5), (2.5, -2.0, 4.5),   # terminating
     (-0.5, 2.5, 3.5), (-0.5, 1.0, 2.5), (-1.5, 3.5, 4.5)])
@@ -65,15 +90,23 @@ def _scalar_hyp2f1(a, b, c, z):
 def test_hyp2f1_array_matches_scalar_bit_for_bit(rng, params, size):
     """Each element of an array call equals the scalar evaluation at it,
     across the terminating case and the Pfaff (z <= -1/2), 0 <= z < 1/2
-    and 1/2 <= z < 1 regimes, alone and mixed in one array."""
+    and 1/2 <= z < 1 regimes, alone and mixed in one array.  Below the
+    family's closed-form switch point that is the series bit for bit;
+    above it, within the series' own truncation error of it."""
     a, b, c = params
+    switch = _SWITCH.get(params, 1.0)
     regimes = [rng.uniform(-4.0, -0.5, size), rng.uniform(-0.5, 0.0, size),
                rng.uniform(0.0, 0.5, size), rng.uniform(0.5, 0.999, size)]
     for z in regimes + [np.concatenate(regimes)]:
         values = hyp2f1(a, b, c, z)
         assert values.shape == z.shape
         for zi, value in zip(z.tolist(), values.tolist()):
-            assert value == hyp2f1(a, b, c, zi) == _scalar_hyp2f1(a, b, c, zi)
+            assert value == hyp2f1(a, b, c, zi)
+            series = _scalar_hyp2f1(a, b, c, zi)
+            if zi < switch:
+                assert value == series
+            else:
+                assert abs(value - series) < 1e-11 * abs(series)
 
 
 def test_hyp2f1_array_raises_the_first_failing_element():
@@ -91,7 +124,8 @@ def test_hyp2f1_at_one_gauss_value():
     ours = hyp2f1(a, b, c, 1.0)
     ref = math.gamma(c) * math.gamma(c - a - b) / (math.gamma(c - a) * math.gamma(c - b))
     assert abs(ours - ref) < 1e-14
-    assert abs(ours - float(scipy.special.hyp2f1(a, b, c, 1.0))) < 1e-12
+    scipy_special = pytest.importorskip("scipy.special")
+    assert abs(ours - float(scipy_special.hyp2f1(a, b, c, 1.0))) < 1e-12
 
 
 def test_hyp2f1_equal_upper_lower_is_binomial(rng):
@@ -198,7 +232,8 @@ def test_radial_integral_closed_forms(n, closed):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_radial_integral_vs_quad_oracle(n):
-    ref, err = scipy.integrate.quad(
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    ref, err = scipy_integrate.quad(
         lambda r: r ** (n - 2) * (r * r + 1.0) ** (-n / 2.0), 0.0, 1.0)
     assert abs(radial_integral(n) - ref) < 1e-11 + 10 * err
 
@@ -213,7 +248,8 @@ def test_limit_constant_closed_form_n2(kappa):
 
 @pytest.mark.parametrize("n,kappa", [(3, 4), (3, 5), (4, 5), (4, 6)])
 def test_limit_constant_vs_assembled_oracle(n, kappa):
-    radial, err = scipy.integrate.quad(
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    radial, err = scipy_integrate.quad(
         lambda r: r ** (n - 2) * (r * r + 1.0) ** (-n / 2.0), 0.0, 1.0)
     pre = ((-1j) ** n * math.gamma(kappa - n / 2 + 1) * math.gamma(n / 2)
            / (4.0 ** kappa * (kappa - n / 2) * math.gamma(kappa)))
