@@ -10,6 +10,10 @@ For a vector lambda (frame coordinates) and integer weight kappa:
   adapted to q(lambda) > 0 and one to q(lambda) < 0; they agree wherever
   both converge.
 
+Singular loci: each row kernel hands its ordered guards to one helper that
+names each singular row by its first guard, raised only when requested: the
+negative-norm cycle for every kernel but p, the positive-norm one for ptilde.
+
 Branch bookkeeping: the only non-integer power of a sign-indefinite quantity
 is the |q(lambda_{Z-})|^{n/2} in the q(lambda) > 0 denominator.  Principal
 branches of the printed factors give -|q(lambda_{Z-})|^{n/2} for even n; the
@@ -19,8 +23,7 @@ re-verified by the test suite).
 """
 from __future__ import annotations
 
-import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from .domain import (Block, DomainPoint, act, isometry_matrix, norm_split,
 from .special import hyp2f1_rows
 
 GUARD = 1e-12
+POSITIVE = "kernel singular on the positive-norm cycle"
+NEGATIVE = "kernel singular on the negative-norm cycle"
 
 
 class KernelSingularity(ArithmeticError):
@@ -41,6 +46,31 @@ class KernelSingularity(ArithmeticError):
         self.lam = lam
         self.quantity = quantity
         self.value = value
+
+
+def _guarded(lam: np.ndarray, guards) -> tuple[dict, np.ndarray]:
+    """Ordered guards (mask, reason, quantity, values) over a row kernel's
+    rows, lambda rows lam (M, n+2), as the failures {row: KernelSingularity
+    factory}, each row named by its first guard, and the mask of rows left."""
+    flagged = reduce(np.logical_or, [guard[0] for guard in guards])
+    failures = {}
+    if flagged.any():
+        for mask, reason, quantity, values in guards:
+            for i, value in zip(mask.nonzero()[0].tolist(),
+                                values[mask].tolist()):
+                if i not in failures:
+                    failures[i] = partial(KernelSingularity, reason,
+                                          lam[i % len(lam)].copy(),
+                                          quantity, value)
+    return failures, ~flagged
+
+
+def _cycle_guard(pair, q_lam, q_y):
+    """The negative-norm cycle's guard |(lambda, psi(Zbar))| < GUARD max(1,
+    sqrt(q(Y) |q(lambda)|)), which can only trip for q(lambda) < 0."""
+    size = np.hypot(pair.real, pair.imag)
+    return (size < GUARD * np.maximum(1.0, np.sqrt(q_y * np.abs(q_lam))),
+            NEGATIVE, "|(lambda, psi(Zbar))|", size)
 
 
 # ---------------------------------------------------------------------------
@@ -57,22 +87,16 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
 def omega_rows(block, lam: np.ndarray, kappa: int) -> tuple[np.ndarray, dict]:
     """The scalar kernel (lambda, psi(Z))^-kappa of lambda rows (M, n+2) or
     one lambda (n+2,) against the Z rows (N, n) of a domain.Block, where M or
-    N is 1, as (values, failures).  A row with |(lambda, psi(Z))| below
-    GUARD max(1, sqrt(q(Y))) fails as a scalar kernel pole; each power is
+    N is 1, as (values, failures), where rows at a pole fail; each power is
     taken in Python complex, bit for bit that of a single evaluation."""
     lam = lam.reshape(-1, block.frame.n + 2)
     pair = block.pair(lam)
-    scale = np.broadcast_to(GUARD * np.maximum(1.0, np.sqrt(block.q_y)),
-                            pair.shape)
+    size = np.hypot(pair.real, pair.imag)
+    failures, left = _guarded(lam, [(
+        size < GUARD * np.maximum(1.0, np.sqrt(block.q_y)),
+        "scalar kernel pole", "|(lambda, psi(Z))|", size)])
     out = np.zeros(len(pair), dtype=complex)
-    failures = {}
-    for i, (pr, s) in enumerate(zip(pair.tolist(), scale.tolist())):
-        if abs(pr) < s:
-            failures[i] = partial(KernelSingularity, "scalar kernel pole",
-                                  lam[i % len(lam)].copy(),
-                                  "|(lambda, psi(Z))|", abs(pr))
-        else:
-            out[i] = pr ** (-kappa)
+    out[left] = [pr ** (-kappa) for pr in pair[left].tolist()]
     return out, failures
 
 
@@ -106,21 +130,20 @@ def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
     """dmu-coefficient of dbar ptilde: (lambda, psi(Zbar))^-kappa q(Y)^kappa.
 
     Evaluated through row_value: once for every row of the point's block
-    per (lambda, kappa)."""
+    per (lambda, kappa).  On the negative-norm cycle it raises ptilde's
+    KernelSingularity."""
     return complex(row_value(point, _dbar_reference_rows,
                              np.asarray(lam_fc, dtype=float), kappa))
 
 
 def _dbar_reference_rows(block, lam, kappa):
-    pair_bar = np.conj(block.pair(lam.reshape(1, -1)))
-    out = np.empty(len(pair_bar), dtype=complex)
-    failures = {}
-    for i, (pb, q) in enumerate(zip(pair_bar.tolist(),
-                                    block.q_y.tolist())):
-        try:
-            out[i] = pb ** (-kappa) * q ** kappa
-        except ZeroDivisionError as exc:
-            failures[i] = partial(ZeroDivisionError, *exc.args)
+    lam = lam.reshape(1, -1)
+    pair = block.pair(lam)
+    failures, left = _guarded(lam, [
+        _cycle_guard(pair, block.frame.q_lambda(lam), block.q_y)])
+    out = np.zeros(len(pair), dtype=complex)
+    out[left] = [pr.conjugate() ** (-kappa) * q ** kappa for pr, q in
+                 zip(pair[left].tolist(), block.q_y[left].tolist())]
     return out, failures
 
 
@@ -174,23 +197,19 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
     plus, q_lam, q_y = (a if len(a) == rows else a.repeat(rows)
                         for a in (plus, q_lam, block.q_y))
     scale = GUARD * np.maximum(1.0, np.abs(q_lam))
-    bad = (np.abs(q_minus) < scale) | (plus & (q_plus < scale))
+    size = np.abs(q_minus)
     minus = ~plus
+    # minus rows: |(lambda, psi(Zbar))|, |q_minus|; plus: |q_minus|, q_plus
+    guards = [(size < scale, POSITIVE, "|q_minus|", size),
+              (plus & (q_plus < scale), NEGATIVE, "q_plus", q_plus)]
     if minus.any():
-        bad |= minus & (np.hypot(pair.real, pair.imag) < GUARD * np.maximum(
-            1.0, np.sqrt(q_y * np.abs(q_lam))))
-    failures = {}
-    if bad.any():
-        failures = {
-            i: _singular(lam[i % len(lam)].copy(), plus[i], *row)
-            for i, *row in zip(bad.nonzero()[0].tolist(),
-                               *(a[bad].tolist() for a in (
-                                   q_lam, q_y, pair, q_plus, q_minus)))}
+        mask, *named = _cycle_guard(pair, q_lam, q_y)
+        guards.insert(0, (minus & mask, *named))
+    failures, left = _guarded(lam, guards)
     half = kappa - n / 2.0
     coef = np.zeros(rows, dtype=complex)
-    good = ~bad
     for rep_plus, mask in ((True, plus), (False, minus)):
-        take = (mask & good).nonzero()[0]
+        take = (mask & left).nonzero()[0]
         if not len(take):
             continue
         hyp, failed = hyp2f1_rows(
@@ -214,28 +233,6 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
                           / (4.0 * half * qm) * h
                           for pr, qy, qp, qm, h in scalars]
     return coef[:, None] * _p_hat(block, lam, np.conj(pair)), failures
-
-
-POSITIVE = "kernel singular on the positive-norm cycle"
-NEGATIVE = "kernel singular on the negative-norm cycle"
-
-
-def _singular(lam, plus, q_lam, q_y, pair, q_plus, q_minus):
-    """The KernelSingularity factory of a row that fails a guard of its
-    representation, on the row's Python values: for "plus" |q_minus| then
-    q_plus, for "minus" |(lambda, psi(Zbar))| then |q_minus|."""
-    scale = max(1.0, abs(q_lam))
-    if plus:
-        if abs(q_minus) < GUARD * scale:
-            return partial(KernelSingularity, POSITIVE, lam, "|q_minus|",
-                           abs(q_minus))
-        return partial(KernelSingularity, NEGATIVE, lam, "q_plus", q_plus)
-    pair_bar = pair.conjugate()
-    if abs(pair_bar) < GUARD * max(1.0, math.sqrt(q_y * abs(q_lam))):
-        return partial(KernelSingularity, NEGATIVE, lam,
-                       "|(lambda, psi(Zbar))|", abs(pair_bar))
-    return partial(KernelSingularity, POSITIVE, lam, "|q_minus|",
-                   abs(q_minus))
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,10 @@ def _minus(a: float, c: float, z: float) -> float:
 
 def _nonterminating(a: float, b: float, c: float, z: float) -> float:
     """F(a, b; c; z) at one z when neither a nor b is a non-positive
-    integer: the Gauss value at z = 1, Pfaff for z <= -1/2, the closed
-    forms of the kernels' families from their switch points, and otherwise
-    the series."""
+    integer: the Gauss value at z = 1, Pfaff for z <= -1/2 (its argument
+    z/(z - 1) in [1/3, 1) takes the branches below, and it maps each of the
+    kernels' families onto the other), the closed forms of the kernels'
+    families from their switch points, and otherwise the series."""
     if z == 1.0:
         if c - a - b <= 0:
             raise SpecialFunctionError("divergent at z = 1")
@@ -95,7 +96,7 @@ def _nonterminating(a: float, b: float, c: float, z: float) -> float:
     if z <= -0.5:
         # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1))
         w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
+        return (1.0 - z) ** (-a) * _nonterminating(a, c - b, c, w)
     if (z >= PLUS_SWITCH and c == b + 1.0 and b > 0 and a <= 0.5
             and _is_half_odd(a)):
         return _plus(a, b, z)
@@ -146,9 +147,9 @@ def hyp2f1(a: float, b: float, c: float, z):
 
     Terminating cases are summed exactly; z <= -1/2 is mapped into [0, 1) by
     the Pfaff transformation z -> z/(z-1); the kernels' odd-n families take
-    closed forms near z = 1.  z may be an array: each element is evaluated
-    as the scalar call evaluates it (hyp2f1_rows), and the first element
-    that fails raises."""
+    closed forms near z = 1, directly or after Pfaff.  z may be an array:
+    each element is evaluated as the scalar call evaluates it
+    (hyp2f1_rows), and the first element that fails raises."""
     values, failures = hyp2f1_rows(a, b, c, np.ravel(z))
     if failures:
         raise failures[min(failures)]()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -453,6 +455,17 @@ def test_p_tilde_evaluates_near_positive_cycle_n1(kappa):
 
 
 @pytest.mark.parametrize("kappa", [3, 4, 6, 9])
+def test_p_tilde_forced_minus_near_positive_cycle_n1(kappa):
+    """The "minus" representation there: Pfaff maps its factor's argument
+    q/q_minus < -1/2 to q/q_plus = 0.999996, the plus family's closed
+    form, and the kernel matches the "auto" ("plus") one."""
+    fc, point = _near_cycle_n1()
+    auto = p_tilde_components(fc, kappa, point)
+    minus = p_tilde_components(fc, kappa, point, rep="minus")
+    assert np.max(np.abs(minus - auto)) <= 1e-14 * np.max(np.abs(auto))
+
+
+@pytest.mark.parametrize("kappa", [3, 4, 6, 9])
 def test_p_tilde_factor_near_positive_cycle_n1_vs_mpmath(kappa):
     """The plus factor F(1/2, kappa - 1/2; kappa + 1/2; q/q_plus) that the
     kernel reads there, against mpmath at 30 digits."""
@@ -466,6 +479,84 @@ def test_p_tilde_factor_near_positive_cycle_n1_vs_mpmath(kappa):
     with mpmath.workdps(30):
         ref = float(mpmath.hyp2f1(*args, mpmath.mpf(z)))
     assert abs(hyp2f1(*args, z) - ref) < 1e-13 * ref
+
+
+# ---------------------------------------------------------------------------
+# singular loci: every row kernel names a singular row by its first guard
+
+
+def _guard_block():
+    """n = 2, where e_1 (frame coordinates (0, 0, 1, 0)) has q = 1 and e_2
+    has q = -1, and the rows: 0 regular; 1 on the positive-norm cycle of
+    e_1 (Re z_1 = 0); 2 1e-80 from and 3 on the negative-norm cycle of e_2
+    (z_2 = 0); 4 on both cycles and the scalar kernel's pole of (1, -1, 0,
+    0), (lambda, psi(Z)) = 1 + q(Z)."""
+    from orthoforms.domain import WittFrame
+    from orthoforms.quadratic import lattice_from_config
+    lattice, data, _ = lattice_from_config({"standard": 2})
+    frame = WittFrame.build(lattice, data["e"], data["e_prime"])
+    rows = np.array([[0.3 + 1.1j, 0.2], [1.1j, 0.2], [0.3 + 1.1j, 1e-80],
+                     [0.3 + 1.1j, 0.0], [1.0j, 0.0]])
+    return frame, Block(frame, rows)
+
+
+def _quantity(name, fc, point):
+    """A guard's quantity at a standalone point, computed directly."""
+    q_plus, q_minus = q_plus_minus(point.frame, fc, point)
+    return {"|q_minus|": abs(q_minus), "q_plus": q_plus,
+            "|(lambda, psi(Zbar))|": abs(point.pair_bar(fc)),
+            "|(lambda, psi(Z))|": abs(point.pair(fc))}[name]
+
+
+E_1, E_2, POLE = (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 0, 0)
+PAIR_BAR = "|(lambda, psi(Zbar))|"
+
+
+@pytest.mark.parametrize("kernel, lam, singular", [
+    (omega_kernel, POLE,
+     {4: ("scalar kernel pole", "|(lambda, psi(Z))|")}),
+    (partial(p_tilde_components, rep="plus"), E_1,
+     dict.fromkeys((1, 4), (kernels.POSITIVE, "|q_minus|"))),
+    (partial(p_tilde_components, rep="plus"), E_2,
+     dict.fromkeys((2, 3, 4), (kernels.NEGATIVE, "q_plus"))),
+    (partial(p_tilde_components, rep="minus"), E_2,
+     dict.fromkeys((2, 3, 4), (kernels.NEGATIVE, PAIR_BAR))),
+    (partial(p_tilde_components, rep="minus"), E_1,
+     dict.fromkeys((1, 4), (kernels.POSITIVE, "|q_minus|"))),
+    (dbar_image_reference, E_2,
+     dict.fromkeys((2, 3, 4), (kernels.NEGATIVE, PAIR_BAR))),
+], ids=["omega", "plus-q_minus", "plus-q_plus", "minus-pair", "minus-q_minus",
+        "dbar-reference"])
+def test_each_kernel_names_its_singular_rows(kernel, lam, singular):
+    """Each singular row raises KernelSingularity with the reason, quantity
+    and value of its first guard, the same in the block and standalone;
+    each regular row evaluates, as it does standalone."""
+    frame, block = _guard_block()
+    fc = np.array(lam, dtype=float)
+    kappa = 3
+    for i, point in enumerate(block):
+        single = DomainPoint(frame, point.z.copy())
+        assert _outcome(lambda: kernel(fc, kappa, point)) == _outcome(
+            lambda: kernel(fc, kappa, single))
+        if i not in singular:
+            assert np.all(np.isfinite(kernel(fc, kappa, point)))
+            continue
+        with pytest.raises(KernelSingularity) as info:
+            kernel(fc, kappa, point)
+        exc = info.value
+        assert (exc.reason, exc.quantity) == singular[i]
+        assert exc.value == _quantity(exc.quantity, fc, single)
+        assert np.array_equal(exc.lam, fc)
+
+
+def test_dbar_reference_row_off_the_cycle_keeps_its_value():
+    """Off the negative-norm cycle the reference stays the power
+    (lambda, psi(Zbar))^-kappa q(Y)^kappa of the point's own pairing."""
+    _, block = _guard_block()
+    fc = np.array(E_2, dtype=float)
+    point = next(iter(block))
+    assert dbar_image_reference(fc, 3, point) == (
+        point.pair_bar(fc) ** -3 * point.q_y ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,12 @@ def _scalar_hyp2f1(a, b, c, z):
     return series(a, b, c, z)
 
 
-# where the non-terminating parameter sets below leave the series for a
-# closed form: plus family at n = 3 and 5, minus family at n = 3
+# where the non-terminating parameter sets below, and their Pfaff images
+# (a, c - b, c), leave the series for a closed form: plus family at n = 3
+# and 5, minus family at n = 3
 _SWITCH = {(-0.5, 2.5, 3.5): PLUS_SWITCH, (-1.5, 3.5, 4.5): PLUS_SWITCH,
-           (-0.5, 1.0, 2.5): MINUS_SWITCH}
+           (-0.5, 1.0, 2.5): MINUS_SWITCH, (-0.5, 1.5, 2.5): PLUS_SWITCH,
+           (-0.5, 1.0, 3.5): MINUS_SWITCH}
 
 
 @pytest.mark.parametrize("params", [
@@ -92,9 +94,9 @@ def test_hyp2f1_array_matches_scalar_bit_for_bit(rng, params, size):
     across the terminating case and the Pfaff (z <= -1/2), 0 <= z < 1/2
     and 1/2 <= z < 1 regimes, alone and mixed in one array.  Below the
     family's closed-form switch point that is the series bit for bit;
-    above it, within the series' own truncation error of it."""
+    above it, within the series' own truncation error of it; Pfaff
+    arguments by the switch point of the transformed family."""
     a, b, c = params
-    switch = _SWITCH.get(params, 1.0)
     regimes = [rng.uniform(-4.0, -0.5, size), rng.uniform(-0.5, 0.0, size),
                rng.uniform(0.0, 0.5, size), rng.uniform(0.5, 0.999, size)]
     for z in regimes + [np.concatenate(regimes)]:
@@ -103,7 +105,9 @@ def test_hyp2f1_array_matches_scalar_bit_for_bit(rng, params, size):
         for zi, value in zip(z.tolist(), values.tolist()):
             assert value == hyp2f1(a, b, c, zi)
             series = _scalar_hyp2f1(a, b, c, zi)
-            if zi < switch:
+            family, x = ((params, zi) if zi > -0.5
+                         else ((a, c - b, c), zi / (zi - 1.0)))
+            if x < _SWITCH.get(family, 1.0):
                 assert value == series
             else:
                 assert abs(value - series) < 1e-11 * abs(series)
