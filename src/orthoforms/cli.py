@@ -24,12 +24,10 @@ import numpy as np
 
 from . import __version__
 from .domain import BoundaryError, ComponentError, DomainPoint, WittFrame
-from .kernels import (
-    KernelSingularity, omega_kernel, p_components, p_tilde_components,
-)
+from .kernels import omega_kernel, p_components, p_tilde_components
 from .quadratic import LatticeError
 from .series import SeriesError, SeriesSpec, eval_Omega, eval_omega
-from .special import SpecialFunctionError, limit_constant
+from .special import limit_constant
 from .suites import (
     ConfigError, RunConfig, check_config_fields, load_frame, parse_config,
     run,
@@ -186,13 +184,8 @@ def cmd_eval_kernel(args) -> int:
             comps = p_tilde_components(fc, args.kappa, point)
             payload = {"kind": "ptilde",
                        "components": [_fmt_complex(c) for c in comps]}
-    except KernelSingularity as exc:
-        print(f"error: kernel singular at the requested point: {exc}",
-              file=sys.stderr)
-        return 1
-    except SpecialFunctionError as exc:
-        print(f"error: kernel not evaluated at the requested point: {exc}",
-              file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     payload.update({"kappa": args.kappa, "lam": [str(c) for c in lam]})
     _print_value(payload, args)
@@ -224,7 +217,7 @@ def cmd_eval_series(args) -> int:
             payload["form_components"] = [_fmt_complex(c)
                                           for c in form.value]
             payload["form_tail"] = form.tail
-    except (KernelSingularity, SpecialFunctionError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_value(payload, args)

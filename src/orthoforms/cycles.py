@@ -35,8 +35,8 @@ Every quadrature holds the points of its node rows as a domain.Block,
 which a transported chart moves by one act and one action_jacobian.
 The face, shell and cycle-C integrals are summed one block of at most
 _BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
-function through the block memo when it is a WindowBump or its bound value
-or dbar, otherwise once per node over the whole block before H runs at any
+function over the block when it is a WindowBump or its bound value or
+dbar, otherwise once per node over the whole block before H runs at any
 node of it; then H (and the shell's dbar coefficient) once per node where h
 (or dbar h) is nonzero, which the kernels answer from the block memo.  Dot
 products are one stacked matmul, products and powers are taken in Python
@@ -280,14 +280,16 @@ def _at_nodes(func, points: Block) -> np.ndarray:
     """func at each point of a block, one row per point.
 
     A WindowBump, or its bound value or dbar, runs its row function once
-    over the block through the memo row_value reads (the memo's array is
-    returned, to be read); any other callable runs once per point, in
-    order."""
+    over the block, and the first failed row raises; any other callable
+    runs once per point, in order."""
     bump = getattr(func, "__self__", func)
     if not isinstance(bump, WindowBump):
         return np.array([func(point) for point in points])
-    return points.values(bump._dbar_rows if func == bump.dbar
-                         else bump._value_rows)
+    values, failures = (bump._dbar_rows if func == bump.dbar
+                        else bump._value_rows)(points)
+    if failures:
+        raise failures[min(failures)]()
+    return values
 
 
 def _phi(u: np.ndarray) -> np.ndarray:

@@ -192,10 +192,11 @@ class Block:
     """Points of the tube domain as the rows of one (N, n) array: Z as a
     read-only view, its imaginary part y and the (N,) q(Y), the point-like
     argument of a row function; and the memo of row functions evaluated on
-    them.  The first row failing a component check (finite coordinates,
-    q(Y) > 0, y_1 > 0, in this order) raises ComponentError.  Each walk
-    yields one new DomainPoint per row: its z a view of the row, its q_y
-    the row's q(Y) as a float, its memo the block's."""
+    them, which row_value alone reads and fills.  The first row failing a
+    component check (finite coordinates, q(Y) > 0, y_1 > 0, in this order)
+    raises ComponentError.  Each walk yields one new DomainPoint per row:
+    its z a view of the row, its q_y the row's q(Y) as a float, its memo
+    the block's."""
 
     __slots__ = ("frame", "z", "q_y", "memo")
 
@@ -241,20 +242,6 @@ class Block:
 
         return map(make, self.z, self.q_y.tolist(),
                    zip(repeat(self), range(len(self.z))))
-
-    def values(self, rows: Callable) -> np.ndarray:
-        """All values of rows(self), through the memo that row_value reads
-        under the same key, so a later row_value(p, rows) at any point of
-        the block is a memo hit.  The array is the memo's own, to be read,
-        not written; if a row failed, the exception of the first failed row
-        is raised."""
-        memo = self.memo.get(rows)
-        if memo is None:
-            memo = self.memo[rows] = rows(self)
-        values, failures = memo
-        if failures:
-            raise failures[min(failures)]()
-        return values
 
 
 def row_value(point: DomainPoint, rows: Callable, *args):

@@ -13,6 +13,9 @@ For a vector lambda (frame coordinates) and integer weight kappa:
 Singular loci: each row kernel hands its ordered guards to one helper that
 names each singular row by its first guard, raised only when requested: the
 negative-norm cycle for every kernel but p, the positive-norm one for ptilde.
+Its Python arithmetic then runs row by row through special.row_map, so a row
+that passes the guards but overflows (a power just outside a cycle at high
+weight) fails alone, after its guard and its hypergeometric factor.
 
 Branch bookkeeping: the only non-integer power of a sign-indefinite quantity
 is the |q(lambda_{Z-})|^{n/2} in the q(lambda) > 0 denominator.  Principal
@@ -30,7 +33,7 @@ import numpy as np
 from .calculus import ratio_dbar, star01
 from .domain import (Block, DomainPoint, act, isometry_matrix, norm_split,
                      psi_frame, row_value)
-from .special import hyp2f1_rows
+from .special import hyp2f1_rows, row_map
 
 GUARD = 1e-12
 POSITIVE = "kernel singular on the positive-norm cycle"
@@ -88,16 +91,15 @@ def omega_rows(block, lam: np.ndarray, kappa: int) -> tuple[np.ndarray, dict]:
     """The scalar kernel (lambda, psi(Z))^-kappa of lambda rows (M, n+2) or
     one lambda (n+2,) against the Z rows (N, n) of a domain.Block, where M or
     N is 1, as (values, failures), where rows at a pole fail; each power is
-    taken in Python complex, bit for bit that of a single evaluation."""
+    taken in Python complex by row_map, bit for bit that of a single
+    evaluation."""
     lam = lam.reshape(-1, block.frame.n + 2)
     pair = block.pair(lam)
     size = np.hypot(pair.real, pair.imag)
-    failures, left = _guarded(lam, [(
+    failures, _ = _guarded(lam, [(
         size < GUARD * np.maximum(1.0, np.sqrt(block.q_y)),
         "scalar kernel pole", "|(lambda, psi(Z))|", size)])
-    out = np.zeros(len(pair), dtype=complex)
-    out[left] = [pr ** (-kappa) for pr in pair[left].tolist()]
-    return out, failures
+    return row_map(lambda pr: pr ** (-kappa), [pair], failures)
 
 
 def _p_hat(block, lam: np.ndarray, pair_bar: np.ndarray) -> np.ndarray:
@@ -139,12 +141,10 @@ def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
 def _dbar_reference_rows(block, lam, kappa):
     lam = lam.reshape(1, -1)
     pair = block.pair(lam)
-    failures, left = _guarded(lam, [
+    failures, _ = _guarded(lam, [
         _cycle_guard(pair, block.frame.q_lambda(lam), block.q_y)])
-    out = np.zeros(len(pair), dtype=complex)
-    out[left] = [pr.conjugate() ** (-kappa) * q ** kappa for pr, q in
-                 zip(pair[left].tolist(), block.q_y[left].tolist())]
-    return out, failures
+    return row_map(lambda pr, q: pr.conjugate() ** (-kappa) * q ** kappa,
+                   [pair, block.q_y], failures)
 
 
 def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
@@ -207,31 +207,27 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
         guards.insert(0, (minus & mask, *named))
     failures, left = _guarded(lam, guards)
     half = kappa - n / 2.0
+    lead = -4.0 ** kappa * half
     coef = np.zeros(rows, dtype=complex)
-    for rep_plus, mask in ((True, plus), (False, minus)):
+    # the prefactor in Python complex and float arithmetic (numpy's complex
+    # powers and divisions round differently), times the hypergeometric
+    # factor; a row keeps its first failure: guard, factor, prefactor
+    for mask, b, q_rep, prefactor in (
+            (plus, half, q_plus, lambda pr, qy, qp, qm, h:
+             pr ** (kappa - 1) / (lead * abs(qm) ** (n / 2.0))
+             * qp ** (n / 2.0 - kappa) * h),
+            (minus, 1.0, q_minus, lambda pr, qy, qp, qm, h:
+             pr.conjugate() ** (1 - kappa) * qy ** (kappa - 1)
+             / (4.0 * half * qm) * h)):
         take = (mask & left).nonzero()[0]
         if not len(take):
             continue
-        hyp, failed = hyp2f1_rows(
-            1.0 - n / 2.0, half if rep_plus else 1.0, half + 1.0,
-            q_lam[take] / (q_plus if rep_plus else q_minus)[take])
-        for j, factory in failed.items():
-            failures[int(take[j])] = factory
-        scalars = zip(pair[take].tolist(), q_y[take].tolist(),
-                      q_plus[take].tolist(), q_minus[take].tolist(),
-                      hyp.tolist())
-        # the prefactor in Python complex and float arithmetic (numpy's
-        # complex powers and divisions round differently), times the
-        # hypergeometric factor
-        if rep_plus:
-            lead = -4.0 ** kappa * half
-            coef[take] = [pr ** (kappa - 1) / (lead * abs(qm) ** (n / 2.0))
-                          * qp ** (n / 2.0 - kappa) * h
-                          for pr, qy, qp, qm, h in scalars]
-        else:
-            coef[take] = [pr.conjugate() ** (1 - kappa) * qy ** (kappa - 1)
-                          / (4.0 * half * qm) * h
-                          for pr, qy, qp, qm, h in scalars]
+        hyp, failed = hyp2f1_rows(1.0 - n / 2.0, b, half + 1.0,
+                                  q_lam[take] / q_rep[take])
+        coef[take], failed = row_map(
+            prefactor, [a[take] for a in (pair, q_y, q_plus, q_minus)]
+            + [hyp], failed)
+        failures.update({int(take[j]): f for j, f in failed.items()})
     return coef[:, None] * _p_hat(block, lam, np.conj(pair)), failures
 
 

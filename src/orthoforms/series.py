@@ -127,7 +127,7 @@ def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
     rows(block, lams, kappa) of the vectors, given by their frame
     coordinates lams, in order, from one row call (the vectors' rows
     against the one point).  The first failing term raises its exception's
-    type, naming its vector, vector(i)."""
+    type, naming its vector, vector(i), entry by entry as str prints it."""
     if not lams:
         return zero, []
     values, failures = rows(Block(frame, point.z[None]), np.array(lams),
@@ -135,7 +135,7 @@ def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
     if failures:
         i = min(failures)
         exc = failures[i]()
-        where = f"lattice vector {tuple(vector(i))}"
+        where = f"lattice vector ({', '.join(map(str, vector(i)))})"
         if isinstance(exc, KernelSingularity):
             raise KernelSingularity(
                 f"series term singular at {where}: {exc.reason}", exc.lam,

@@ -1,8 +1,10 @@
-"""Special-function helpers: a Gauss hypergeometric evaluator for the real
-parameter ranges the kernels need (with closed forms for the kernels' two
-non-terminating families near z = 1), the tensor Gauss-Legendre grid of
-the cycle quadratures, and the explicit constant appearing in the boundary
-limit of the singular kernel integrals.
+"""Special-function helpers: the per-row step of the row kernels' Python
+arithmetic (row_map, in which a row that overflows fails alone), a Gauss
+hypergeometric evaluator for the real parameter ranges the kernels need
+(with closed forms for the kernels' two non-terminating families near
+z = 1), the tensor Gauss-Legendre grid of the cycle quadratures, and the
+explicit constant appearing in the boundary limit of the singular kernel
+integrals.
 """
 from __future__ import annotations
 
@@ -29,8 +31,6 @@ def _series(a: float, b: float, c: float, z: float) -> float:
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
         if abs(term) < 1e-15 * max(1.0, abs(total)):
-            return total
-        if term == 0.0:
             return total
     raise SpecialFunctionError(
         f"hypergeometric series did not converge for z={z}")
@@ -106,39 +106,57 @@ def _nonterminating(a: float, b: float, c: float, z: float) -> float:
     return _series(a, b, c, z)
 
 
+def row_map(formula, columns, failed=None) -> tuple[np.ndarray, dict]:
+    """formula(*row) at each row of columns, arrays with one entry per row,
+    in Python float/complex arithmetic (each row rounds as a one-row
+    evaluation does), as (values, failures).  Each row is evaluated once; a
+    row whose formula raises ArithmeticError fails with a factory of a
+    fresh copy of that exception, unless failed ({row: exception factory})
+    already names it, whose failure it keeps.  A failed row's value is 0."""
+    rows = [iter(column.tolist()) for column in columns]
+    failures = dict(failed or {})
+    values = []
+    # a raise ends one map; the next resumes at the row after it
+    while True:
+        try:
+            for value in map(formula, *rows):
+                values.append(value)
+            break
+        except ArithmeticError as exc:
+            failures.setdefault(len(values), partial(type(exc), *exc.args))
+            values.append(0.0)
+    out = np.array(values)
+    if failures:
+        out[list(failures)] = 0.0
+    return out, failures
+
+
 def hyp2f1_rows(a: float, b: float, c: float,
                 z: np.ndarray) -> tuple[np.ndarray, dict]:
     """F(a, b; c; z) at each element of a 1-D array z, as (values,
     failures): a terminating series is summed over the whole array, and
     otherwise each element goes through the scalar branches (closed form or
-    series loop) on its own, so every value is that of the scalar call.
-    The kernels' odd-n families take closed forms from their switch points
-    on: F(1 - n/2, beta; beta + 1; z) from PLUS_SWITCH at every odd n, and
-    F(1 - n/2, 1; beta + 1; z) from MINUS_SWITCH at n = 1 and 3.  An
-    element whose evaluation raises SpecialFunctionError is returned in
-    failures {index: factory of that exception} instead.  An invalid
-    parameter c raises at once."""
+    series loop) on its own, by row_map, so every value is that of the
+    scalar call and an element whose evaluation raises ArithmeticError
+    fails alone.  The kernels' odd-n families take closed forms from their
+    switch points on: F(1 - n/2, beta; beta + 1; z) from PLUS_SWITCH at
+    every odd n, and F(1 - n/2, 1; beta + 1; z) from MINUS_SWITCH at n = 1
+    and 3.  An invalid parameter c raises at once."""
     if _is_nonpositive_int(c) and not (
             _is_nonpositive_int(a) and round(a) >= round(c)) and not (
             _is_nonpositive_int(b) and round(b) >= round(c)):
         raise SpecialFunctionError("parameter c is a non-positive integer")
     z = np.asarray(z, dtype=float)
+    if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
+        return row_map(partial(_nonterminating, a, b, c), [z])
+    if _is_nonpositive_int(b) and not _is_nonpositive_int(a):
+        a, b = b, a
     out = np.ones(len(z))
-    failures: dict = {}
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        if _is_nonpositive_int(b) and not _is_nonpositive_int(a):
-            a, b = b, a
-        term = np.ones(len(z))
-        for k in range(int(round(-a))):
-            term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-            out += term
-        return out, failures
-    for i, zi in enumerate(z.tolist()):
-        try:
-            out[i] = _nonterminating(a, b, c, zi)
-        except SpecialFunctionError as exc:
-            failures[i] = partial(SpecialFunctionError, *exc.args)
-    return out, failures
+    term = np.ones(len(z))
+    for k in range(int(round(-a))):
+        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
+        out += term
+    return out, {}
 
 
 def hyp2f1(a: float, b: float, c: float, z):

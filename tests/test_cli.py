@@ -4,12 +4,14 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orthoforms import suites
 from orthoforms.cli import main
 from orthoforms.cycles import QuadratureError
-from orthoforms.kernels import KernelSingularity
+from orthoforms.domain import DomainPoint, WittFrame
+from orthoforms.kernels import KernelSingularity, p_components
 from orthoforms.quadratic import lattice_from_config, standard_lattice
 from orthoforms.special import limit_constant
 from orthoforms.suites import (
@@ -504,6 +506,71 @@ def test_duality_refused_cycle_data_exits_2(tmp_path, capsys, lattice,
     assert "config field 'duality'" in err and message in err
 
 
+@pytest.mark.parametrize("nodes, settled", [([16, 16], True),
+                                           ([8, 8], False)],
+                         ids=["settled", "unsettled"])
+def test_duality_suite_evaluates_the_pairing(tmp_path, capsys, nodes,
+                                             settled):
+    """The suite's evaluation path on cycle data off the divisor z2 = 0 of
+    nu: one pairing record, finite when both quadratures settle, noting
+    the unsettled one otherwise.  These windows are not fundamental
+    domains, so no verdict is asserted, only that the exit code follows
+    the record."""
+    cfg = _write_config(tmp_path, {"suite": "duality", "duality": dict(
+        _DUALITY, window_C=[[0.9, 1.9], [0.2, 0.6]], nodes=nodes,
+        nodes_T=[4, 4])})
+    code = main(["verify", "--config", cfg, "--json"])
+    header, *records = map(json.loads, capsys.readouterr().out.splitlines())
+    assert header["header"]["suite"] == "duality"
+    record, = records
+    assert record["check_id"] == "duality/cycle-density-pairing"
+    assert record["anchor"] == "cycle-density-duality"
+    assert code == (0 if record["pass"] else 1)
+    if settled:
+        assert all(map(math.isfinite, record["value"] + record["reference"]))
+    else:
+        assert record["note"].startswith("quadrature did not settle")
+
+
+@pytest.mark.parametrize("command", ["tube_limit", "restrict", "current_eq"])
+def test_suite_refuses_a_rank_three_lattice(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, {"suite": command,
+                                   "lattice": {"standard": 3}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "config field 'lattice'" in capsys.readouterr().err
+
+
+def test_seed_flag_matches_the_config_seed(tmp_path):
+    """verify geometry --seed 7 writes the report of a config whose
+    parameters.seed is 7, byte for byte, and not the default seed's."""
+    cfg = _write_config(tmp_path, {"suite": "geometry",
+                                   "parameters": {"seed": 7}})
+    outs = [tmp_path / f"{name}.ndjson" for name in ("flag", "cfg", "dflt")]
+    assert main(["verify", "geometry", "--seed", "7",
+                 "--out", str(outs[0])]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(outs[1])]) == 0
+    assert main(["verify", "geometry", "--out", str(outs[2])]) == 0
+    flag, config, default = (out.read_bytes() for out in outs)
+    assert flag == config != default
+
+
+@pytest.mark.parametrize("command", ["restrict", "duality"])
+def test_suite_subcommand_prints_the_verify_report(tmp_path, capsys,
+                                                   command):
+    """The restrict and duality subcommands print the NDJSON report of
+    verify on the same suite."""
+    cfg = _write_config(tmp_path, {"duality": dict(
+        _DUALITY, window_C=[[0.9, 1.9], [0.2, 0.6]], nodes=[16, 16],
+        nodes_T=[4, 4])})
+    args = ["--config", cfg, "--json"] if command == "duality" else ["--json"]
+    outputs = []
+    for argv in ([command], ["verify", command]):
+        outputs.append((main(argv + args), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    header = json.loads(outputs[0][1].splitlines()[0])["header"]
+    assert header["suite"] == command
+
+
 def test_verify_failure_exits_1(tmp_path, capsys):
     # the collar-limit comparison against the printed constant is a known
     # honest failure: the measured limit is twice that value
@@ -531,6 +598,21 @@ def test_eval_kernel_json(capsys):
     assert math.isfinite(re) and math.isfinite(im)
 
 
+def test_eval_kernel_p_json(capsys):
+    """--kind p returns the form p(lambda) at the point, component by
+    component."""
+    code = main(["eval-kernel", "--n", "2", "--lam", "0,0,1,1", "--kind",
+                 "p", "--z", "0.3+1.2j,0.1+0.2j", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    lattice, data, _ = lattice_from_config({"standard": 2})
+    frame = WittFrame.build(lattice, data["e"], data["e_prime"])
+    point = DomainPoint(frame, np.array([0.3 + 1.2j, 0.1 + 0.2j]))
+    comps = p_components(frame.frame_coords((0, 0, 1, 1)), point)
+    assert payload["kind"] == "p"
+    assert payload["components"] == [[c.real, c.imag] for c in comps]
+
+
 def test_eval_kernel_singular_point_exits_1(capsys):
     # lam = e' pairs with psi(Z) as 1, but the positive-cone condition for
     # ptilde fails for a vector of zero norm
@@ -546,6 +628,21 @@ def test_eval_series_singular_point_exits_1(capsys):
                  "--bound", "8", "--z", "1.0j"])
     assert code == 1
     assert "kernel pole" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-kernel", "--lam=0,0,1,-1"],
+    ["eval-series", "--m", "-1", "--bound", "12"],
+], ids=["eval-kernel", "eval-series"])
+def test_eval_overflow_exits_1(capsys, argv):
+    """At kappa = 30 the pairing 2e-11 of (0, 0, 1, -1) passes the pole
+    guard but its power overflows: exit 1 with one error line."""
+    code = main(argv + ["--n", "2", "--kappa", "30",
+                        "--z=0.3+1.1j,1e-11j"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "complex exponentiation" in err and "Traceback" not in err
 
 
 # within 1e-5 of the positive-norm cycle of (-1, -1, 1), where the n = 1

@@ -845,8 +845,7 @@ def test_opaque_h_runs_once_per_node_before_H(geo):
 
 
 def test_window_bump_evaluates_each_block_once(geo, monkeypatch):
-    """A WindowBump h is evaluated once per block by its row functions,
-    whose memo a later bump(point) at a node of the block reads."""
+    """A WindowBump h is evaluated once per block by its row functions."""
     chart, _, H, dbar_coeff, _, _ = _block_case(geo, 2, False)
     bump = WindowBump(chart)
     runs = []
@@ -860,15 +859,27 @@ def test_window_bump_evaluates_each_block_once(geo, monkeypatch):
     _face_form_integral(chart, face, bump,
                         lambda pt: (seen.append(pt), H(pt))[1])
     assert runs == ["_value_rows"] * len(blocks)
-    bump(seen[0])
-    bump(seen[-1])
-    assert runs == ["_value_rows"] * len(blocks)
     runs.clear()
     strips = _shell_strips(chart, 0.05, 0.1)
     _shell_volume_integral(chart, bump, H, dbar_coeff, 0.05, 0.1)
     count = sum(len(list(_box_blocks(chart, strip, _top_det)))
                 for strip in strips)
     assert runs == ["_value_rows", "_dbar_rows"] * count
+
+
+def test_window_bump_block_raises_its_first_failed_row(geo, monkeypatch):
+    """When a bump's row function fails rows, _at_nodes raises the
+    exception of the block's first failed row, not of the first one
+    recorded."""
+    chart = _block_case(geo, 2, False)[0]
+    bump = WindowBump(chart)
+    monkeypatch.setattr(bump, "_value_rows", lambda block: (
+        np.zeros(len(block.z)), {3: lambda: ValueError("row 3"),
+                                 1: lambda: ValueError("row 1")}))
+    points, _, _ = next(_box_blocks(chart, _tube_faces(chart, 0.1)[0],
+                                    _hat_minors))
+    with pytest.raises(ValueError, match="row 1"):
+        cycles._at_nodes(bump, points)
 
 
 def test_block_where_h_vanishes_contributes_exact_zero(geo):

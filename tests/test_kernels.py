@@ -11,8 +11,7 @@ from orthoforms.calculus import (central_differences, dbar_jacobian, dbar_top,
                                  star01, xi_scalar, xi_top)
 from orthoforms.cycles import transport_to
 from orthoforms.domain import (Block, BoundaryError, ComponentError,
-                               DomainPoint, act, q_plus_minus, row_value,
-                               sample_point)
+                               DomainPoint, act, q_plus_minus, sample_point)
 from orthoforms.kernels import (KernelSingularity,
                                 action_jacobian, dbar_image_reference,
                                 form_slash, omega_kernel, p_components,
@@ -430,6 +429,49 @@ def test_p_tilde_continuation_near_negative_cycle():
     assert max(norms) < 10.0 * min(norms)
 
 
+def test_p_tilde_refuses_invalid_arguments(setup_n, rng):
+    """p_tilde_components raises ValueError at once for kappa <= n/2, for
+    q(lambda) = 0 under rep="auto" and for an unknown representation."""
+    _, frame, _, n = setup_n
+    fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
+    point = sample_point(frame, rng)
+    isotropic = np.zeros(n + 2)
+    isotropic[0] = 1.0      # e: q(e) = 0
+    for args, message in (((fc, n // 2, point), "kappa > n/2"),
+                          ((isotropic, n + 1, point), "out of scope"),
+                          ((fc, n + 1, point, "plain"), "unknown")):
+        with pytest.raises(ValueError, match=message):
+            p_tilde_components(*args)
+
+
+def _overflow_block():
+    """At n = 2, lambda = (0, 0, 1, -1) in lattice coordinates (frame
+    coordinates (0, 0, 0, 1)) and a block with rows z = (0.3 + 1.1i, 0.2)
+    and (0.3 + 1.1i, 1e-11): the second row's pairing is 2e-11, above the
+    kernels' 1e-12 guards, but its 30th power overflows."""
+    from orthoforms.domain import WittFrame
+    from orthoforms.quadratic import lattice_from_config
+    lattice, data, _ = lattice_from_config({"standard": 2})
+    frame = WittFrame.build(lattice, data["e"], data["e_prime"])
+    z = np.array([[0.3 + 1.1j, 0.2], [0.3 + 1.1j, 1e-11]])
+    return frame.frame_coords(as_vec([0, 0, 1, -1])), frame, z
+
+
+@pytest.mark.parametrize("kernel", [omega_kernel, p_tilde_components,
+                                    dbar_image_reference],
+                         ids=["omega", "ptilde", "dbar"])
+def test_overflowing_row_fails_alone(kernel):
+    """A row whose Python power overflows fails alone: the regular row of
+    its block keeps its standalone value bit for bit, and the overflowing
+    row raises OverflowError only when it is requested."""
+    fc, frame, z = _overflow_block()
+    regular, overflowing = Block(frame, z)
+    assert np.array_equal(kernel(fc, 30, regular),
+                          kernel(fc, 30, DomainPoint(frame, z[0])))
+    with pytest.raises(OverflowError):
+        kernel(fc, 30, overflowing)
+
+
 # lambda = (-1, -1, 1) at n = 1 and a point within about 1e-5 of its
 # positive-norm cycle: the plus factor's argument is z = 0.999996, where its
 # series gave up after 200,000 terms
@@ -751,34 +793,6 @@ def test_row_values_are_fresh_copies(setup_n, rng):
         first[:] = 0.0
         assert np.array_equal(func(), kept)
 
-
-
-def test_block_rows_share_the_row_value_memo(setup_n, rng):
-    """Block.values gives every row of a row function on the block through
-    row_value's memo, so the function runs once per block, and a block with
-    failed rows raises the first failed row's exception."""
-    _, frame, _, _ = setup_n
-    block = Block(
-        frame, np.array([sample_point(frame, rng).z for _ in range(4)]))
-    points = list(block)
-    runs = []
-
-    def rows(block):
-        runs.append(len(block.z))
-        return 2.0 * block.q_y, {}
-
-    values = block.values(rows)
-    assert np.array_equal(values, [2.0 * point.q_y for point in points])
-    assert row_value(points[3], rows) == values[3]
-    assert block.values(rows) is values
-    assert runs == [4]
-
-    def failing(block):
-        return np.zeros(len(block.z)), {3: lambda: ValueError("row 3"),
-                                        1: lambda: ValueError("row 1")}
-
-    with pytest.raises(ValueError, match="row 1"):
-        block.values(failing)
 
 
 def test_standalone_point_memoizes_its_row(setup_n, rng, monkeypatch):

@@ -294,6 +294,27 @@ def test_mero_pole_guard_trips_on_cycle(small_frames):
         assert reason in str(info.value)
 
 
+def test_failing_series_term_names_its_vector_in_plain_coordinates(
+        small_frames):
+    """The enumerated class's vectors are Fraction tuples; a failing term
+    names its vector entry by entry, as sum_omega names a listed one."""
+    _, frame, _ = small_frames[1]
+    spec = SeriesSpec.create(frame, [0, 0, 0], -1, 4, 8.0)
+    with pytest.raises(KernelSingularity) as info:
+        eval_omega(spec, _point(frame, [1.0j]))
+    assert "lattice vector (-1, 1, 0): scalar kernel pole" in str(info.value)
+
+
+def test_overflowing_series_term_names_its_vector(small_frames):
+    """At kappa = 30 the term of (0, 0, 1, -1), whose pairing 2e-11 passes
+    the pole guard, overflows; the sum raises OverflowError naming it."""
+    _, frame, _ = small_frames[2]
+    point = _point(frame, [0.3 + 1.1j, 1e-11j])
+    with pytest.raises(OverflowError) as info:
+        sum_omega(frame, [(0, 0, 1, 1), (0, 0, 1, -1)], 30, point)
+    assert "lattice vector (0, 0, 1, -1)" in str(info.value)
+
+
 def test_form_sum_is_the_ordered_kahan_sum_of_single_kernels(small_frames):
     """sum_Omega evaluates all vectors in one row call; the total is the
     compensated sum, in list order, of each vector's standalone kernel."""

@@ -9,7 +9,8 @@ import pytest
 from orthoforms.special import (MINUS_SWITCH, PLUS_SWITCH,
                                 SpecialFunctionError, _gl_rule,
                                 gauss_legendre_grid, hyp2f1, hyp2f1_rows,
-                                limit_constant, radial_integral, sphere_area)
+                                limit_constant, radial_integral, row_map,
+                                sphere_area)
 
 
 # z from below the closed forms' switch points to the n = 1 defect point
@@ -121,6 +122,45 @@ def test_hyp2f1_array_raises_the_first_failing_element():
     assert values[0] == hyp2f1(0.5, 1.0, 1.5, 0.3)
     with pytest.raises(SpecialFunctionError, match="divergent"):
         raise failures[1]()
+
+
+def test_hyp2f1_rows_overflowing_element_fails_alone():
+    """Pfaff's (1 - z)^-a overflows at z = -1e300: that element fails with
+    OverflowError, and the element beside it keeps its scalar value."""
+    values, failures = hyp2f1_rows(-3.5, 1.0, 2.0, np.array([0.3, -1e300]))
+    assert values[0] == hyp2f1(-3.5, 1.0, 2.0, 0.3)
+    assert list(failures) == [1]
+    with pytest.raises(OverflowError):
+        raise failures[1]()
+
+
+def test_row_map_evaluates_each_row_once():
+    """Row 1 overflows and fails alone, and the formula runs once per row,
+    the failing row included; a row failed beforehand keeps its failure."""
+    calls = []
+
+    def formula(x, k):
+        calls.append(x)
+        return x ** k
+
+    columns = [np.array([2.0, 1e300, 3.0, 0.5]), np.array([2, 3, 2, -1])]
+    values, failures = row_map(formula, columns)
+    assert calls == [2.0, 1e300, 3.0, 0.5]
+    assert values.tolist() == [4.0, 0.0, 9.0, 2.0]
+    assert list(failures) == [1]
+    with pytest.raises(OverflowError):
+        raise failures[1]()
+    values, failures = row_map(formula, columns, {1: SpecialFunctionError,
+                                                  3: SpecialFunctionError})
+    assert values.tolist() == [4.0, 0.0, 9.0, 0.0]
+    assert failures == {1: SpecialFunctionError, 3: SpecialFunctionError}
+
+
+def test_hyp2f1_series_gives_up():
+    """F(1/2, 1/2; 1; z) has no closed form here and its series converges
+    too slowly at z = 1 - 1e-12: it gives up after 200,000 terms."""
+    with pytest.raises(SpecialFunctionError, match="did not converge"):
+        hyp2f1(0.5, 0.5, 1.0, 1 - 1e-12)
 
 
 def test_hyp2f1_at_one_gauss_value():
