@@ -11,8 +11,9 @@ but the first coordinate, as arrays of integer frontier rows, and solves the
 norm equation (quadratic or linear in one integer unknown) for the first
 over every row at once.  It works in the integer vectors w = den v of the
 coset (den the lcm of its denominators): each solution is kept by the int64
-identity w^T G w == 2 m den^2, a kept vector is turned into floats once, and
-into fractions only when read.
+identity w^T G w == 2 m den^2, and the kept vectors are turned into floats,
+majorant values and order in one array pass, and into fractions only when
+read.
 """
 from __future__ import annotations
 
@@ -284,19 +285,20 @@ def majorant_value(m_gram: np.ndarray, v: Sequence) -> float:
     return float(x @ m_gram @ x)
 
 
-class MajorantPoint(NamedTuple):
-    """A kept vector as integers w = den v (``vec`` builds the fractions at
-    each read) with its float coordinates and majorant value, bit for bit
-    ``vec_float(vec)`` and ``majorant_value(m_gram, vec)``."""
+class MajorantPoints(NamedTuple):
+    """The kept vectors as arrays, sorted lexicographically: the integer rows
+    w = den v (N, d), their float coordinates coords = w / den (N, d) and
+    majorant values (N,), row by row bit for bit ``vec_float(v)`` and
+    ``majorant_value(m_gram, v)``; ``vectors()`` builds the fractions."""
 
-    w: tuple[int, ...]
+    w: np.ndarray
     den: int
     coords: np.ndarray
-    value: float
+    values: np.ndarray
 
-    @property
-    def vec(self) -> Vec:
-        return tuple(Fraction(wj, self.den) for wj in self.w)
+    def vectors(self) -> list[Vec]:
+        return [tuple(Fraction(wj, self.den) for wj in row)
+                for row in self.w.tolist()]
 
 
 # children a frontier slice expands to (plus one row's window, at most),
@@ -319,9 +321,9 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
                     m: Fraction | int, coset: Sequence,
-                    bound: float) -> list[MajorantPoint]:
-    """All v in coset + L with q(v) == m and majorant(v) <= bound, each with
-    its float coordinates and majorant value.
+                    bound: float) -> MajorantPoints:
+    """All v in coset + L with q(v) == m and majorant(v) <= bound, with
+    their float coordinates and majorant values, as arrays.
 
     A Fincke-Pohst search walks coordinates d-1 ... 1 of the majorant
     ellipsoid (with a small slack) one level at a time: each row of an
@@ -333,27 +335,26 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     square root, linear when G00 = 0, scanned only where b = 0 and c hits
     the target.  Roots in the ellipsoid are kept by the integer identity
     ``w^T G w == 2 m den^2`` (one int64 product) and by the canonical
-    float majorant value of w / den (the floats of the fractions), so
-    results equal a box scan's.  A bound whose windows or discriminants
-    leave the exact integer range (2^53) raises LatticeError.  Sorted
-    lexicographically.
+    float majorant value of w / den (the floats of the fractions), taken
+    for all roots in one stacked product, so results equal a box scan's.
+    A bound whose windows or discriminants leave the exact integer range
+    (2^53) raises LatticeError.  Sorted lexicographically.
     """
     d = lattice.dim
     if not math.isfinite(bound):
         raise LatticeError(f"majorant bound must be finite, got {bound}")
-    if bound <= 0:
-        return []
+    coset_v = as_vec(coset)
+    den, offset = _integral(coset_v)  # w_j = den * x_j + offset_j
+    target = 2 * Fraction(m) * den * den  # w^T G w for w = den v of norm m
+    if bound <= 0 or target.denominator != 1:
+        return MajorantPoints(np.empty((0, d), dtype=np.int64), den,
+                              np.empty((0, d)), np.empty(0))
     try:
         r = np.linalg.cholesky(m_gram).T  # upper, x^T M x = ||r x||^2
     except np.linalg.LinAlgError as exc:
         raise LatticeError("majorant form is not positive definite") from exc
     slack = bound * (1 + 1e-9) + 1e-9
-    coset_v = as_vec(coset)
     c = np.array([float(a) for a in coset_v])
-    den, offset = _integral(coset_v)  # w_j = den * x_j + offset_j
-    target = 2 * Fraction(m) * den * den  # w^T G w for w = den v of norm m
-    if target.denominator != 1:
-        return []
     target = target.numerator
     g = np.array(lattice.gram, dtype=np.int64)
     a = lattice.gram[0][0]
@@ -376,16 +377,21 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
         if i == 0:
             return innermost(w, rem, s, lo, hi)
         counts = np.maximum(hi - lo + 1, 0)
+        if counts.sum() <= _FRONTIER_ROWS:
+            return grow(i, w, rem, s, *_expand(lo, hi))
         piece = (np.cumsum(counts) - counts) // _FRONTIER_ROWS
         cuts = np.flatnonzero(np.diff(piece)) + 1
         for part in np.split(np.arange(len(w)), cuts):
             rows, x = _expand(lo[part], hi[part])
-            rows = part[rows]
-            used = (r[i, i] * (x + c[i]) + s[rows]) ** 2
-            keep = used <= rem[rows] + 1e-12
-            child = w[rows[keep]]
-            child[:, i] = den * x[keep] + offset[i]
-            descend(i - 1, child, rem[rows[keep]] - used[keep])
+            grow(i, w, rem, s, part[rows], x)
+
+    def grow(i, w, rem, s, rows, x):
+        # descend to the children (rows, x) inside the ellipsoid
+        used = (r[i, i] * (x + c[i]) + s[rows]) ** 2
+        keep = used <= rem[rows] + 1e-12
+        child = w[rows[keep]]
+        child[:, i] = den * x[keep] + offset[i]
+        descend(i - 1, child, rem[rows[keep]] - used[keep])
 
     def innermost(w, rem, s, lo, hi):
         lin = w @ g  # w0 = 0 here: b = 2 lin_0, c = lin . w - target
@@ -416,12 +422,14 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
 
     descend(d - 1, np.zeros((1, d), dtype=np.int64), np.array([slack]))
     w = np.concatenate(found)
-    # w = den * (coset + x) with den > 0, so sorting w sorts v
-    # lexicographically; w is distinct per vector, so coords never compare
-    kept = sorted(zip(w.tolist(), w / den), key=lambda item: item[0])
-    points = (MajorantPoint(tuple(wi), den, x, float(x @ m_gram @ x))
-              for wi, x in kept)
-    return [p for p in points if p.value <= bound]
+    x = w / den
+    # the stacked products give each row the bits of x @ m_gram @ x
+    values = ((x[:, None, :] @ m_gram) @ x[:, :, None])[:, 0, 0]
+    kept = np.flatnonzero(values <= bound)
+    # w = den * (coset + x) with den > 0, so sorting the distinct rows of w
+    # sorts v lexicographically (lexsort's last key is the first column)
+    kept = kept[np.lexsort(w[kept].T[::-1])]
+    return MajorantPoints(w[kept], den, x[kept], values[kept])
 
 
 def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
@@ -429,7 +437,7 @@ def enumerate_majorant(lattice: QuadraticLattice, m_gram: np.ndarray,
                        bound: float) -> list[Vec]:
     """The vectors of :func:`majorant_points`: all v in coset + L with
     q(v) == m and majorant(v) <= bound, sorted lexicographically."""
-    return [p.vec for p in majorant_points(lattice, m_gram, m, coset, bound)]
+    return majorant_points(lattice, m_gram, m, coset, bound).vectors()
 
 
 # ---------------------------------------------------------------------------

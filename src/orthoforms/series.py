@@ -29,7 +29,7 @@ import numpy as np
 
 from .domain import Block, DomainPoint, WittFrame, act, majorant_at
 from .kernels import KernelSingularity, omega_rows, p_tilde_rows
-from .quadratic import Isometry, MajorantPoint, Vec, as_vec, majorant_points
+from .quadratic import Isometry, MajorantPoints, Vec, as_vec, majorant_points
 
 __all__ = [
     "SeriesError", "SeriesSpec", "SeriesResult", "enumerate_class",
@@ -91,8 +91,7 @@ class SeriesResult(NamedTuple):
     count: int
 
 
-def _class_points(spec: SeriesSpec,
-                  point: DomainPoint) -> list[MajorantPoint]:
+def _class_points(spec: SeriesSpec, point: DomainPoint) -> MajorantPoints:
     """The class's kept vectors at the point with their float coordinates
     and majorant values, from one enumeration."""
     m_gram = majorant_at(spec.frame, point)
@@ -103,14 +102,14 @@ def _class_points(spec: SeriesSpec,
 def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
     """Lexicographically sorted coset vectors of norm m whose majorant at
     the point is at most the bound."""
-    return [p.vec for p in _class_points(spec, point)]
+    return _class_points(spec, point).vectors()
 
 
 def _accumulate(values: np.ndarray, zero):
     """Ordered compensated (Kahan) sum of the rows of values starting from
     zero, a complex scalar (the rows as Python complex) or a fixed-shape
-    array; returns (total, per-term max moduli), the moduli from one np.abs
-    over values."""
+    array; returns (total, per-term max moduli), the moduli an array from
+    one np.abs over values."""
     total = comp = zero
     for t in values.tolist() if values.ndim == 1 else values:
         y = t - comp
@@ -118,24 +117,24 @@ def _accumulate(values: np.ndarray, zero):
         comp = (s - total) - y
         total = s
     sizes = np.abs(values)
-    return total, (sizes.max(axis=1) if sizes.ndim > 1 else sizes).tolist()
+    return total, sizes.max(axis=1) if sizes.ndim > 1 else sizes
 
 
-def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
+def _walk(rows, frame: WittFrame, vectors, lams: np.ndarray, kappa: int,
           point: DomainPoint, zero):
     """The compensated sum from zero and the per-term sizes of the kernels
-    rows(block, lams, kappa) of the vectors, given by their frame
-    coordinates lams, in order, from one row call (the vectors' rows
+    rows(block, lams, kappa) of the vectors, given by the rows of their
+    frame coordinates lams, in order, from one row call (the vectors' rows
     against the one point).  The first failing term raises its exception's
-    type, naming its vector, vector(i), entry by entry as str prints it."""
-    if not lams:
-        return zero, []
-    values, failures = rows(Block(frame, point.z[None]), np.array(lams),
-                            kappa)
+    type, naming its vector, vectors()[i], entry by entry as str prints
+    it."""
+    if not len(lams):
+        return zero, np.empty(0)
+    values, failures = rows(Block(frame, point.z[None]), lams, kappa)
     if failures:
         i = min(failures)
         exc = failures[i]()
-        where = f"lattice vector ({', '.join(map(str, vector(i)))})"
+        where = f"lattice vector ({', '.join(map(str, vectors()[i]))})"
         if isinstance(exc, KernelSingularity):
             raise KernelSingularity(
                 f"series term singular at {where}: {exc.reason}", exc.lam,
@@ -147,9 +146,9 @@ def _walk(rows, frame: WittFrame, vector, lams, kappa: int,
 def _sum(rows, frame: WittFrame, vectors, kappa: int, point: DomainPoint,
          zero):
     vectors = list(vectors)
-    return _walk(rows, frame, vectors.__getitem__,
-                 [frame.frame_coords(v) for v in vectors], kappa, point,
-                 zero)[0]
+    return _walk(rows, frame, lambda: vectors,
+                 np.array([frame.frame_coords(v) for v in vectors]), kappa,
+                 point, zero)[0]
 
 
 def sum_omega(frame: WittFrame, vectors, kappa: int,
@@ -167,35 +166,23 @@ def sum_Omega(frame: WittFrame, vectors, kappa: int,
                 np.zeros(frame.n, dtype=complex))
 
 
-def _shell_tail(bound: float, values, sizes) -> float:
-    """Count times max-term heuristic over the outer shell [B/2, B], from
-    the terms' majorant values and sizes."""
-    half = bound / 2.0
-    best = 0.0
-    count = 0
-    for value, s in zip(values, sizes):
-        if value >= half:
-            count += 1
-            if s > best:
-                best = s
-    return count * best
-
-
 def _evaluate(spec: SeriesSpec, point: DomainPoint, rows,
               zero) -> SeriesResult:
     """Enumerate the class at the point once, sum the kernels rows(block,
     lams, kappa) of its vectors from zero, and estimate the tail on the
     outer majorant shell from the enumeration's majorant values.  lams are
     the frame coordinates to_frame @ x of the kept vectors' float
-    coordinates x, one vector at a time, as frame.frame_coords computes
-    them."""
+    coordinates x from one stacked product, each row bit for bit
+    frame.frame_coords of its vector."""
     found = _class_points(spec, point)
-    frame = spec.frame
-    lams = [frame.to_frame @ p.coords for p in found]
-    total, sizes = _walk(rows, frame, lambda i: found[i].vec, lams,
-                         spec.kappa, point, zero)
-    tail = _shell_tail(spec.bound, [p.value for p in found], sizes)
-    return SeriesResult(total, tail, len(found))
+    lams = (spec.frame.to_frame @ found.coords[:, :, None])[:, :, 0]
+    total, sizes = _walk(rows, spec.frame, found.vectors, lams, spec.kappa,
+                         point, zero)
+    # count times max term over the shell [B/2, B]; sizes > 0 leaves out NaN
+    shell = found.values >= spec.bound / 2.0
+    top = np.max(sizes[shell & (sizes > 0)], initial=0.0)
+    return SeriesResult(total, np.count_nonzero(shell) * float(top),
+                        len(found.values))
 
 
 def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:

@@ -887,7 +887,9 @@ def suite_duality(ctx: SuiteContext) -> list[CheckRecord]:
     fc_nu = frame.frame_coords(nu)
     omega_mero = lambda pt: omega_kernel(fc_nu, kappa, pt)
     Omega_cusp = lambda pt: p_tilde_components(fc_mu, kappa, pt)
-    ins = {"mu": list(mu), "nu": list(nu), "kappa": kappa, "eps": eps}
+    ins = {"mu": list(mu), "nu": list(nu), "kappa": kappa, "eps": eps,
+           "window_C": window_C, "window_T": window_T, "nodes": nodes,
+           "nodes_T": nodes_T}
     try:
         chart_C = CycleChart.create(frame, mu, window_C, nodes)
         # refuses n = 1, where limit_constant is undefined
@@ -996,6 +998,7 @@ def run(config: RunConfig) -> Report:
             "suite": config.suite,
             "lattice": config.lattice,
             "parameters": asdict(config.params),
+            **config.extra,  # the duality block, when there is one
         }),
     }
     return Report(header, tuple(records))

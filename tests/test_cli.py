@@ -532,6 +532,17 @@ def test_duality_suite_evaluates_the_pairing(tmp_path, capsys, nodes,
         assert record["note"].startswith("quadrature did not settle")
 
 
+def test_duality_digests_cover_the_cycle_data():
+    """Two duality configs that differ only in their node counts give
+    different config and inputs digests."""
+    reports = [run(RunConfig(suite="duality", extra={"duality": dict(
+        _DUALITY, window_C=[[0.9, 1.9], [0.2, 0.6]], nodes=nodes,
+        nodes_T=[4, 4])})) for nodes in ([16, 16], [8, 8])]
+    configs = {report.header["config_digest"] for report in reports}
+    inputs = {report.records[0].inputs_digest for report in reports}
+    assert len(configs) == len(inputs) == 2
+
+
 @pytest.mark.parametrize("command", ["tube_limit", "restrict", "current_eq"])
 def test_suite_refuses_a_rank_three_lattice(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, {"suite": command,

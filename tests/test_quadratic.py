@@ -425,14 +425,15 @@ def test_majorant_points_third_coset_match_box_oracle_exactly(case):
     path, lat, m_gram, m, coset = case
     assert (lat.gram[0][0] == 0) == (path == "linear")
     points = majorant_points(lat, m_gram, m, coset, 12.0)
-    vectors = [p.vec for p in points]
+    vectors = points.vectors()
     assert vectors
     assert vectors == enumerate_majorant(lat, m_gram, m, coset, 12.0)
     assert vectors == enumerate_box_oracle(lat, m_gram, m, coset, 12.0)
-    for p in points:
-        assert lat.q(p.vec) == m
-        assert p.coords.tobytes() == vec_float(p.vec).tobytes()
-        assert p.value == majorant_value(m_gram, p.vec) <= 12.0
+    for v, coords, value in zip(vectors, points.coords, points.values,
+                                strict=True):
+        assert lat.q(v) == m
+        assert coords.tobytes() == vec_float(v).tobytes()
+        assert value == majorant_value(m_gram, v) <= 12.0
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
@@ -503,11 +504,41 @@ def test_majorant_points_match_box_oracle_property(case):
     bit for bit."""
     _, lat, m_gram, m, coset, bound = case
     points = majorant_points(lat, m_gram, m, coset, bound)
-    assert [p.vec for p in points] == enumerate_box_oracle(
-        lat, m_gram, m, coset, bound)
-    for p in points:
-        assert p.coords.tobytes() == vec_float(p.vec).tobytes()
-        assert p.value == majorant_value(m_gram, p.vec)
+    vectors = points.vectors()
+    assert vectors == enumerate_box_oracle(lat, m_gram, m, coset, bound)
+    for v, coords, value in zip(vectors, points.coords, points.values,
+                                strict=True):
+        assert coords.tobytes() == vec_float(v).tobytes()
+        assert value == majorant_value(m_gram, v)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_frontier_slices_give_the_same_points(rows, monkeypatch):
+    """Any frontier slice size gives the default's vectors, coordinates and
+    values, bit for bit, and a slice smaller than a level's children makes
+    the search expand that level in several slices."""
+    from orthoforms import quadratic
+    rng = np.random.default_rng(29)
+    cases = [(*_point_majorant(2, rng), 1, [0] * 4, 24.0),
+             (*_point_majorant(3, rng), -1, [Fraction(1, 2)] + [0] * 4, 8.0),
+             (*_anisotropic_majorant(rng), 2, [0] * 3, 30.0)]
+    expands = []
+    expand = quadratic._expand
+
+    def counted(lo, hi):
+        expands.append(len(lo))
+        return expand(lo, hi)
+
+    monkeypatch.setattr(quadratic, "_expand", counted)
+    default = [majorant_points(*case) for case in cases]
+    single = len(expands)
+    monkeypatch.setattr(quadratic, "_FRONTIER_ROWS", rows)
+    for case, ref in zip(cases, default, strict=True):
+        got = majorant_points(*case)
+        assert got.den == ref.den and len(ref.values) > 0
+        for name in ("w", "coords", "values"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert len(expands) - single > single
 
 
 @pytest.mark.parametrize("bound", [1e13, 1e30, 1e300])
