@@ -294,16 +294,20 @@ def psi_rows(frame: WittFrame, z: np.ndarray) -> np.ndarray:
     return frame.from_frame.astype(complex) @ psi_frame(frame, z)
 
 
-def act(frame: WittFrame, sigma, points):
+def act(frame: WittFrame, sigma, points, psi: np.ndarray | None = None):
     """Apply an isometry to a point, or to the rows of a Block; returns
     (sigma Z, j(sigma, Z)) where j(sigma, Z) = (e, sigma psi(Z)) is the
     factor of automorphy, as a DomainPoint and a complex, or a Block and an
-    (N,) array.  Every step is one stacked matmul, each row rounded as at
-    one point.  The first row sent to the boundary (|j| < 1e-12) or out of
-    the fixed component raises BoundaryError or ComponentError."""
+    (N,) array.  psi, when given, is psi_frame of the points' rows.  Every
+    step is one stacked matmul, each row rounded as at one point.  The
+    first row sent to the boundary (|j| < 1e-12) or out of the fixed
+    component raises BoundaryError or ComponentError."""
     block = isinstance(points, Block)
     z = points.z if block else points.z[None]
-    w = isometry_matrix(sigma).astype(complex) @ psi_rows(frame, z)
+    if psi is None:
+        psi = psi_frame(frame, z)
+    w = isometry_matrix(sigma).astype(complex) @ (
+        frame.from_frame.astype(complex) @ psi)
     j = frame.e_covector @ w
     stop = min((np.abs(j) < 1e-12).nonzero()[0], default=len(j))
     fc = frame.to_frame.astype(complex) @ (w[:stop] / j[:stop])

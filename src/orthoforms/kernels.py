@@ -235,7 +235,8 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
 # form-level slash action
 
 
-def action_jacobian(sigma, points) -> np.ndarray:
+def action_jacobian(sigma, points,
+                    psi: np.ndarray | None = None) -> np.ndarray:
     """Holomorphic Jacobian J[i, k] = d(sigma Z)_i / d z_k of the action, in
     closed form: (n, n) at a point, (N, n, n) at the rows of a Block.
 
@@ -243,13 +244,14 @@ def action_jacobian(sigma, points) -> np.ndarray:
     d psi / d z_k = (-2 eps_k z_k, 0, e_k); one stacked matmul gives
     w = sigma psi(Z) and its partials.  j = (e, w) is the e~'-coordinate of
     w and sigma Z = w_W / j, so by the quotient rule
-    J = (d w_W - (sigma Z) d j) / j."""
+    J = (d w_W - (sigma Z) d j) / j.  psi, when given, is psi_frame of the
+    points' rows."""
     frame = points.frame
     block = isinstance(points, Block)
     z = points.z if block else points.z[None]
     n = frame.n
     lift = np.zeros((len(z), n + 2, n + 1), dtype=complex)
-    lift[:, :, :1] = psi_frame(frame, z)
+    lift[:, :, :1] = psi_frame(frame, z) if psi is None else psi
     lift[:, 0, 1:] = -2.0 * frame.eps * z
     lift[:, 2:, 1:] = np.eye(n)
     w = (frame.to_frame @ isometry_matrix(sigma) @ frame.from_frame) @ lift
@@ -262,9 +264,10 @@ def form_slash(sigma, vec_func, weight: int, point: DomainPoint) -> np.ndarray:
     """(H |_w sigma)(Z) = j(sigma, Z)^-w (sigma^* H)(Z) on (n, n-1)-forms,
     with the pullback along Z -> sigma Z in hat coefficients
     (sigma^* H)(Z) = |det J|^2 conj(J)^{-1} H(sigma Z).  One act gives
-    sigma Z and j."""
-    moved, j = act(point.frame, sigma, point)
-    jac = action_jacobian(sigma, point)
+    sigma Z and j, and psi(Z) is built once for it and the Jacobian."""
+    psi = psi_frame(point.frame, point.z[None])
+    moved, j = act(point.frame, sigma, point, psi)
+    jac = action_jacobian(sigma, point, psi)
     det = np.linalg.det(jac)
     g = np.asarray(vec_func(moved), dtype=complex)
     return j ** (-weight) * (abs(det) ** 2 * np.linalg.solve(np.conj(jac), g))

@@ -30,7 +30,8 @@ Vec = tuple[Fraction, ...]
 
 
 def as_vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+    # a Fraction is immutable, so one given is kept as it is
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -343,8 +344,7 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     d = lattice.dim
     if not math.isfinite(bound):
         raise LatticeError(f"majorant bound must be finite, got {bound}")
-    coset_v = as_vec(coset)
-    den, offset = _integral(coset_v)  # w_j = den * x_j + offset_j
+    den, offset = _integral(coset)  # w_j = den * x_j + offset_j
     target = 2 * Fraction(m) * den * den  # w^T G w for w = den v of norm m
     if bound <= 0 or target.denominator != 1:
         return MajorantPoints(np.empty((0, d), dtype=np.int64), den,
@@ -354,7 +354,7 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise LatticeError("majorant form is not positive definite") from exc
     slack = bound * (1 + 1e-9) + 1e-9
-    c = np.array([float(a) for a in coset_v])
+    c = np.array([wj / den for wj in offset])  # the coset's floats
     target = target.numerator
     g = np.array(lattice.gram, dtype=np.int64)
     a = lattice.gram[0][0]
@@ -407,11 +407,12 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
             rows, w0 = rows[even], num[even] // (2 * a)
         else:
             linear = (b != 0) & (cc % np.where(b, b, 1) == 0)
+            rows, w0 = linear.nonzero()[0], -cc[linear] // b[linear]
             scan = ((b == 0) & (cc == 0)).nonzero()[0]
-            srows, sx = _expand(lo[scan], hi[scan])
-            rows = np.concatenate([linear.nonzero()[0], scan[srows]])
-            w0 = np.concatenate([-cc[linear] // b[linear],
-                                 den * sx + offset[0]])
+            if len(scan):
+                srows, sx = _expand(lo[scan], hi[scan])
+                rows = np.concatenate([rows, scan[srows]])
+                w0 = np.concatenate([w0, den * sx + offset[0]])
         x0 = (w0 - offset[0]) // den
         keep = (((w0 - offset[0]) % den == 0) & (lo[rows] <= x0)
                 & (x0 <= hi[rows]) & ((r[0, 0] * (x0 + c[0]) + s[rows]) ** 2

@@ -33,7 +33,7 @@ from .quadratic import Isometry, MajorantPoints, Vec, as_vec, majorant_points
 
 __all__ = [
     "SeriesError", "SeriesSpec", "SeriesResult", "enumerate_class",
-    "sum_omega", "sum_Omega", "eval_omega", "eval_Omega",
+    "sum_omega", "sum_Omega", "eval_omega", "eval_Omega", "eval_Omega_class",
     "modularity_defect", "modularity_check",
 ]
 
@@ -105,19 +105,29 @@ def enumerate_class(spec: SeriesSpec, point: DomainPoint) -> list[Vec]:
     return _class_points(spec, point).vectors()
 
 
-def _accumulate(values: np.ndarray, zero):
-    """Ordered compensated (Kahan) sum of the rows of values starting from
-    zero, a complex scalar (the rows as Python complex) or a fixed-shape
-    array; returns (total, per-term max moduli), the moduli an array from
-    one np.abs over values."""
+def _kahan(terms: list, zero: complex) -> complex:
+    """Ordered compensated (Kahan) sum of terms, from zero."""
     total = comp = zero
-    for t in values.tolist() if values.ndim == 1 else values:
+    for t in terms:
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
+    return total
+
+
+def _accumulate(values: np.ndarray, zero):
+    """Ordered compensated (Kahan) sum of the rows of values starting from
+    zero, a complex scalar or a fixed-shape array (summed column by column,
+    each column as a scalar sum), in Python complex; returns (total,
+    per-term max moduli), the moduli an array from one np.abs over
+    values."""
     sizes = np.abs(values)
-    return total, sizes.max(axis=1) if sizes.ndim > 1 else sizes
+    if values.ndim == 1:
+        return _kahan(values.tolist(), zero), sizes
+    total = [_kahan(column, start)
+             for column, start in zip(values.T.tolist(), zero.tolist())]
+    return np.array(total, dtype=complex), sizes.max(axis=1)
 
 
 def _walk(rows, frame: WittFrame, vectors, lams: np.ndarray, kappa: int,
@@ -166,15 +176,14 @@ def sum_Omega(frame: WittFrame, vectors, kappa: int,
                 np.zeros(frame.n, dtype=complex))
 
 
-def _evaluate(spec: SeriesSpec, point: DomainPoint, rows,
-              zero) -> SeriesResult:
-    """Enumerate the class at the point once, sum the kernels rows(block,
-    lams, kappa) of its vectors from zero, and estimate the tail on the
-    outer majorant shell from the enumeration's majorant values.  lams are
-    the frame coordinates to_frame @ x of the kept vectors' float
+def _evaluate(spec: SeriesSpec, point: DomainPoint, rows, zero,
+              found: MajorantPoints) -> SeriesResult:
+    """Sum the kernels rows(block, lams, kappa) of the class's vectors at
+    the point, found by one enumeration, from zero, and estimate the tail
+    on the outer majorant shell from the enumeration's majorant values.
+    lams are the frame coordinates to_frame @ x of the kept vectors' float
     coordinates x from one stacked product, each row bit for bit
     frame.frame_coords of its vector."""
-    found = _class_points(spec, point)
     lams = (spec.frame.to_frame @ found.coords[:, :, None])[:, :, 0]
     total, sizes = _walk(rows, spec.frame, found.vectors, lams, spec.kappa,
                          point, zero)
@@ -187,14 +196,25 @@ def _evaluate(spec: SeriesSpec, point: DomainPoint, rows,
 
 def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated scalar series: (value, tail estimate, term count)."""
-    return _evaluate(spec, point, omega_rows, 0j)
+    return _evaluate(spec, point, omega_rows, 0j, _class_points(spec, point))
 
 
 def eval_Omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated form-valued series: componentwise sum of the xi-preimage
     kernel, with the analogous shell tail estimate."""
     return _evaluate(spec, point, p_tilde_rows,
-                     np.zeros(spec.frame.n, dtype=complex))
+                     np.zeros(spec.frame.n, dtype=complex),
+                     _class_points(spec, point))
+
+
+def eval_Omega_class(spec: SeriesSpec,
+                     point: DomainPoint) -> tuple[SeriesResult, list[Vec]]:
+    """eval_Omega and the class's vectors it sums, in order, from its one
+    enumeration."""
+    found = _class_points(spec, point)
+    return (_evaluate(spec, point, p_tilde_rows,
+                      np.zeros(spec.frame.n, dtype=complex), found),
+            found.vectors())
 
 
 def modularity_defect(spec: SeriesSpec, point: DomainPoint,

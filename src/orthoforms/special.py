@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -22,16 +23,31 @@ def _is_nonpositive_int(x: float) -> bool:
     return x <= 0 and abs(x - round(x)) < 1e-12
 
 
-def _series(a: float, b: float, c: float, z: float) -> float:
+# terms the hypergeometric series sums before it gives up
+_MAX_TERMS = 200_000
+
+
+def _series(tables: dict, a: float, b: float, c: float, z: float) -> float:
     """The hypergeometric series summed until a term falls below 1e-15 of
-    the partial sum (or of 1), giving up after 200,000 terms."""
-    total = 1.0
-    term = 1.0
-    for k in range(200_000):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-        total += term
-        if abs(term) < 1e-15 * max(1.0, abs(total)):
-            return total
+    the partial sum (or of 1), giving up after _MAX_TERMS terms.  The term
+    ratios (a + k)(b + k)/((c + k)(1 + k)) come from the list that tables
+    holds for (a, b, c), extended here as far as a z needs, so the calls
+    that share tables compute each ratio of a parameter triple once."""
+    ratios = tables.setdefault((a, b, c), [])
+    total = term = 1.0
+    done = 0
+    while done < _MAX_TERMS:
+        if done == len(ratios):
+            more = min(max(2 * done, 64), _MAX_TERMS)
+            ratios.extend((a + k) * (b + k) / ((c + k) * (1.0 + k))
+                          for k in range(done, more))
+        for ratio in islice(ratios, done, None):
+            term *= ratio * z
+            total += term
+            size = abs(total)
+            if abs(term) < 1e-15 * (size if size > 1.0 else 1.0):
+                return total
+        done = len(ratios)
     raise SpecialFunctionError(
         f"hypergeometric series did not converge for z={z}")
 
@@ -50,7 +66,7 @@ def _is_half_odd(x: float) -> bool:
     return abs(x - 0.5 - round(x - 0.5)) < 1e-12
 
 
-def _plus(a: float, b: float, z: float) -> float:
+def _plus(tables: dict, a: float, b: float, z: float) -> float:
     """F(a, b; b + 1; z) for a half-odd-integer a <= 1/2, b > 0 and
     0 < z < 1 by the 1 - z connection formula (DLMF 15.8.4), c - a - b =
     1 - a not being an integer: its first series F(a, b; a; 1 - z) is z^-b
@@ -58,7 +74,7 @@ def _plus(a: float, b: float, z: float) -> float:
     geometrically."""
     lead = math.gamma(b + 1.0) * math.gamma(1.0 - a) / math.gamma(b + 1.0 - a)
     return (lead * z ** (-b) - b / (1.0 - a) * (1.0 - z) ** (1.0 - a)
-            * _series(b + 1.0 - a, 1.0, 2.0 - a, 1.0 - z))
+            * _series(tables, b + 1.0 - a, 1.0, 2.0 - a, 1.0 - z))
 
 
 def _minus(a: float, c: float, z: float) -> float:
@@ -80,12 +96,14 @@ def _minus(a: float, c: float, z: float) -> float:
     return 2.0 * (c - 1.0) * value
 
 
-def _nonterminating(a: float, b: float, c: float, z: float) -> float:
+def _nonterminating(tables: dict, a: float, b: float, c: float,
+                    z: float) -> float:
     """F(a, b; c; z) at one z when neither a nor b is a non-positive
     integer: the Gauss value at z = 1, Pfaff for z <= -1/2 (its argument
     z/(z - 1) in [1/3, 1) takes the branches below, and it maps each of the
     kernels' families onto the other), the closed forms of the kernels'
-    families from their switch points, and otherwise the series."""
+    families from their switch points, and otherwise the series, whose
+    term ratios tables keeps (see _series)."""
     if z == 1.0:
         if c - a - b <= 0:
             raise SpecialFunctionError("divergent at z = 1")
@@ -96,14 +114,14 @@ def _nonterminating(a: float, b: float, c: float, z: float) -> float:
     if z <= -0.5:
         # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1))
         w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * _nonterminating(a, c - b, c, w)
+        return (1.0 - z) ** (-a) * _nonterminating(tables, a, c - b, c, w)
     if (z >= PLUS_SWITCH and c == b + 1.0 and b > 0 and a <= 0.5
             and _is_half_odd(a)):
-        return _plus(a, b, z)
+        return _plus(tables, a, b, z)
     if (z >= MINUS_SWITCH and b == 1.0 and abs(a) == 0.5 and c >= 1.5
             and _is_half_odd(c)):
         return _minus(a, c, z)
-    return _series(a, b, c, z)
+    return _series(tables, a, b, c, z)
 
 
 def row_map(formula, columns, failed=None) -> tuple[np.ndarray, dict]:
@@ -138,17 +156,19 @@ def hyp2f1_rows(a: float, b: float, c: float,
     otherwise each element goes through the scalar branches (closed form or
     series loop) on its own, by row_map, so every value is that of the
     scalar call and an element whose evaluation raises ArithmeticError
-    fails alone.  The kernels' odd-n families take closed forms from their
-    switch points on: F(1 - n/2, beta; beta + 1; z) from PLUS_SWITCH at
-    every odd n, and F(1 - n/2, 1; beta + 1; z) from MINUS_SWITCH at n = 1
-    and 3.  An invalid parameter c raises at once."""
+    fails alone.  The series' term ratios are computed once per call and
+    parameter triple, and kept for no later call.  The kernels' odd-n
+    families take closed forms from their switch points on: F(1 - n/2,
+    beta; beta + 1; z) from PLUS_SWITCH at every odd n, and F(1 - n/2, 1;
+    beta + 1; z) from MINUS_SWITCH at n = 1 and 3.  An invalid parameter c
+    raises at once."""
     if _is_nonpositive_int(c) and not (
             _is_nonpositive_int(a) and round(a) >= round(c)) and not (
             _is_nonpositive_int(b) and round(b) >= round(c)):
         raise SpecialFunctionError("parameter c is a non-positive integer")
     z = np.asarray(z, dtype=float)
     if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
-        return row_map(partial(_nonterminating, a, b, c), [z])
+        return row_map(partial(_nonterminating, {}, a, b, c), [z])
     if _is_nonpositive_int(b) and not _is_nonpositive_int(a):
         a, b = b, a
     out = np.ones(len(z))

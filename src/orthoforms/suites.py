@@ -54,7 +54,7 @@ from .kernels import (
 )
 from .quadratic import lattice_from_config, standard_lattice, vec_float
 from .series import (
-    SeriesSpec, enumerate_class, eval_Omega, eval_omega, modularity_check,
+    SeriesSpec, eval_Omega_class, eval_omega, modularity_check,
     sum_Omega,
 )
 from .special import limit_constant, radial_integral
@@ -625,8 +625,7 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
                     "series-modularity", dict(ins, generator=idx), defect,
                     0.0, tol))
             try:
-                form_res = eval_Omega(spec, point)
-                vectors = enumerate_class(spec, point)
+                form_res, vectors = eval_Omega_class(spec, point)
                 field_fn = lambda pt: sum_Omega(frame, vectors, kappa, pt)
                 xi_val = xi_top(field_fn, kappa, point)
                 tol = r1.tail + form_res.tail + 1e-5

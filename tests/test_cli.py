@@ -375,7 +375,8 @@ def test_sweep_fails_on_a_nan_sample(monkeypatch):
 def test_series_suite_evaluates_each_series_once(monkeypatch):
     """A default series run enumerates each (class, point) once per use:
     per (n, m) the bound B and 2B series, the determinism re-run, one
-    series per generator image, and the form series with its vector list."""
+    series per generator image, and the form series, whose enumeration
+    also gives the vector list of its xi check."""
     from orthoforms import series
     calls = []
     majorant_points = series.majorant_points
@@ -388,7 +389,7 @@ def test_series_suite_evaluates_each_series_once(monkeypatch):
     assert run(RunConfig(suite="series")).passed
     generators = sum(len(list(lattice_from_config(standard_lattice(n))[2]))
                      for n in (1, 2))
-    assert len(calls) == 2 * (2 * 5 + generators) == 32
+    assert len(calls) == 2 * (2 * 4 + generators) == 28
 
 
 def test_geometry_suite_inverts_each_generator_once(monkeypatch):

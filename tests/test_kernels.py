@@ -297,20 +297,28 @@ def test_form_slash_equivariance_p_tilde(setup_n, rng, sign):
 
 
 def test_form_slash_acts_once(setup_n, rng, monkeypatch):
-    """form_slash takes sigma Z and j(sigma, Z) from a single act."""
-    from orthoforms import kernels
+    """form_slash takes sigma Z and j(sigma, Z) from a single act, and
+    builds psi(Z) once for it and the Jacobian."""
+    from orthoforms import domain, kernels
     _, frame, group, n = setup_n
     fc = frame.frame_coords(_vector_with_sign(frame, rng, +1))
     p = _regular_point(frame, fc, rng, n + 1)
-    calls = []
+    calls, builds = [], []
+    psi_frame = domain.psi_frame
 
     def counted(*args):
         calls.append(args)
         return act(*args)
 
+    def built(*args):
+        builds.append(args)
+        return psi_frame(*args)
+
     monkeypatch.setattr(kernels, "act", counted)
+    for module in (domain, kernels):
+        monkeypatch.setattr(module, "psi_frame", built)
     form_slash(group[-1], lambda pt: p_components(fc, pt), -1, p)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(builds) == 1
 
 
 @pytest.mark.parametrize("kind", ["isometry", "matrix"])

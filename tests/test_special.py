@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from orthoforms.special import (MINUS_SWITCH, PLUS_SWITCH,
-                                SpecialFunctionError, _gl_rule,
-                                gauss_legendre_grid, hyp2f1, hyp2f1_rows,
-                                limit_constant, radial_integral, row_map,
-                                sphere_area)
+                                SpecialFunctionError, _gl_rule, _is_half_odd,
+                                _minus, _series, gauss_legendre_grid, hyp2f1,
+                                hyp2f1_rows, limit_constant, radial_integral,
+                                row_map, sphere_area)
 
 
 # z from below the closed forms' switch points to the n = 1 defect point
@@ -154,6 +154,97 @@ def test_row_map_evaluates_each_row_once():
                                                   3: SpecialFunctionError})
     assert values.tolist() == [4.0, 0.0, 9.0, 0.0]
     assert failures == {1: SpecialFunctionError, 3: SpecialFunctionError}
+
+
+def _per_term_series(a, b, c, z):
+    """The series as written before the ratio table: each term's ratio
+    computed in the loop, the stop rule through max."""
+    total = 1.0
+    term = 1.0
+    for k in range(200_000):
+        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
+        total += term
+        if abs(term) < 1e-15 * max(1.0, abs(total)):
+            return total
+    raise SpecialFunctionError(
+        f"hypergeometric series did not converge for z={z}")
+
+
+def _per_term_nonterminating(a, b, c, z):
+    """The non-terminating branches on the per-term series: Pfaff, the
+    plus family's connection formula (its inner series per term too), the
+    minus family's recursion and the series."""
+    if z <= -0.5:
+        return (1.0 - z) ** (-a) * _per_term_nonterminating(
+            a, c - b, c, z / (z - 1.0))
+    if (z >= PLUS_SWITCH and c == b + 1.0 and b > 0 and a <= 0.5
+            and _is_half_odd(a)):
+        lead = (math.gamma(b + 1.0) * math.gamma(1.0 - a)
+                / math.gamma(b + 1.0 - a))
+        return (lead * z ** (-b) - b / (1.0 - a) * (1.0 - z) ** (1.0 - a)
+                * _per_term_series(b + 1.0 - a, 1.0, 2.0 - a, 1.0 - z))
+    if (z >= MINUS_SWITCH and b == 1.0 and abs(a) == 0.5 and c >= 1.5
+            and _is_half_odd(c)):
+        return _minus(a, c, z)
+    return _per_term_series(a, b, c, z)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("family", ["plus", "minus"])
+def test_ratio_table_matches_the_per_term_series(n, family):
+    """Every element of an array call, with the term ratios computed once
+    per parameter triple and shared by the elements, is the per-term
+    series' value bit for bit: the odd-n families below and above their
+    switch points, Pfaff arguments (whose image is the other family) and
+    the plus connection formula's inner series, in shuffled order so that
+    an element reads ratios another one computed."""
+    rng = np.random.default_rng([n, family == "plus"])
+    for kappa in range(n + 1, n + 8):
+        half = kappa - n / 2.0
+        a, c = 1.0 - n / 2.0, half + 1.0
+        b = half if family == "plus" else 1.0
+        z = rng.permutation(np.concatenate([
+            rng.uniform(-6.0, -0.5, 20), rng.uniform(-0.5, MINUS_SWITCH, 20),
+            rng.uniform(MINUS_SWITCH, PLUS_SWITCH, 20),
+            rng.uniform(PLUS_SWITCH, 0.9999, 20)]))
+        values, failures = hyp2f1_rows(a, b, c, z)
+        assert not failures
+        ref = [_per_term_nonterminating(a, b, c, zi) for zi in z.tolist()]
+        assert values.tobytes() == np.array(ref).tobytes()
+
+
+def test_series_shares_its_ratios_across_calls():
+    """One table serves any number of z and parameter triples: each sum is
+    the per-term series', whether its ratios were there already or it
+    extends them, and the table holds exactly the ratios of its triple."""
+    rng = np.random.default_rng(7)
+    triples = [tuple(rng.uniform(-3.0, 3.0, 3)) for _ in range(6)]
+    tables = {}
+    for _ in range(300):
+        a, b, c = triples[int(rng.integers(len(triples)))]
+        z = float(rng.uniform(-0.5, 0.97))
+        try:
+            ref = _per_term_series(a, b, c, z)
+        except SpecialFunctionError:
+            continue
+        assert _series(tables, a, b, c, z) == ref
+    for (a, b, c), ratios in tables.items():
+        assert ratios == [(a + k) * (b + k) / ((c + k) * (1.0 + k))
+                          for k in range(len(ratios))]
+
+
+def test_slow_series_fails_alone():
+    """F(1/2, 1; 6/5; z) has no closed form here and its series has not
+    converged after 200,000 terms at z = 0.9999999: that element fails with
+    "did not converge", and the elements beside it keep their values."""
+    z = np.array([0.3, 0.9999999, -0.7])
+    values, failures = hyp2f1_rows(0.5, 1.0, 1.2, z)
+    assert list(failures) == [1]
+    with pytest.raises(SpecialFunctionError, match="did not converge"):
+        raise failures[1]()
+    assert values[1] == 0.0
+    for i in (0, 2):
+        assert values[i] == _per_term_nonterminating(0.5, 1.0, 1.2, z[i])
 
 
 def test_hyp2f1_series_gives_up():
