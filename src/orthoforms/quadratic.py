@@ -326,20 +326,25 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     """All v in coset + L with q(v) == m and majorant(v) <= bound, with
     their float coordinates and majorant values, as arrays.
 
-    A Fincke-Pohst search walks coordinates d-1 ... 1 of the majorant
-    ellipsoid (with a small slack) one level at a time: each row of an
-    integer frontier array takes its window from the Cholesky row and its
-    remaining slack and expands over it, in slices of about _FRONTIER_ROWS
-    children.  Over all rows at once, the innermost coordinate solves
-    q(v) = m, ``G00 w0^2 + b w0 + c = 2 m den^2`` in w = den * v (den the
-    lcm of the coset denominators): a quadratic with an exact integer
-    square root, linear when G00 = 0, scanned only where b = 0 and c hits
-    the target.  Roots in the ellipsoid are kept by the integer identity
-    ``w^T G w == 2 m den^2`` (one int64 product) and by the canonical
-    float majorant value of w / den (the floats of the fractions), taken
-    for all roots in one stacked product, so results equal a box scan's.
-    A bound whose windows or discriminants leave the exact integer range
-    (2^53) raises LatticeError.  Sorted lexicographically.
+    A Fincke-Pohst search of the majorant ellipsoid (with a small slack)
+    starts from the integer box |v_j| <= sqrt(slack (M^-1)_jj) of its top
+    coordinates d-1 ... k (k >= 1), as many as fit one slice of
+    _FRONTIER_ROWS rows, and keeps each box row whose terms of ||r v||^2
+    on those levels (r the Cholesky factor) fit the slack.  It walks the
+    coordinates k-1 ... 1 below the box one level at a time: each row of
+    an integer frontier array takes its window from the Cholesky row and
+    its remaining slack and expands over it, in slices of about
+    _FRONTIER_ROWS children.  Over all rows at once, the innermost
+    coordinate solves q(v) = m, ``G00 w0^2 + b w0 + c = 2 m den^2`` in
+    w = den * v (den the lcm of the coset denominators): a quadratic with
+    an exact integer square root, linear when G00 = 0, scanned only where
+    b = 0 and c hits the target.  Roots in the ellipsoid are kept by the
+    integer identity ``w^T G w == 2 m den^2`` (one int64 product) and by
+    the canonical float majorant value of w / den (the floats of the
+    fractions), taken for all roots in one stacked product, so results
+    equal a box scan's.  A bound whose windows or discriminants leave the
+    exact integer range (2^53) raises LatticeError.  Sorted
+    lexicographically.
     """
     d = lattice.dim
     if not math.isfinite(bound):
@@ -358,9 +363,10 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
     target = target.numerator
     g = np.array(lattice.gram, dtype=np.int64)
     a = lattice.gram[0][0]
-    # |w_j| <= den (sqrt(slack (M^-1)_jj) + 1) in every window; the
-    # largest entry of M^-1 > 0 is on its diagonal
-    reach = den * (math.sqrt(slack * np.linalg.inv(m_gram).max()) + 1)
+    # the ellipsoid's projection onto coordinate j is |v_j| <= half_j
+    half = np.sqrt(slack * np.diag(np.linalg.inv(m_gram)))
+    # |w_j| <= den (half_j + 1) in every window
+    reach = den * (float(half.max()) + 1)
     size = int(np.abs(g).sum())
     if 8 * size * (size * reach ** 2 + abs(target)) >= 2.0 ** 53:
         raise LatticeError(f"majorant bound {bound} is too large for the "
@@ -421,7 +427,22 @@ def majorant_points(lattice: QuadraticLattice, m_gram: np.ndarray,
         cand[:, 0] = w0[keep]
         found.append(cand[_row_norms(g, cand) == target])
 
-    descend(d - 1, np.zeros((1, d), dtype=np.int64), np.array([slack]))
+    # the box: integer x_j from first_j, widths_j of them, on the levels
+    # k ... d-1; rem is each row's slack left below them
+    first = np.ceil(-half - c - 1e-12).astype(np.int64)
+    widths = np.maximum(np.floor(half - c + 1e-12).astype(np.int64)
+                        - first + 1, 0).tolist()
+    k, rows = d, 1
+    while k > 1 and rows * widths[k - 1] <= _FRONTIER_ROWS:
+        k -= 1
+        rows *= widths[k]
+    w = np.zeros((rows, d), dtype=np.int64)
+    w[:, k:] = den * (np.indices(widths[k:]).reshape(d - k, rows).T
+                      + first[k:]) + offset[k:]
+    y = (w[:, k:] / den) @ r[k:, k:].T  # y_i = r_i . v, r upper
+    rem = slack - (y * y).sum(axis=1)
+    keep = rem >= -1e-12
+    descend(k - 1, w[keep], rem[keep])
     w = np.concatenate(found)
     x = w / den
     # the stacked products give each row the bits of x @ m_gram @ x

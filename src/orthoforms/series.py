@@ -202,19 +202,16 @@ def eval_omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
 def eval_Omega(spec: SeriesSpec, point: DomainPoint) -> SeriesResult:
     """Truncated form-valued series: componentwise sum of the xi-preimage
     kernel, with the analogous shell tail estimate."""
-    return _evaluate(spec, point, p_tilde_rows,
-                     np.zeros(spec.frame.n, dtype=complex),
-                     _class_points(spec, point))
+    return eval_Omega_class(spec, point)[0]
 
 
-def eval_Omega_class(spec: SeriesSpec,
-                     point: DomainPoint) -> tuple[SeriesResult, list[Vec]]:
-    """eval_Omega and the class's vectors it sums, in order, from its one
-    enumeration."""
+def eval_Omega_class(spec: SeriesSpec, point: DomainPoint
+                     ) -> tuple[SeriesResult, MajorantPoints]:
+    """eval_Omega and the enumeration it sums over, whose vectors() are
+    the class's vectors in summation order."""
     found = _class_points(spec, point)
     return (_evaluate(spec, point, p_tilde_rows,
-                      np.zeros(spec.frame.n, dtype=complex), found),
-            found.vectors())
+                      np.zeros(spec.frame.n, dtype=complex), found), found)
 
 
 def modularity_defect(spec: SeriesSpec, point: DomainPoint,

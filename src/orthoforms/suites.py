@@ -625,7 +625,8 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
                     "series-modularity", dict(ins, generator=idx), defect,
                     0.0, tol))
             try:
-                form_res, vectors = eval_Omega_class(spec, point)
+                form_res, found = eval_Omega_class(spec, point)
+                vectors = found.vectors()
                 field_fn = lambda pt: sum_Omega(frame, vectors, kappa, pt)
                 xi_val = xi_top(field_fn, kappa, point)
                 tol = r1.tail + form_res.tail + 1e-5

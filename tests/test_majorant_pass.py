@@ -1,6 +1,11 @@
 """The kept vectors' array pass against the per-vector code it replaced.
 
-The reference here is the per-vector tail of the majorant enumeration and
+The box start of the search is checked the same way against the
+level-by-level walk it replaced at the top levels (``level_by_level_points``,
+that walk as it was written before the box start), with the box covering one
+level, two levels and every level above the innermost solve.
+
+The reference for the kept vectors is the per-vector tail of the majorant enumeration and
 of the series evaluator as they were written before the array pass: the
 kept integer rows sorted as Python lists, each vector's majorant value
 ``float(x @ m_gram @ x)`` and frame coordinates ``to_frame @ x`` taken one
@@ -19,10 +24,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthoforms import series
+from orthoforms import quadratic, series
 from orthoforms.domain import Block, WittFrame, majorant_at, sample_point
 from orthoforms.kernels import omega_rows, p_tilde_rows
-from orthoforms.quadratic import (as_vec, lattice_from_config,
+from orthoforms.quadratic import (MajorantPoints, _expand, _integral,
+                                  _row_norms, as_vec, lattice_from_config,
                                   majorant_points, standard_lattice,
                                   vec_float)
 from orthoforms.series import SeriesSpec, eval_Omega, eval_omega
@@ -183,3 +189,169 @@ def test_series_frame_coordinates_and_tail_equal_the_per_vector_code(
         assert lam.tobytes() == frame.frame_coords(vec).tobytes()
         assert vec_float(as_vec(vec)).tobytes() == (
             np.array(wi) / den).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the box start against the level-by-level walk
+
+
+def level_by_level_points(lattice, m_gram, m, coset, bound,
+                          slice_rows: int = 8192) -> MajorantPoints:
+    """majorant_points as it was before the box start: the Fincke-Pohst
+    walk of coordinates d-1 ... 1 one level at a time from the origin, in
+    slices of about slice_rows children, then the innermost solve."""
+    d = lattice.dim
+    den, offset = _integral(coset)
+    target = 2 * Fraction(m) * den * den
+    if bound <= 0 or target.denominator != 1:
+        return MajorantPoints(np.empty((0, d), dtype=np.int64), den,
+                              np.empty((0, d)), np.empty(0))
+    r = np.linalg.cholesky(m_gram).T
+    slack = bound * (1 + 1e-9) + 1e-9
+    c = np.array([wj / den for wj in offset])
+    target = target.numerator
+    g = np.array(lattice.gram, dtype=np.int64)
+    a = lattice.gram[0][0]
+    offset = np.array(offset, dtype=np.int64)
+    found = [np.empty((0, d), dtype=np.int64)]
+
+    def descend(i, w, rem):
+        s = (w[:, i + 1:] / den) @ r[i, i + 1:]
+        half = np.sqrt(np.maximum(rem, 0.0))
+        lo = np.ceil((-half - s) / r[i, i] - c[i] - 1e-12).astype(np.int64)
+        hi = np.floor((half - s) / r[i, i] - c[i] + 1e-12).astype(np.int64)
+        if i == 0:
+            return innermost(w, rem, s, lo, hi)
+        counts = np.maximum(hi - lo + 1, 0)
+        piece = (np.cumsum(counts) - counts) // slice_rows
+        cuts = np.flatnonzero(np.diff(piece)) + 1
+        for part in np.split(np.arange(len(w)), cuts):
+            rows, x = _expand(lo[part], hi[part])
+            rows = part[rows]
+            used = (r[i, i] * (x + c[i]) + s[rows]) ** 2
+            keep = used <= rem[rows] + 1e-12
+            child = w[rows[keep]]
+            child[:, i] = den * x[keep] + offset[i]
+            descend(i - 1, child, rem[rows[keep]] - used[keep])
+
+    def innermost(w, rem, s, lo, hi):
+        lin = w @ g
+        b, cc = 2 * lin[:, 0], (lin * w).sum(axis=1) - target
+        if a:
+            disc = b * b - 4 * a * cc
+            root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+            real = (disc >= 0) & (root * root == disc)
+            twice = real & (root > 0)
+            rows = np.concatenate([real.nonzero()[0], twice.nonzero()[0]])
+            num = -b[rows] + np.concatenate([-root[real], root[twice]])
+            even = num % (2 * a) == 0
+            rows, w0 = rows[even], num[even] // (2 * a)
+        else:
+            linear = (b != 0) & (cc % np.where(b, b, 1) == 0)
+            rows, w0 = linear.nonzero()[0], -cc[linear] // b[linear]
+            scan = ((b == 0) & (cc == 0)).nonzero()[0]
+            if len(scan):
+                srows, sx = _expand(lo[scan], hi[scan])
+                rows = np.concatenate([rows, scan[srows]])
+                w0 = np.concatenate([w0, den * sx + offset[0]])
+        x0 = (w0 - offset[0]) // den
+        keep = (((w0 - offset[0]) % den == 0) & (lo[rows] <= x0)
+                & (x0 <= hi[rows]) & ((r[0, 0] * (x0 + c[0]) + s[rows]) ** 2
+                                      <= rem[rows] + 1e-12))
+        cand = w[rows[keep]]
+        cand[:, 0] = w0[keep]
+        found.append(cand[_row_norms(g, cand) == target])
+
+    descend(d - 1, np.zeros((1, d), dtype=np.int64), np.array([slack]))
+    w = np.concatenate(found)
+    x = w / den
+    values = ((x[:, None, :] @ m_gram) @ x[:, :, None])[:, 0, 0]
+    kept = np.flatnonzero(values <= bound)
+    kept = kept[np.lexsort(w[kept].T[::-1])]
+    return MajorantPoints(w[kept], den, x[kept], values[kept])
+
+
+def box_widths(m_gram, bound, coset) -> list[int]:
+    """How many integers x_j the box start takes on each coordinate j:
+    those with |x_j + coset_j| <= sqrt(slack (M^-1)_jj)."""
+    slack = bound * (1 + 1e-9) + 1e-9
+    half = np.sqrt(slack * np.diag(np.linalg.inv(m_gram)))
+    c = np.array([float(cj) for cj in as_vec(coset)])
+    lo = np.ceil(-half - c - 1e-12)
+    hi = np.floor(half - c + 1e-12)
+    return np.maximum(hi - lo + 1, 0).astype(int).tolist()
+
+
+def assert_same_arrays(got: MajorantPoints, ref: MajorantPoints) -> None:
+    assert got.den == ref.den
+    for name in ("w", "coords", "values"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _box_cases():
+    """(id, lattice, coset, k, seed, levels) with m = q(coset) + k."""
+    seed = 100
+    for lattice in ("n1", "n2", "n3", "n4", "skew3"):
+        d = len(LATTICES[lattice]["gram"]) if "gram" in LATTICES[lattice] \
+            else int(lattice[1]) + 2
+        for label in COSETS:
+            for k in (-1, 1):
+                seed += 1
+                for levels in sorted({1, 2, d - 1}):
+                    yield (f"{lattice}-coset{label}-m{k:+d}-box{levels}",
+                           lattice, label, k, seed, levels)
+
+
+@pytest.mark.parametrize("case", list(_box_cases()), ids=lambda c: c[0])
+def test_box_start_equals_the_level_by_level_walk(case, monkeypatch):
+    """With _FRONTIER_ROWS the size of the box on the top one, two or
+    d - 1 levels, the search's arrays are the walk's bit for bit, at the
+    case's bound and at one too small for any vector."""
+    _, lattice, label, k, seed, levels = case
+    frame, _, m_gram, coset, m = _class(lattice, label, k, seed)
+    d = frame.lattice.dim
+    bound = BOUNDS[lattice]
+    widths = box_widths(m_gram, bound, coset)
+    # the level below the box, if any, does not fit too, so the box
+    # covers exactly the named levels
+    assert levels == d - 1 or widths[d - levels - 1] > 1
+    monkeypatch.setattr(quadratic, "_FRONTIER_ROWS",
+                        math.prod(widths[d - levels:]))
+    ref = level_by_level_points(frame.lattice, m_gram, m, coset, bound)
+    assert len(ref.values)
+    assert_same_arrays(
+        majorant_points(frame.lattice, m_gram, m, coset, bound), ref)
+    tiny = float(ref.values.min()) / 2
+    empty = majorant_points(frame.lattice, m_gram, m, coset, tiny)
+    assert not len(empty.values)
+    assert_same_arrays(empty, level_by_level_points(
+        frame.lattice, m_gram, m, coset, tiny))
+
+
+@pytest.mark.parametrize("label", list(COSETS))
+def test_box_start_at_a_large_bound_boxes_only_what_fits(label):
+    """At n = 2 and B = 1000 the whole box of coordinates 1 ... 3 would
+    hold far more than a slice; the search boxes the levels that fit and
+    walks the rest, and finds the walk's vectors bit for bit."""
+    frame, _, m_gram, coset, m = _class("n2", label, 1, 7)
+    bound = 1000.0
+    widths = box_widths(m_gram, bound, coset)
+    assert math.prod(widths[1:]) > 20 * quadratic._FRONTIER_ROWS
+    assert widths[-1] <= quadratic._FRONTIER_ROWS
+    ref = level_by_level_points(frame.lattice, m_gram, m, coset, bound)
+    assert len(ref.values) > 1000
+    assert_same_arrays(
+        majorant_points(frame.lattice, m_gram, m, coset, bound), ref)
+
+
+def test_box_start_empty_class():
+    """A class with no vector (a norm the coset cannot reach, with 2 m
+    den^2 an integer) gives the walk's empty arrays from the box start."""
+    frame, _, m_gram, coset, _ = _class("n2", "1/2", 1, 5)
+    m = Fraction(1, 4)  # q of coset + L lies in (1/2)Z here
+    got = majorant_points(frame.lattice, m_gram, m, coset, 9.0)
+    assert not len(got.values)
+    assert_same_arrays(got, level_by_level_points(frame.lattice, m_gram, m,
+                                                  coset, 9.0))

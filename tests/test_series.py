@@ -447,8 +447,8 @@ def test_column_kahan_sums_equal_the_row_sums(n):
 
 def test_form_series_and_its_vectors_from_one_enumeration(small_frames,
                                                           monkeypatch):
-    """eval_Omega_class gives eval_Omega's result and enumerate_class's
-    vectors from one enumeration."""
+    """eval_Omega_class gives eval_Omega's result and the enumeration it
+    summed, whose vectors are enumerate_class's, from one enumeration."""
     _, frame, _ = small_frames[2]
     point = _generic_point(frame)
     spec = SeriesSpec.create(frame, [0] * 4, -1, 4, 20.0)
@@ -461,7 +461,9 @@ def test_form_series_and_its_vectors_from_one_enumeration(small_frames,
         return majorant_points(*args)
 
     monkeypatch.setattr(series, "majorant_points", counted)
-    result, vectors = series.eval_Omega_class(spec, point)
-    assert len(calls) == 1 and vectors == ref_vectors and len(vectors) > 0
+    result, found = series.eval_Omega_class(spec, point)
+    assert len(calls) == 1
+    vectors = found.vectors()
+    assert vectors == ref_vectors and len(vectors) > 0
     assert result.value.tobytes() == ref.value.tobytes()
     assert (result.tail, result.count) == (ref.tail, ref.count)

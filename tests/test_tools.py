@@ -2,29 +2,35 @@
 benchmark outputs."""
 from __future__ import annotations
 
+import importlib.util
 import shutil
-import subprocess
-import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_outputs.py"
 
 
-def compare(other: Path) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-B", str(TOOL), str(other),
-                           "--workloads", "series"], cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+@pytest.fixture
+def same_outputs(monkeypatch):
+    """The tool as a module, comparing the series workload only."""
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "WORKLOADS", ("series",))
+    return tool
 
 
-def test_same_outputs_finds_identical_and_differing_outputs(tmp_path):
+def test_same_outputs_finds_identical_and_differing_outputs(
+        tmp_path, same_outputs, capsys):
     """A checkout matches itself; a copy whose series sums are one ulp off
-    differs in every series operation with a nonzero value, and exits 1.
-    Neither run leaves a file in either checkout's benchmark directory."""
+    differs in series operations, and the tool returns 1.  Neither run
+    leaves a file in either checkout's benchmark directory."""
     before = sorted(p.name for p in (ROOT / "benchmark").iterdir())
-    done = compare(ROOT)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "series: all 64 operations identical"
+    assert same_outputs.main([str(ROOT)]) == 0
+    assert capsys.readouterr().out.strip() == \
+        "series: all 64 operations identical"
 
     for part in ("src", "benchmark"):
         shutil.copytree(ROOT / part, tmp_path / part,
@@ -35,9 +41,8 @@ def test_same_outputs_finds_identical_and_differing_outputs(tmp_path):
     series.write_text(text.replace(
         "        total = s\n    return total\n",
         "        total = s\n    return total * (1 + 2 ** -52)\n"))
-    done = compare(tmp_path)
-    assert done.returncode == 1
-    assert done.stdout.startswith("series: ") and " of 64 operations differ" \
-        in done.stdout
+    assert same_outputs.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("series: ") and " of 64 operations differ" in out
     assert sorted(p.name for p in (ROOT / "benchmark").iterdir()) == before
     assert not (tmp_path / "benchmark" / "__pycache__").exists()

@@ -1,6 +1,6 @@
 """Check that this checkout computes the benchmark outputs of another one.
 
-    python3 tools/same_outputs.py PARENT_CHECKOUT [--workloads series ...]
+    python3 tools/same_outputs.py PARENT_CHECKOUT
 
 Runs the operation lists that ``benchmark/freeze.py`` freezes (series,
 collar, fiber) and the first 600 ``pointwise`` operations of seeds 1, 2
@@ -50,8 +50,8 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
-def observe(checkout: Path, names: list[str]) -> dict:
-    code = PROBE.format(names=names, seeds=POINTWISE_SEEDS,
+def observe(checkout: Path) -> dict:
+    code = PROBE.format(names=WORKLOADS, seeds=POINTWISE_SEEDS,
                         count=POINTWISE_OPS)
     done = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout,
                           capture_output=True, text=True, check=False)
@@ -64,13 +64,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path,
                         help="root of the checkout to compare against")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     args = parser.parse_args(argv)
-    ours = observe(ROOT, args.workloads)
-    theirs = observe(args.parent.resolve(), args.workloads)
+    ours = observe(ROOT)
+    theirs = observe(args.parent.resolve())
     same = True
-    for name in args.workloads:
+    for name in WORKLOADS:
         mine, base = ours[name], theirs[name]
         differ = sorted(key for key in mine.keys() | base.keys()
                         if json.dumps(mine.get(key), sort_keys=True)
