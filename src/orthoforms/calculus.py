@@ -20,17 +20,22 @@ form (pair_bar_dbar, q_y_dbar, ratio_dbar).  These and star01 take one point
 or a domain.Block of Z rows, and one lambda or lambda rows, so the row
 kernels of the kernels module call the same closed forms.  A scalar field
 is any object with value(point) and dbar(point); ratio_field is the one
-the program uses.
+the program uses, and its dbar is the point's row of one ratio_dbar over
+the point's block.  xi_scalar is likewise the point's row of one pass over
+the block (domain.row_value): the field's dbar at each row, then one star01
+and one q(Y)^kappa per row, so the 8n stencil points of laplace_scalar
+share one dbar block and one star.
 Richardson central differences (dbar_jacobian) check those closed forms and
 differentiate everything else.
 """
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from .domain import Block, DomainPoint, metric_lower, metric_upper
+from .domain import Block, DomainPoint, metric_lower, metric_upper, row_value
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +133,20 @@ def ratio_dbar(lam: np.ndarray, point, pair_bar) -> np.ndarray:
             / _per_row(lambda q: q ** 2, qy))
 
 
+def _ratio_dbar_rows(block: Block, lam: np.ndarray):
+    """ratio_dbar of lam at every row of block, as row_value's (values,
+    failures)."""
+    return ratio_dbar(lam, block, np.conj(block.pair(lam))), {}
+
+
 def ratio_field(lam_fc: np.ndarray) -> SimpleNamespace:
     """The weight -1 scalar (lambda, psi(Zbar)) / q(Y) with its closed-form
-    dbar, as a field with value(point) and dbar(point)."""
+    dbar, as a field with value(point) and dbar(point).  dbar is the
+    point's row of one ratio_dbar over its block (domain.row_value)."""
     lam = np.asarray(lam_fc, dtype=float)
     return SimpleNamespace(
         value=lambda point: point.pair_bar(lam) / complex(point.q_y),
-        dbar=lambda point: ratio_dbar(lam, point, point.pair_bar(lam)))
+        dbar=lambda point: row_value(point, _ratio_dbar_rows, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +193,31 @@ def star_top(c: complex, kappa: float, q_y: float) -> complex:
     return np.conj(c) * q_y ** kappa
 
 
+def _xi_rows(block: Block, dbar, kappa: float):
+    """xi_kappa at every row of block of the field whose dbar is given, as
+    row_value's (values, failures): dbar at each row's point, then one
+    star01 and one q(Y)^kappa per row over all rows.  A row whose dbar
+    raises ArithmeticError fails alone, with that exception (its traceback
+    cleared at each request)."""
+    f = np.zeros(block.z.shape, dtype=complex)
+    failures = {}
+    for i, point in enumerate(block):
+        try:
+            f[i] = dbar(point)
+        except ArithmeticError as exc:
+            # a kept traceback would hold this frame, and so the failures
+            failures[i] = partial(exc.with_traceback, None)
+            exc.__traceback__ = None
+    return (_per_row(lambda q: q ** kappa, block.q_y)
+            * star01(f, block.frame.eps, block.y, block.q_y)), failures
+
+
 def xi_scalar(field, kappa: float, point: DomainPoint) -> np.ndarray:
     """xi_kappa f as an (n, n-1)-coefficient vector: q(Y)^kappa star(dbar f),
-    for a field with a dbar(point) method."""
-    f = field.dbar(point)
-    return point.q_y ** kappa * star01(f, point.frame.eps, point.y, point.q_y)
+    for a field with a dbar(point) method.  The point's row of _xi_rows over
+    its block (domain.row_value, keyed by field.dbar and kappa): a
+    stencil's points share one star01 and one dbar block."""
+    return row_value(point, _xi_rows, field.dbar, kappa)
 
 
 def dbar_top(vec_func, point: DomainPoint) -> complex:

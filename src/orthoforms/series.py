@@ -153,12 +153,20 @@ def _walk(rows, frame: WittFrame, vectors, lams: np.ndarray, kappa: int,
     return _accumulate(values, zero)
 
 
+def _frame_rows(frame: WittFrame, coords: np.ndarray) -> np.ndarray:
+    """The frame coordinates to_frame @ x of float coordinate rows x (N, d)
+    from one stacked product, each row bit for bit frame.frame_coords of
+    its vector."""
+    return (frame.to_frame @ coords[:, :, None])[:, :, 0]
+
+
 def _sum(rows, frame: WittFrame, vectors, kappa: int, point: DomainPoint,
          zero):
     vectors = list(vectors)
-    return _walk(rows, frame, lambda: vectors,
-                 np.array([frame.frame_coords(v) for v in vectors]), kappa,
-                 point, zero)[0]
+    coords = np.array([[float(a) for a in as_vec(v)] for v in vectors],
+                      dtype=float).reshape(len(vectors), frame.lattice.dim)
+    return _walk(rows, frame, lambda: vectors, _frame_rows(frame, coords),
+                 kappa, point, zero)[0]
 
 
 def sum_omega(frame: WittFrame, vectors, kappa: int,
@@ -180,12 +188,9 @@ def _evaluate(spec: SeriesSpec, point: DomainPoint, rows, zero,
               found: MajorantPoints) -> SeriesResult:
     """Sum the kernels rows(block, lams, kappa) of the class's vectors at
     the point, found by one enumeration, from zero, and estimate the tail
-    on the outer majorant shell from the enumeration's majorant values.
-    lams are the frame coordinates to_frame @ x of the kept vectors' float
-    coordinates x from one stacked product, each row bit for bit
-    frame.frame_coords of its vector."""
-    lams = (spec.frame.to_frame @ found.coords[:, :, None])[:, :, 0]
-    total, sizes = _walk(rows, spec.frame, found.vectors, lams, spec.kappa,
+    on the outer majorant shell from the enumeration's majorant values."""
+    total, sizes = _walk(rows, spec.frame, found.vectors,
+                         _frame_rows(spec.frame, found.coords), spec.kappa,
                          point, zero)
     # count times max term over the shell [B/2, B]; sizes > 0 leaves out NaN
     shell = found.values >= spec.bound / 2.0

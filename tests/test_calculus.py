@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from orthoforms import calculus
 from orthoforms.calculus import (central_differences, dbar_jacobian,
                                  laplace_scalar, measure_factor,
-                                 pair_bar_dbar, q_y_dbar, ratio_field,
-                                 star01, star_nn1, star_pair, star_top,
-                                 xi_scalar, xi_top)
-from orthoforms.domain import (DomainPoint, metric_upper, q_plus_minus,
-                               sample_point, sample_vector)
-from orthoforms.quadratic import vec_float
+                                 pair_bar_dbar, q_y_dbar, ratio_dbar,
+                                 ratio_field, star01, star_nn1, star_pair,
+                                 star_top, xi_scalar, xi_top)
+from orthoforms.domain import (Block, DomainPoint, WittFrame, metric_upper,
+                               q_plus_minus, sample_point, sample_vector)
+from orthoforms.quadratic import (lattice_from_config, standard_lattice,
+                                  vec_float)
 
 
 class _HolomorphicPair:
@@ -274,3 +280,127 @@ def test_xi_top_linear_coefficients(setup_n, rng):
     val = xi_top(vec, kappa, p)
     ref = np.conj(-measure_factor(n, p.q_y) * n) * p.q_y ** (-kappa)
     assert abs(val - ref) < 1e-7 * max(1.0, abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# xi_scalar and ratio_field.dbar once per block, against the per-point code
+
+
+def _xi_scalar_per_point(field, kappa, point):
+    """The per-point xi_scalar: the field's dbar, star01 and q(Y)^kappa at
+    this point alone."""
+    f = field.dbar(point)
+    return point.q_y ** kappa * star01(f, point.frame.eps, point.y, point.q_y)
+
+
+def _ratio_field_per_point(fc):
+    """ratio_field with its per-point dbar, ratio_dbar at this point alone."""
+    return SimpleNamespace(
+        value=ratio_field(fc).value,
+        dbar=lambda point: ratio_dbar(fc, point, point.pair_bar(fc)))
+
+
+def _laplace_per_point(field, kappa, point):
+    return xi_top(lambda pt: _xi_scalar_per_point(field, kappa, pt), kappa,
+                  point)
+
+
+def _sample_block(frame, rng, rows):
+    return Block(frame, np.array([sample_point(frame, rng).z
+                                  for _ in range(rows)]))
+
+
+@pytest.mark.parametrize("kappa", [1, 3, "n+2"])
+def test_block_xi_and_laplace_match_per_point_bits(setup_n, rng, kappa):
+    """xi_scalar, ratio_field.dbar and laplace_scalar give the per-point
+    code's bits, at standalone points and at the rows of a multi-row
+    Block."""
+    _, frame, n, _, _, _ = _setup(setup_n, rng)
+    kappa = n + 2 if kappa == "n+2" else kappa
+    for _ in range(3):
+        fc = frame.frame_coords(sample_vector(frame, rng))
+        field, reference = ratio_field(fc), _ratio_field_per_point(fc)
+        points = [sample_point(frame, rng), *_sample_block(frame, rng, 4)]
+        for p in points:
+            assert (field.dbar(p).tobytes()
+                    == reference.dbar(p).tobytes())
+            assert (xi_scalar(field, kappa, p).tobytes()
+                    == _xi_scalar_per_point(reference, kappa, p).tobytes())
+            assert (np.complex128(laplace_scalar(field, kappa, p)).tobytes()
+                    == np.complex128(_laplace_per_point(reference, kappa,
+                                                        p)).tobytes())
+
+
+def test_laplace_runs_one_dbar_and_one_star(setup_n, rng, monkeypatch):
+    """One laplace_scalar call evaluates ratio_dbar and star01 once each,
+    over its stencil block."""
+    _, frame, n, p, _, fc = _setup(setup_n, rng)
+    calls = {"ratio_dbar": 0, "star01": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(calculus, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(calculus, name, counted)
+    laplace_scalar(ratio_field(fc), 1, p)
+    assert calls == {"ratio_dbar": 1, "star01": 1}
+
+
+def test_xi_scalar_fields_need_not_be_hashable(setup_n, rng):
+    """A field is any object with value and dbar: an instance with a dbar
+    method, or an unhashable SimpleNamespace."""
+    _, frame, n, p, _, fc = _setup(setup_n, rng)
+    holomorphic = _HolomorphicPair(fc)
+    assert np.array_equal(xi_scalar(holomorphic, 3, p), np.zeros(n))
+    assert abs(laplace_scalar(holomorphic, 3, p)) < 1e-8
+    namespace = _ratio_field_per_point(fc)
+    with pytest.raises(TypeError):
+        hash(namespace)
+    assert (xi_scalar(namespace, 1, p).tobytes()
+            == _xi_scalar_per_point(namespace, 1, p).tobytes())
+    ref = 0.5 * n * namespace.value(p)
+    assert abs(laplace_scalar(namespace, 1, p) - ref) < 5e-6 * max(1.0,
+                                                                   abs(ref))
+
+
+def test_xi_scalar_failed_dbar_row_raises_alone(setup_n, rng):
+    """A field whose dbar raises ArithmeticError at one row of a block makes
+    xi_scalar raise at that row only, at every request."""
+    _, frame, n, _, _, fc = _setup(setup_n, rng)
+    block = _sample_block(frame, rng, 3)
+    bad = block.z[1].tobytes()
+    reference = _ratio_field_per_point(fc)
+
+    def dbar(point):
+        if point.z.tobytes() == bad:
+            raise ZeroDivisionError("dbar undefined at this row")
+        return reference.dbar(point)
+
+    field = SimpleNamespace(value=reference.value, dbar=dbar)
+    first, second, third = block
+    for p in (first, third):
+        assert (xi_scalar(field, 3, p).tobytes()
+                == _xi_scalar_per_point(reference, 3, p).tobytes())
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="undefined at this row"):
+            xi_scalar(field, 3, second)
+
+
+def test_laplace_block_memos_die_with_their_stencils():
+    """500 laplace_scalar calls at fresh standalone points keep nothing:
+    each block memo goes with its stencil block."""
+    lattice, frame_data, _ = lattice_from_config(standard_lattice(2))
+    frame = WittFrame.build(lattice, frame_data["e"], frame_data["e_prime"])
+    rng = np.random.default_rng(20240811)
+    field = ratio_field(frame.frame_coords(sample_vector(frame, rng)))
+    laplace_scalar(field, 1, sample_point(frame, rng))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(500):
+            laplace_scalar(field, 1, sample_point(frame, rng))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
