@@ -20,13 +20,18 @@ form (pair_bar_dbar, q_y_dbar, ratio_dbar).  These and star01 take one point
 or a domain.Block of Z rows, and one lambda or lambda rows, so the row
 kernels of the kernels module call the same closed forms.  A scalar field
 is any object with value(point) and dbar(point); ratio_field is the one
-the program uses, and its dbar is the point's row of one ratio_dbar over
-the point's block.  xi_scalar is likewise the point's row of one pass over
-the block (domain.row_value): the field's dbar at each row, then one star01
-and one q(Y)^kappa per row, so the 8n stencil points of laplace_scalar
-share one dbar block and one star.
+the program uses, and its dbar is _ratio_dbar_rows bound to lambda
+(domain.bind_rows), which carries the row form of the domain module's
+contract.  xi_scalar is the point's row of one pass over the block
+(domain.row_value): the field's dbar over the block, then one star01 and
+one q(Y)^kappa per row.
 Richardson central differences (dbar_jacobian) check those closed forms and
-differentiate everything else.
+differentiate everything else.  dbar_jacobian holds its 8n stencil points
+as one Block: a function with a row form runs it once over the block and a
+plain callable runs point by point, and the differences and the
+extrapolation are one array pass.  laplace_scalar hands it xi_scalar's row
+function bound to the field, so one call runs one ratio_dbar and one star01
+and reads no memo.
 """
 from __future__ import annotations
 
@@ -35,7 +40,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .domain import Block, DomainPoint, metric_lower, metric_upper, row_value
+from .domain import (Block, DomainPoint, bind_rows, metric_lower, metric_upper,
+                     row_value)
 
 
 # ---------------------------------------------------------------------------
@@ -57,22 +63,22 @@ def _shifted(z: np.ndarray, directions, h: float) -> list[np.ndarray]:
 
 def _richardson_differences(values, h: float) -> np.ndarray:
     """Richardson-extrapolated central differences from func evaluated at
-    the _shifted points, in that order."""
-    values = [np.asarray(v, dtype=complex) for v in values]
-    half = len(values) // 2
-
-    def diff(part, step):
-        return np.stack([(plus - minus) / (2.0 * step)
-                         for plus, minus in zip(part[::2], part[1::2])],
-                        axis=-1)
-
-    return richardson(diff(values[:half], h), diff(values[half:], h / 2.0))
+    the _shifted points, in that order: values holds one row per point,
+    and every difference and extrapolation is one array operation over
+    the directions."""
+    values = np.asarray(values, dtype=complex)
+    plus, minus = values[0::2], values[1::2]
+    half = len(plus) // 2
+    coarse = (plus[:half] - minus[:half]) / (2.0 * h)
+    fine = (plus[half:] - minus[half:]) / (2.0 * (h / 2.0))
+    return np.moveaxis(richardson(coarse, fine), 0, -1)
 
 
 def central_differences(func, z: np.ndarray, directions, h: float) -> np.ndarray:
     """Richardson-extrapolated central differences of func at z:
     out[..., k] is the derivative of t -> func(z + t directions[k]) at 0."""
-    return _richardson_differences(map(func, _shifted(z, directions, h)), h)
+    return _richardson_differences(
+        [func(shifted) for shifted in _shifted(z, directions, h)], h)
 
 
 def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
@@ -80,13 +86,22 @@ def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
     dbar_j = (d/dx_j + i d/dy_j)/2; shape (n,) for a scalar function.
 
     The 8n shifted points of both Richardson steps are built as one
-    domain.Block, so a row-memoized callback evaluates them at once."""
+    domain.Block.  A function with a row form (domain.bind_rows) runs it
+    once over the block, and its first failed row raises; any other runs
+    point by point, in difference order."""
     n = point.frame.n
     h = 1e-4 * max(1.0, float(np.max(np.abs(point.z))))
     units = np.eye(n, dtype=complex)
-    shifted = _shifted(point.z, np.concatenate([units, 1j * units]), h)
-    d = _richardson_differences(
-        map(vec_func, Block(point.frame, np.array(shifted))), h)
+    block = Block(point.frame, np.array(
+        _shifted(point.z, np.concatenate([units, 1j * units]), h)))
+    rows = getattr(vec_func, "rows", None)
+    if rows is None:
+        values = [vec_func(shifted) for shifted in block]
+    else:
+        values, failures = rows(block)
+        if failures:
+            raise failures[min(failures)]()
+    d = _richardson_differences(values, h)
     return (d[..., :n] + 1j * d[..., n:]) / 2.0
 
 
@@ -141,12 +156,14 @@ def _ratio_dbar_rows(block: Block, lam: np.ndarray):
 
 def ratio_field(lam_fc: np.ndarray) -> SimpleNamespace:
     """The weight -1 scalar (lambda, psi(Zbar)) / q(Y) with its closed-form
-    dbar, as a field with value(point) and dbar(point).  dbar is the
-    point's row of one ratio_dbar over its block (domain.row_value)."""
+    dbar, as a field with value(point) and dbar(point).  dbar is
+    _ratio_dbar_rows bound to lambda (domain.bind_rows): at a point, its
+    row of one ratio_dbar over the point's block; over a block, that one
+    ratio_dbar."""
     lam = np.asarray(lam_fc, dtype=float)
     return SimpleNamespace(
         value=lambda point: point.pair_bar(lam) / complex(point.q_y),
-        dbar=lambda point: row_value(point, _ratio_dbar_rows, lam))
+        dbar=bind_rows(_ratio_dbar_rows, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +212,25 @@ def star_top(c: complex, kappa: float, q_y: float) -> complex:
 
 def _xi_rows(block: Block, dbar, kappa: float):
     """xi_kappa at every row of block of the field whose dbar is given, as
-    row_value's (values, failures): dbar at each row's point, then one
-    star01 and one q(Y)^kappa per row over all rows.  A row whose dbar
-    raises ArithmeticError fails alone, with that exception (its traceback
-    cleared at each request)."""
-    f = np.zeros(block.z.shape, dtype=complex)
-    failures = {}
-    for i, point in enumerate(block):
-        try:
-            f[i] = dbar(point)
-        except ArithmeticError as exc:
-            # a kept traceback would hold this frame, and so the failures
-            failures[i] = partial(exc.with_traceback, None)
-            exc.__traceback__ = None
+    row_value's (values, failures): dbar over the block, by its row form
+    when it has one (whose failed rows fail here), otherwise at each row's
+    point, then one star01 and one q(Y)^kappa per row over all rows.  A
+    row whose pointwise dbar raises ArithmeticError fails alone, with that
+    exception (its traceback cleared at each request)."""
+    rows = getattr(dbar, "rows", None)
+    if rows is not None:
+        f, failures = rows(block)
+    else:
+        f = np.zeros(block.z.shape, dtype=complex)
+        failures = {}
+        for i, point in enumerate(block):
+            try:
+                f[i] = dbar(point)
+            except ArithmeticError as exc:
+                # a kept traceback would hold this frame, and so the
+                # failures
+                failures[i] = partial(exc.with_traceback, None)
+                exc.__traceback__ = None
     return (_per_row(lambda q: q ** kappa, block.q_y)
             * star01(f, block.frame.eps, block.y, block.q_y)), failures
 
@@ -215,8 +238,7 @@ def _xi_rows(block: Block, dbar, kappa: float):
 def xi_scalar(field, kappa: float, point: DomainPoint) -> np.ndarray:
     """xi_kappa f as an (n, n-1)-coefficient vector: q(Y)^kappa star(dbar f),
     for a field with a dbar(point) method.  The point's row of _xi_rows over
-    its block (domain.row_value, keyed by field.dbar and kappa): a
-    stencil's points share one star01 and one dbar block."""
+    its block (domain.row_value, keyed by field.dbar and kappa)."""
     return row_value(point, _xi_rows, field.dbar, kappa)
 
 
@@ -234,5 +256,8 @@ def xi_top(vec_func, kappa: float, point: DomainPoint) -> complex:
 
 
 def laplace_scalar(field, kappa: float, point: DomainPoint) -> complex:
-    """The weight-kappa laplacian xi_{-kappa} xi_kappa f at a point."""
-    return xi_top(lambda pt: xi_scalar(field, kappa, pt), kappa, point)
+    """The weight-kappa laplacian xi_{-kappa} xi_kappa f at a point: xi_top
+    of xi_scalar's _xi_rows bound to (field.dbar, kappa), so the 8n
+    stencil points share one dbar block, read by its row form when the
+    field's dbar has one, and one star01."""
+    return xi_top(bind_rows(_xi_rows, field.dbar, kappa), kappa, point)

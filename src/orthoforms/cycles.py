@@ -34,15 +34,17 @@ nodes.
 Every quadrature holds the points of its node rows as a domain.Block,
 which a transported chart moves by one act and one action_jacobian.
 The face, shell and cycle-C integrals are summed one block of at most
-_BLOCK_ROWS nodes at a time: h (and dbar h) once per block, by its row
-function over the block when it is a WindowBump or its bound value or
-dbar, otherwise once per node over the whole block before H runs at any
-node of it; then H (and the shell's dbar coefficient) once per node where h
-(or dbar h) is nonzero, which the kernels answer from the block memo.  Dot
-products are one stacked matmul, products and powers are taken in Python
-arithmetic (numpy's complex array products and powers round differently
-from the node loop's scalar ones), and terms are added in node order, so
-every sum equals the node-by-node loop bit for bit.
+_BLOCK_ROWS nodes at a time.  Their integrands follow the row-form
+contract of the domain module: a function with a row form (a WindowBump,
+its value and dbar, a kernel bound to (lambda, kappa)) runs it once over
+the block, with no memo read; a plain callable runs once per node, its
+fallback.  h (and dbar h) is evaluated at every node of the block before
+H (and the shell's dbar coefficient) at the nodes where h (or dbar h) is
+nonzero, and the failure raised is the one the node loop would meet
+first.  Dot products are one stacked matmul, products and powers are
+taken in Python arithmetic (numpy's complex array products and powers
+round differently from the node loop's scalar ones), and terms are added
+in node order, so every sum equals the node-by-node loop bit for bit.
 
 All quadrature faces are oriented against the parameter order
 (x1', y1', x2', y2', ...), which is orientation-positive for the domain;
@@ -60,7 +62,7 @@ import numpy as np
 
 from .calculus import measure_factor, richardson
 from .domain import Block, BoundaryError, ComponentError, DomainPoint, \
-    WittFrame, act, q_plus_minus, row_value
+    WittFrame, act, bind_rows, q_plus_minus
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
 from .special import gauss_legendre_grid
@@ -276,20 +278,39 @@ def _add_in_order(total, terms) -> complex:
     return _sum_in_order(np.array([total, *terms]))
 
 
-def _at_nodes(func, points: Block) -> np.ndarray:
-    """func at each point of a block, one row per point.
-
-    A WindowBump, or its bound value or dbar, runs its row function once
-    over the block, and the first failed row raises; any other callable
-    runs once per point, in order."""
-    bump = getattr(func, "__self__", func)
-    if not isinstance(bump, WindowBump):
-        return np.array([func(point) for point in points])
-    values, failures = (bump._dbar_rows if func == bump.dbar
-                        else bump._value_rows)(points)
-    if failures:
-        raise failures[min(failures)]()
-    return values
+def _at_nodes(points: Block, keep: np.ndarray | None, *funcs
+              ) -> list[np.ndarray]:
+    """Each func at the nodes of a block where keep is true (every node
+    when keep is None), one row per such node.  A func with a row form
+    (domain.bind_rows) runs it once over the block; any other runs once
+    per node, in the order of the loop over those nodes that calls each
+    func in turn.  That loop stops at the first kept failed row of a row
+    form, which raises; failed rows at the other nodes raise nothing."""
+    rows = (range(len(points.z)) if keep is None
+            else keep.nonzero()[0].tolist())
+    forms = [getattr(func, "rows", None) for func in funcs]
+    blocks = [form(points) if form else None for form in forms]
+    stop = min([(i, k) for k, block in enumerate(blocks) if block
+                for i in block[1] if keep is None or keep[i]],
+               default=(len(points.z), len(funcs)))
+    plain = {k: [] for k, form in enumerate(forms) if form is None}
+    if plain:
+        calls = [(funcs[k], values.append) for k, values in plain.items()]
+        nodes = points if keep is None else itertools.compress(points, keep)
+        for i, point in zip(rows, nodes):
+            if i == stop[0]:
+                # the loop runs the funcs before the failed one here
+                for k, (func, _) in zip(plain, calls):
+                    if k < stop[1]:
+                        func(point)
+                break
+            for func, append in calls:
+                append(func(point))
+    if stop[0] < len(points.z):
+        raise blocks[stop[1]][1][stop[0]]()
+    return [np.array(plain[k]) if block is None
+            else block[0] if keep is None else block[0][keep]
+            for k, block in enumerate(blocks)]
 
 
 def _phi(u: np.ndarray) -> np.ndarray:
@@ -415,12 +436,11 @@ def _face_form_integral(chart: CycleChart, face: _Box,
     a time: h at every node, H at the nodes where h != 0."""
     total = 0.0 + 0.0j
     for points, weights, minors in _box_blocks(chart, face, _hat_minors):
-        hv = _at_nodes(h, points)
+        hv, = _at_nodes(points, None, h)
         keep = hv != 0
         if not keep.any():
             continue
-        comps = np.array([H(point) for point in itertools.compress(points,
-                                                                   keep)])
+        comps, = _at_nodes(points, keep, H)
         dots = (comps[:, None, :] @ minors[keep][:, :, None])[:, 0, 0]
         total = _add_in_order(total, [w * v * d for w, v, d in zip(
             weights[keep].tolist(), hv[keep].tolist(), dots.tolist())])
@@ -489,7 +509,7 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
         total = 0.0 + 0.0j
         for points, weights, dz in _box_blocks(
                 chart, cycle, lambda cols: np.linalg.det(cols) * -1j):
-            hv = _at_nodes(h, points)
+            hv, = _at_nodes(points, None, h)
             pairs = points.pair(fc)
             total = _add_in_order(total, [
                 w * v * pair ** (kappa - n) * m for w, v, pair, m in zip(
@@ -556,21 +576,19 @@ def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
     total = 0.0 + 0.0j
     for strip in _shell_strips(chart, e1, e2):
         for points, weights, dets in _box_blocks(chart, strip, _top_det):
-            hv = _at_nodes(h_field.value, points)
-            dbar_h = _at_nodes(h_field.dbar, points)
+            hv, = _at_nodes(points, None, h_field.value)
+            dbar_h, = _at_nodes(points, None, h_field.dbar)
             keep = (hv != 0) | dbar_h.any(axis=1)
             if not keep.any():
                 continue
-            coeffs, comps, q_factors = zip(*[
-                (dbar_coeff(point), p_field(point),
-                 measure_factor(n, point.q_y))
-                for point in itertools.compress(points, keep)])
-            dots = (dbar_h[keep][:, None, :]
-                    @ np.array(comps)[:, :, None])[:, 0, 0]
+            coeffs, comps = _at_nodes(points, keep, dbar_coeff, p_field)
+            q_factors = [measure_factor(n, q)
+                         for q in points.q_y[keep].tolist()]
+            dots = (dbar_h[keep][:, None, :] @ comps[:, :, None])[:, 0, 0]
             products = [strip.sign * w * (v * c - q * d) * det
                         for w, v, c, q, d, det in zip(
                             weights[keep].tolist(), hv[keep].tolist(),
-                            coeffs, q_factors, dots.tolist(),
+                            coeffs.tolist(), q_factors, dots.tolist(),
                             dets[keep].tolist())]
             # divided as arrays: numpy's array and scalar complex
             # divisions agree, Python's rounds differently
@@ -597,9 +615,11 @@ class WindowBump:
     the complex-analytic dbar gradient is available in closed form, so the
     Stokes checks need no finite differences.
 
-    value and dbar go through domain.row_value: they are computed once for
-    every row of the point's block per bump (one row for a standalone
-    point), and each call returns its row (dbar as a fresh array).
+    value and dbar are its row functions bound by domain.bind_rows: at a
+    point, its row of the bump over the point's block, computed once per
+    block and bump (one row for a standalone point; dbar as a fresh
+    array); over a block, one call of the row function.  The bump itself
+    is its value, row form included.
     """
 
     power = 4
@@ -608,6 +628,12 @@ class WindowBump:
         if chart.kind != "real_analytic":
             raise CycleError("window bumps are tied to real-analytic charts")
         self.window = chart.window
+        self.value = bind_rows(self._value_rows)
+        self.dbar = bind_rows(self._dbar_rows)
+        self.rows = self.value.rows
+
+    def __call__(self, point: DomainPoint) -> float:
+        return self.value(point)
 
     def _factors(self, z: np.ndarray, derivative: bool):
         """Per row and window axis, the factor w^p of the coordinate
@@ -632,12 +658,14 @@ class WindowBump:
         return out
 
     def _value_rows(self, block):
+        """h at every row of block, as row_value's (values, failures)."""
         out = np.ones(len(block.z))
         for column in self._factors(block.z, False).T:
             out *= column
         return out, {}
 
     def _dbar_rows(self, block):
+        """The closed-form dbar h at every row of block, (N, n)."""
         vals = self._factors(block.z, False)
         grads = self._factors(block.z, True)
         n = vals.shape[1]
@@ -650,19 +678,6 @@ class WindowBump:
             # d y1 / d zbar_1 = i/2; d x_j / d zbar_j = 1/2
             out[:, j] = grads[:, j] * rest * (0.5j if j == 0 else 0.5)
         return out, {}
-
-    def value(self, point: DomainPoint) -> float:
-        """h at the point: its row of the bump over the point's block,
-        computed at the block's first call for this bump."""
-        return row_value(point, self._value_rows)
-
-    __call__ = value
-
-    def dbar(self, point: DomainPoint) -> np.ndarray:
-        """The closed-form dbar h at the point, as a fresh (n,) array: its
-        row of the block's gradient rows, computed at the block's first
-        call for this bump."""
-        return row_value(point, self._dbar_rows)
 
 
 # the coarse trapezoid's angles per circle fiber; the fine rule has twice

@@ -194,9 +194,10 @@ class Block:
     argument of a row function; and the memo of row functions evaluated on
     them, which row_value alone reads and fills.  The first row failing a
     component check (finite coordinates, q(Y) > 0, y_1 > 0, in this order)
-    raises ComponentError.  Each walk yields one new DomainPoint per row:
-    its z a view of the row, its q_y the row's q(Y) as a float, its memo
-    the block's."""
+    raises ComponentError.  A function with a row form (bind_rows) is
+    evaluated over a block by one call of that form, with no memo.  Each
+    walk yields one new DomainPoint per row: its z a view of the row, its
+    q_y the row's q(Y) as a float, its memo the block's."""
 
     __slots__ = ("frame", "z", "q_y", "memo")
 
@@ -266,6 +267,20 @@ def row_value(point: DomainPoint, rows: Callable, *args):
     if index in failures:
         raise failures[index]()
     return values[index].copy()
+
+
+def bind_rows(rows: Callable, *args) -> Callable:
+    """rows bound to its arguments, as a function of one point, point ->
+    row_value(point, rows, *args), that carries its row form .rows(block)
+    -> rows(block, *args), the (values, failures) of row_value.  This is
+    the row-form contract: whoever holds a Block calls .rows once over it
+    when a function has one, and calls the function point by point
+    otherwise."""
+    def value(point: DomainPoint):
+        return row_value(point, rows, *args)
+
+    value.rows = lambda block: rows(block, *args)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .calculus import ratio_dbar, star01
-from .domain import (Block, DomainPoint, act, isometry_matrix, norm_split,
-                     psi_frame, row_value)
+from .domain import (Block, DomainPoint, act, bind_rows, isometry_matrix,
+                     norm_split, psi_frame, row_value)
 from .special import hyp2f1_rows, row_map
 
 GUARD = 1e-12
@@ -87,6 +87,13 @@ def omega_kernel(lam_fc: np.ndarray, kappa: int, point: DomainPoint) -> complex:
                              np.asarray(lam_fc, dtype=float), kappa))
 
 
+def bound_omega(lam_fc: np.ndarray, kappa: int):
+    """omega_kernel bound to (lambda, kappa): point -> its row of
+    omega_rows, carrying the row form omega_rows(block, lambda, kappa)
+    (domain.bind_rows)."""
+    return bind_rows(omega_rows, np.asarray(lam_fc, dtype=float), kappa)
+
+
 def omega_rows(block, lam: np.ndarray, kappa: int) -> tuple[np.ndarray, dict]:
     """The scalar kernel (lambda, psi(Z))^-kappa of lambda rows (M, n+2) or
     one lambda (n+2,) against the Z rows (N, n) of a domain.Block, where M or
@@ -138,6 +145,13 @@ def dbar_image_reference(lam_fc: np.ndarray, kappa: int,
                              np.asarray(lam_fc, dtype=float), kappa))
 
 
+def bound_dbar_reference(lam_fc: np.ndarray, kappa: int):
+    """dbar_image_reference bound to (lambda, kappa), with its row form
+    (domain.bind_rows)."""
+    return bind_rows(_dbar_reference_rows, np.asarray(lam_fc, dtype=float),
+                     kappa)
+
+
 def _dbar_reference_rows(block, lam, kappa):
     lam = lam.reshape(1, -1)
     pair = block.pair(lam)
@@ -166,6 +180,15 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
     """
     return row_value(point, p_tilde_rows, np.asarray(lam_fc, dtype=float),
                      kappa, rep)
+
+
+def bound_p_tilde(lam_fc: np.ndarray, kappa: int, rep: str = "auto"):
+    """p_tilde_components bound to (lambda, kappa, rep): point -> its row
+    of p_tilde_rows, carrying the row form p_tilde_rows(block, lambda,
+    kappa, rep) (domain.bind_rows), which an integrand or a stencil over a
+    block calls once, with no memo."""
+    return bind_rows(p_tilde_rows, np.asarray(lam_fc, dtype=float), kappa,
+                     rep)
 
 
 def p_tilde_rows(block, lam: np.ndarray, kappa: int,

@@ -33,8 +33,8 @@ from .quadratic import Isometry, MajorantPoints, Vec, as_vec, majorant_points
 
 __all__ = [
     "SeriesError", "SeriesSpec", "SeriesResult", "enumerate_class",
-    "sum_omega", "sum_Omega", "eval_omega", "eval_Omega", "eval_Omega_class",
-    "modularity_defect", "modularity_check",
+    "sum_omega", "sum_Omega", "bound_sum_Omega", "eval_omega", "eval_Omega",
+    "eval_Omega_class", "modularity_defect", "modularity_check",
 ]
 
 
@@ -160,28 +160,38 @@ def _frame_rows(frame: WittFrame, coords: np.ndarray) -> np.ndarray:
     return (frame.to_frame @ coords[:, :, None])[:, :, 0]
 
 
-def _sum(rows, frame: WittFrame, vectors, kappa: int, point: DomainPoint,
-         zero):
+def _bound_sum(rows, frame: WittFrame, vectors, kappa: int, zero):
+    """point -> the compensated sum of the kernels rows(block, lams, kappa)
+    of a fixed vector list, in list order, from zero; the vectors' float
+    and frame coordinates are converted from their Fractions once, here."""
     vectors = list(vectors)
     coords = np.array([[float(a) for a in as_vec(v)] for v in vectors],
                       dtype=float).reshape(len(vectors), frame.lattice.dim)
-    return _walk(rows, frame, lambda: vectors, _frame_rows(frame, coords),
-                 kappa, point, zero)[0]
+    lams = _frame_rows(frame, coords)
+    return lambda point: _walk(rows, frame, lambda: vectors, lams, kappa,
+                               point, zero)[0]
 
 
 def sum_omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> complex:
     """Compensated sum of (lambda, psi(Z))^-kappa over a fixed vector list,
     in list order."""
-    return _sum(omega_rows, frame, vectors, kappa, point, 0j)
+    return _bound_sum(omega_rows, frame, vectors, kappa, 0j)(point)
+
+
+def bound_sum_Omega(frame: WittFrame, vectors, kappa: int):
+    """sum_Omega bound to a fixed vector list and weight, as a function of
+    one point: the list is converted to frame coordinates once, so a
+    stencil or a walk over many points pays for it once."""
+    return _bound_sum(p_tilde_rows, frame, vectors, kappa,
+                      np.zeros(frame.n, dtype=complex))
 
 
 def sum_Omega(frame: WittFrame, vectors, kappa: int,
               point: DomainPoint) -> np.ndarray:
     """Componentwise compensated sum of the xi-preimage kernel over a fixed
     vector list, in list order."""
-    return _sum(p_tilde_rows, frame, vectors, kappa, point,
-                np.zeros(frame.n, dtype=complex))
+    return bound_sum_Omega(frame, vectors, kappa)(point)
 
 
 def _evaluate(spec: SeriesSpec, point: DomainPoint, rows, zero,

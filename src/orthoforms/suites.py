@@ -49,13 +49,14 @@ from .domain import (
     q_plus_minus, sample_point, sample_vector,
 )
 from .kernels import (
-    KernelSingularity, dbar_image_reference, form_slash, omega_kernel,
-    p_tilde_components, xi_image_reference,
+    KernelSingularity, bound_dbar_reference, bound_omega, bound_p_tilde,
+    dbar_image_reference, form_slash, p_tilde_components,
+    xi_image_reference,
 )
 from .quadratic import lattice_from_config, standard_lattice, vec_float
 from .series import (
-    SeriesSpec, eval_Omega_class, eval_omega, modularity_check,
-    sum_Omega,
+    SeriesSpec, bound_sum_Omega, eval_Omega_class, eval_omega,
+    modularity_check,
 )
 from .special import limit_constant, radial_integral
 
@@ -482,7 +483,7 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
         kappa = n + 2
         for _ in range(points):
             point, lam, fc = _offcycle_sample(frame, ctx.rng)
-            field_fn = lambda pt: p_tilde_components(fc, kappa, pt)
+            field_fn = bound_p_tilde(fc, kappa)
             try:
                 top = dbar_top(field_fn, point)
                 scaled = p_tilde_components(3.0 * fc, kappa, point)
@@ -508,8 +509,7 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                     for _ in range(points):
                         point, lam, fc = _offcycle_sample(frame, ctx.rng,
                                                           sign)
-                        field_fn = lambda pt: p_tilde_components(fc, kappa,
-                                                                 pt)
+                        field_fn = bound_p_tilde(fc, kappa)
                         try:
                             val = xi_top(field_fn, kappa, point)
                         except KernelSingularity:
@@ -529,9 +529,8 @@ def suite_kernel(ctx: SuiteContext) -> list[CheckRecord]:
                 fc_back = frame.frame_coords(inverse.apply(lam))
                 try:
                     left = p_tilde_components(fc_back, kappa, point)
-                    right = form_slash(
-                        gamma, lambda pt: p_tilde_components(fc, kappa, pt),
-                        -kappa, point)
+                    right = form_slash(gamma, bound_p_tilde(fc, kappa),
+                                       -kappa, point)
                 except KernelSingularity:
                     slash.skip()
                     continue
@@ -627,7 +626,7 @@ def suite_series(ctx: SuiteContext) -> list[CheckRecord]:
             try:
                 form_res, found = eval_Omega_class(spec, point)
                 vectors = found.vectors()
-                field_fn = lambda pt: sum_Omega(frame, vectors, kappa, pt)
+                field_fn = bound_sum_Omega(frame, vectors, kappa)
                 xi_val = xi_top(field_fn, kappa, point)
                 tol = r1.tail + form_res.tail + 1e-5
                 out.append(_record(
@@ -671,7 +670,7 @@ def suite_tube_limit(ctx: SuiteContext) -> list[CheckRecord]:
     h = WindowBump(chart)
     fc = frame.frame_coords(mu)
     for kappa in p.kappa_values:
-        H = lambda pt, kappa=kappa: p_tilde_components(fc, kappa, pt)
+        H = bound_p_tilde(fc, kappa)
         ins = {"kappa": kappa, "eps": list(p.eps_schedule), "seed": p.seed}
         delta = cycle_integral_C(mu, h, kappa, chart, target=1e-9)
         c_lim = limit_constant(2, kappa)
@@ -800,8 +799,8 @@ def suite_current_eq(ctx: SuiteContext) -> list[CheckRecord]:
     chart = _collar_chart(frame)
     h = WindowBump(chart)
     fc = frame.frame_coords(chart.vector)
-    p_field = lambda pt: p_tilde_components(fc, kappa, pt)
-    dbar_coeff = lambda pt: dbar_image_reference(fc, kappa, pt)
+    p_field = bound_p_tilde(fc, kappa)
+    dbar_coeff = bound_dbar_reference(fc, kappa)
     ins = {"n": n, "kappa": kappa, "seed": p.seed}
     try:
         shell = shell_stokes(chart, h, p_field, dbar_coeff, (0.05, 0.1),
@@ -885,8 +884,8 @@ def suite_duality(ctx: SuiteContext) -> list[CheckRecord]:
     nodes_T = entry("nodes_T", list_of(axes_T, _integer), (8,) * axes_T)
     fc_mu = frame.frame_coords(mu)
     fc_nu = frame.frame_coords(nu)
-    omega_mero = lambda pt: omega_kernel(fc_nu, kappa, pt)
-    Omega_cusp = lambda pt: p_tilde_components(fc_mu, kappa, pt)
+    omega_mero = bound_omega(fc_nu, kappa)
+    Omega_cusp = bound_p_tilde(fc_mu, kappa)
     ins = {"mu": list(mu), "nu": list(nu), "kappa": kappa, "eps": eps,
            "window_C": window_C, "window_T": window_T, "nodes": nodes,
            "nodes_T": nodes_T}

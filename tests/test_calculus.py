@@ -7,14 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orthoforms import calculus
+from orthoforms import calculus, domain, kernels
 from orthoforms.calculus import (central_differences, dbar_jacobian,
                                  laplace_scalar, measure_factor,
                                  pair_bar_dbar, q_y_dbar, ratio_dbar,
                                  ratio_field, star01, star_nn1, star_pair,
                                  star_top, xi_scalar, xi_top)
-from orthoforms.domain import (Block, DomainPoint, WittFrame, metric_upper,
-                               q_plus_minus, sample_point, sample_vector)
+from orthoforms.domain import (Block, DomainPoint, WittFrame, bind_rows,
+                               metric_upper, q_plus_minus, sample_point,
+                               sample_vector)
 from orthoforms.quadratic import (lattice_from_config, standard_lattice,
                                   vec_float)
 
@@ -404,3 +405,129 @@ def test_laplace_block_memos_die_with_their_stencils():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# row forms (domain.bind_rows) against the per-point path
+
+
+def _kernel_sample(frame, rng):
+    """A point and the frame coordinates of a vector whose p_tilde of
+    weight n + 2 is regular on the point's Laplace stencil."""
+    kappa = frame.n + 2
+    while True:
+        p = sample_point(frame, rng)
+        fc = frame.frame_coords(sample_vector(frame, rng))
+        if frame.q_lambda(fc) == 0:
+            continue
+        try:
+            dbar_jacobian(kernels.bound_p_tilde(fc, kappa), p)
+        except kernels.KernelSingularity:
+            continue
+        return p, fc
+
+
+def test_dbar_jacobian_row_form_matches_per_point_bits(setup_n, rng):
+    """dbar_jacobian of a function with a row form, run once over the
+    stencil block, gives the bits of the same function called point by
+    point: a bound p_tilde (vector), its scalar first component and
+    ratio_field's dbar."""
+    _, frame, n, _, _, _ = _setup(setup_n, rng)
+    kappa = n + 2
+    for _ in range(3):
+        p, fc = _kernel_sample(frame, rng)
+        bound = kernels.bound_p_tilde(fc, kappa)
+        first = bind_rows(lambda block: (
+            kernels.p_tilde_rows(block, fc, kappa)[0][:, 0], {}))
+        dbar = ratio_field(fc).dbar
+        for func in (bound, first, dbar):
+            assert hasattr(func, "rows")
+            row = dbar_jacobian(func, p)
+            per_point = dbar_jacobian(lambda pt, func=func: func(pt), p)
+            assert row.shape == per_point.shape
+            assert row.tobytes() == per_point.tobytes()
+        assert (dbar_jacobian(bound, p).tobytes() == dbar_jacobian(
+            lambda pt: kernels.p_tilde_components(fc, kappa, pt),
+            p).tobytes())
+
+
+@pytest.mark.parametrize("kappa", [1, "n+2"])
+def test_laplace_row_form_matches_per_point_bits(setup_n, rng, kappa):
+    """laplace_scalar, which hands dbar_jacobian a row form, gives the bits
+    of xi_top over xi_scalar called point by point, and of a field whose
+    dbar has no row form."""
+    _, frame, n, _, _, _ = _setup(setup_n, rng)
+    kappa = n + 2 if kappa == "n+2" else kappa
+    for _ in range(3):
+        p = sample_point(frame, rng)
+        field = ratio_field(frame.frame_coords(sample_vector(frame, rng)))
+        plain = SimpleNamespace(value=field.value,
+                                dbar=lambda pt, field=field: field.dbar(pt))
+        value = np.complex128(laplace_scalar(field, kappa, p)).tobytes()
+        assert value == np.complex128(xi_top(
+            lambda pt: xi_scalar(field, kappa, pt), kappa, p)).tobytes()
+        assert value == np.complex128(laplace_scalar(plain, kappa,
+                                                     p)).tobytes()
+
+
+def test_laplace_reads_no_per_point_dbar(setup_n, rng, monkeypatch):
+    """One laplace_scalar call runs _ratio_dbar_rows once over its stencil
+    block and reads no row memo: no per-point dbar or xi_scalar read."""
+    _, frame, n, p, _, fc = _setup(setup_n, rng)
+    calls = {"_ratio_dbar_rows": 0, "row_value": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(calculus, "_ratio_dbar_rows")
+    for module in (calculus, domain):
+        counting(module, "row_value")
+    laplace_scalar(ratio_field(fc), 1, p)
+    assert calls == {"_ratio_dbar_rows": 1, "row_value": 0}
+
+
+def test_row_form_failures_raise_as_the_per_point_path(setup_n, rng):
+    """dbar_jacobian raises the first failed stencil row of a row form, as
+    the per-point path raises at the first failing point; an invalid kappa
+    raises at once on both paths; and xi_scalar over a dbar row form fails
+    only the failed rows."""
+    _, frame, n, p, _, fc = _setup(setup_n, rng)
+    marked = []
+
+    def rows(block):
+        values, _ = calculus._ratio_dbar_rows(block, fc)
+        bad = [i for i in range(len(block.z)) if i % 3 == 2]
+        marked.append(bad)
+        return values, {i: (lambda i=i: ZeroDivisionError(f"row {i}"))
+                        for i in bad}
+
+    func = bind_rows(rows)
+    with pytest.raises(ZeroDivisionError) as row_path:
+        dbar_jacobian(func, p)
+    with pytest.raises(ZeroDivisionError) as point_path:
+        dbar_jacobian(lambda pt: func(pt), p)
+    assert str(row_path.value) == str(point_path.value) == "row 2"
+
+    field = SimpleNamespace(value=None, dbar=func)
+    block = _sample_block(frame, rng, 4)
+    points = list(block)
+    for i, pt in enumerate(points):
+        if i in marked[-1]:
+            with pytest.raises(ZeroDivisionError, match=f"row {i}"):
+                xi_scalar(field, 3, pt)
+        else:
+            ref = SimpleNamespace(dbar=lambda q: calculus.ratio_dbar(
+                fc, q, q.pair_bar(fc)))
+            assert (xi_scalar(field, 3, pt).tobytes()
+                    == _xi_scalar_per_point(ref, 3, pt).tobytes())
+
+    lam = frame.frame_coords(sample_vector(frame, rng))
+    for path in (kernels.bound_p_tilde(lam, 0),
+                 lambda pt: kernels.p_tilde_components(lam, 0, pt)):
+        with pytest.raises(ValueError, match="need kappa > n/2"):
+            xi_top(path, 0, p)

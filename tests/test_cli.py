@@ -322,6 +322,8 @@ def test_kernel_suite_reports_singular_pointwise_loops(tmp_path, capsys,
         raise KernelSingularity("forced", lam, "test", 0.0)
 
     monkeypatch.setattr(suites, "p_tilde_components", singular)
+    monkeypatch.setattr(suites, "bound_p_tilde", lambda lam, kappa: (
+        lambda point: singular(lam, kappa, point)))
     cfg = _write_config(tmp_path, {"suite": "kernel", "parameters": {
         "n_values": [n], "samples": 8}})
     assert main(["verify", "--config", cfg, "--json"]) == 1
@@ -390,6 +392,27 @@ def test_series_suite_evaluates_each_series_once(monkeypatch):
     generators = sum(len(list(lattice_from_config(standard_lattice(n))[2]))
                      for n in (1, 2))
     assert len(calls) == 2 * (2 * 4 + generators) == 28
+
+
+def test_series_suite_converts_each_field_vector_once(monkeypatch):
+    """The series suite's xi check converts the vector list of its form
+    series from Fractions once per field, not at each of the 8n stencil
+    points: every nonzero vector goes through as_vec once."""
+    from collections import Counter
+
+    from orthoforms import series
+    seen = Counter()
+    as_vec = series.as_vec
+
+    def counted(v):
+        out = as_vec(v)
+        seen[out] += 1
+        return out
+
+    monkeypatch.setattr(series, "as_vec", counted)
+    assert run(RunConfig(suite="series")).passed
+    converted = [v for v in seen if any(v)]
+    assert converted and all(seen[v] == 1 for v in converted)
 
 
 def test_geometry_suite_inverts_each_generator_once(monkeypatch):

@@ -17,8 +17,8 @@ from orthoforms.cycles import (
     shell_stokes, transport_to, tube_boundary_integral,
 )
 from orthoforms.domain import (Block, BoundaryError, ComponentError,
-                               DomainPoint, WittFrame, act, isometry_matrix,
-                               q_plus_minus, sample_point)
+                               DomainPoint, WittFrame, act, bind_rows,
+                               isometry_matrix, q_plus_minus, sample_point)
 from orthoforms.kernels import action_jacobian
 from orthoforms.quadratic import (lattice_from_config, standard_lattice,
                                   vec_float)
@@ -847,12 +847,13 @@ def test_opaque_h_runs_once_per_node_before_H(geo):
 def test_window_bump_evaluates_each_block_once(geo, monkeypatch):
     """A WindowBump h is evaluated once per block by its row functions."""
     chart, _, H, dbar_coeff, _, _ = _block_case(geo, 2, False)
-    bump = WindowBump(chart)
     runs = []
     for name in ("_value_rows", "_dbar_rows"):
-        rows = getattr(bump, name)
-        monkeypatch.setattr(bump, name, lambda block, rows=rows, name=name: (
-            runs.append(name), rows(block))[1])
+        rows = getattr(WindowBump, name)
+        monkeypatch.setattr(WindowBump, name,
+                            lambda self, block, rows=rows, name=name: (
+                                runs.append(name), rows(self, block))[1])
+    bump = WindowBump(chart)
     face = _tube_faces(chart, 0.1)[0]
     blocks = list(_box_blocks(chart, face, _hat_minors))
     seen = []
@@ -872,14 +873,14 @@ def test_window_bump_block_raises_its_first_failed_row(geo, monkeypatch):
     exception of the block's first failed row, not of the first one
     recorded."""
     chart = _block_case(geo, 2, False)[0]
-    bump = WindowBump(chart)
-    monkeypatch.setattr(bump, "_value_rows", lambda block: (
+    monkeypatch.setattr(WindowBump, "_value_rows", lambda self, block: (
         np.zeros(len(block.z)), {3: lambda: ValueError("row 3"),
                                  1: lambda: ValueError("row 1")}))
+    bump = WindowBump(chart)
     points, _, _ = next(_box_blocks(chart, _tube_faces(chart, 0.1)[0],
                                     _hat_minors))
     with pytest.raises(ValueError, match="row 1"):
-        cycles._at_nodes(bump, points)
+        cycles._at_nodes(points, None, bump)
 
 
 def test_block_where_h_vanishes_contributes_exact_zero(geo):
@@ -1304,3 +1305,185 @@ def test_restrict_raises_on_a_nan_node(geo, index):
     with pytest.raises(QuadratureError):
         restrict_samples(NU2, _nan_at_call(_h_residue, index), 4, 0.05,
                          chart)
+
+
+# ---------------------------------------------------------------------------
+# row-form integrands (domain.bind_rows) against the per-node path
+
+
+def _plain(func):
+    """func without its row form: the drivers' per-node fallback."""
+    return lambda pt: func(pt)
+
+
+def _bits(value):
+    return np.complex128(value).tobytes()
+
+
+@pytest.mark.parametrize("transported", [False, True],
+                         ids=["model", "transported"])
+def test_row_form_integrands_match_the_per_node_path_bits(geo, transported):
+    """The face, shell and cycle-C drivers give the same bits whether
+    their integrands run their row forms once per block (a WindowBump, its
+    value and dbar, bound p_tilde, dbar reference and omega) or are called
+    node by node, on the model chart and on a transported one."""
+    chart, kappa, _, _, opaque_h, opaque_field = _block_case(geo, 2,
+                                                              transported)
+    frame = chart.frame
+    fc = frame.frame_coords(chart.vector)
+    H = kernels.bound_p_tilde(fc, kappa)
+    dbar_coeff = kernels.bound_dbar_reference(fc, kappa)
+    bump = WindowBump(chart)
+    plain_bump = SimpleNamespace(value=_plain(bump.value),
+                                 dbar=_plain(bump.dbar))
+    for face in _tube_faces(chart, 0.1):
+        for h in (bump, opaque_h):
+            value = _face_form_integral(chart, face, h, H)
+            assert value != 0
+            assert _bits(value) == _bits(
+                _face_form_integral(chart, face, _plain(h), _plain(H)))
+    for field in (bump, opaque_field):
+        value = _shell_volume_integral(chart, field, H, dbar_coeff, 0.05, 0.1)
+        plain_field = plain_bump if field is bump else field
+        assert _bits(value) == _bits(_shell_volume_integral(
+            chart, plain_field, _plain(H), _plain(dbar_coeff), 0.05, 0.1))
+    omega = kernels.bound_omega(frame.frame_coords((1, 2, 1, 0)), kappa)
+    for h in (bump, omega):
+        value = cycle_integral_C(chart.vector, h, kappa, chart, target=1.0)
+        assert value != 0
+        assert _bits(value) == _bits(cycle_integral_C(
+            chart.vector, _plain(h), kappa, chart, target=1.0))
+
+
+def _failing_rows(rows, bad):
+    """rows with the rows where bad(block) is true failing as well, each
+    with a KernelSingularity naming its row's z."""
+    def failing(block, *args):
+        values, failures = rows(block, *args)
+        failures = dict(failures)
+        for i in np.flatnonzero(bad(block)).tolist():
+            failures.setdefault(i, lambda z=complex(block.z[i, -1]): (
+                kernels.KernelSingularity("forced", None, "z_n", abs(z))))
+        return values, failures
+    return failing
+
+
+def test_row_form_failure_where_h_vanishes_raises_nothing(geo):
+    """An integrand whose row form fails exactly at the nodes where h (and
+    dbar h) vanish raises nothing, on either path, and both give the same
+    bits."""
+    chart, kappa, _, _, opaque_h, opaque_field = _block_case(geo, 2, False)
+    fc = chart.frame.frame_coords(chart.vector)
+    # opaque_h vanishes where Re z_n > 0, its dbar where Re z_1 >= 0
+    H = bind_rows(_failing_rows(kernels.p_tilde_rows,
+                                lambda block: block.z[:, -1].real > 0),
+                  fc, kappa, "auto")
+    face = _tube_faces(chart, 0.1)[0]
+    points = next(_box_blocks(chart, face, _hat_minors))[0]
+    assert H.rows(points)[1]
+    assert _bits(_face_form_integral(chart, face, opaque_h, H)) == _bits(
+        _face_form_integral(chart, face, opaque_h, _plain(H)))
+    both = lambda block: ((block.z[:, -1].real > 0)
+                          & (block.z[:, 0].real >= 0))
+    P = bind_rows(_failing_rows(kernels.p_tilde_rows, both), fc, kappa,
+                  "auto")
+    dbar_coeff = bind_rows(_failing_rows(kernels._dbar_reference_rows, both),
+                           fc, kappa)
+    strip = _shell_strips(chart, 0.05, 0.1)[0]
+    assert P.rows(next(_box_blocks(chart, strip, _top_det))[0])[1]
+    assert _bits(_shell_volume_integral(
+        chart, opaque_field, P, dbar_coeff, 0.05, 0.1)) == _bits(
+        _shell_volume_integral(chart, opaque_field, _plain(P),
+                               _plain(dbar_coeff), 0.05, 0.1))
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_first_kept_failing_row_raises_as_the_node_loop(geo):
+    """A row form failing at kept nodes raises the exception of the first
+    one the node loop meets, type and message, on faces and shells, with
+    row forms, plain callables or one of each; on a shell node the dbar
+    coefficient comes before P, as in the loop."""
+    chart, kappa, _, _, _, _ = _block_case(geo, 2, False)
+    fc = chart.frame.frame_coords(chart.vector)
+    bump = WindowBump(chart)
+    face = _tube_faces(chart, 0.1)[0]
+    for bad in (lambda block: block.z[:, -1].real < -0.2,
+                lambda block: np.arange(len(block.z)) >= 5):
+        H = bind_rows(_failing_rows(kernels.p_tilde_rows, bad), fc, kappa,
+                      "auto")
+        row = _raised(lambda: _face_form_integral(chart, face, bump, H))
+        assert row[0] is kernels.KernelSingularity
+        assert row == _raised(lambda: _face_node_loop(chart, face, bump, H))
+        assert row == _raised(
+            lambda: _face_form_integral(chart, face, bump, _plain(H)))
+    # P fails from node 3 on, the dbar coefficient from node 5, then both
+    # at node 4 of each block: the loop meets P's failure, then the
+    # coefficient's
+    for p_from, c_from, want in ((3, 5, "P"), (4, 4, "coefficient")):
+        def failing(rows, start, name):
+            def out(block, *args):
+                values, _ = rows(block, *args)
+                return values, {i: (lambda i=i: ZeroDivisionError(
+                    f"{name} at row {i}")) for i in range(start,
+                                                          len(block.z))}
+            return out
+        H = bind_rows(failing(kernels.p_tilde_rows, p_from, "P"), fc, kappa,
+                      "auto")
+        coeff = bind_rows(failing(kernels._dbar_reference_rows, c_from,
+                                  "coefficient"), fc, kappa)
+        row = _raised(lambda: _shell_volume_integral(
+            chart, bump, H, coeff, 0.05, 0.1))
+        assert row[1].startswith(want)
+        assert row == _raised(lambda: _shell_node_loop(
+            chart, bump, H, coeff, 0.05, 0.1))
+        for pair in ((_plain(H), _plain(coeff)), (H, _plain(coeff)),
+                     (_plain(H), coeff)):
+            assert row == _raised(lambda: _shell_volume_integral(
+                chart, bump, pair[0], pair[1], 0.05, 0.1))
+
+
+def test_singular_bound_kernel_raises_the_node_loop_error(geo, monkeypatch):
+    """With the kernel guard raised so that part of the first face is
+    singular, a bound p_tilde raises the KernelSingularity the node loop
+    over p_tilde_components raises."""
+    _, frame, _ = geo[2]
+    chart = _chart_C(frame, 2, nodes=4, collar=4)
+    fc = frame.frame_coords(MU[2])
+    bump = WindowBump(chart)
+    face = _tube_faces(chart, 0.1)[0]
+    points = [pt for pts, _, _ in _box_blocks(chart, face, _hat_minors)
+              for pt in pts]
+    q_minus = [abs(q_plus_minus(frame, fc, pt)[1]) for pt in points]
+    monkeypatch.setattr(kernels, "GUARD",
+                        float(np.median(q_minus)) / max(1.0, abs(chart.norm)))
+    with pytest.raises(kernels.KernelSingularity) as loop:
+        _face_node_loop(chart, face, bump,
+                        lambda pt: kernels.p_tilde_components(fc, 4, pt))
+    with pytest.raises(kernels.KernelSingularity) as blocked:
+        tube_boundary_integral(MU[2], bump, kernels.bound_p_tilde(fc, 4),
+                               0.1, chart)
+    assert str(blocked.value) == str(loop.value)
+    assert (blocked.value.quantity, blocked.value.value) == \
+        (loop.value.quantity, loop.value.value)
+
+
+def test_invalid_kappa_raises_at_once_on_both_paths(geo):
+    """A bound p_tilde of invalid weight raises its ValueError at the
+    first block, as the per-node path does at the first node."""
+    chart, _, _, _, _, _ = _block_case(geo, 2, False)
+    fc = chart.frame.frame_coords(chart.vector)
+    bump = WindowBump(chart)
+    face = _tube_faces(chart, 0.1)[0]
+    for H in (kernels.bound_p_tilde(fc, 1),
+              lambda pt: kernels.p_tilde_components(fc, 1, pt)):
+        with pytest.raises(ValueError, match="need kappa > n/2"):
+            _face_form_integral(chart, face, bump, H)
+        with pytest.raises(ValueError, match="need kappa > n/2"):
+            _shell_volume_integral(chart, bump, H,
+                                   kernels.bound_dbar_reference(fc, 1),
+                                   0.05, 0.1)

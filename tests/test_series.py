@@ -358,7 +358,7 @@ def test_failing_term_names_its_vector_and_keeps_its_type(small_frames):
             1: partial(SpecialFunctionError, "argument above the branch")}
 
     with pytest.raises(SpecialFunctionError) as info:
-        series._sum(rows, frame, vecs, 4, _generic_point(frame), 0j)
+        series._bound_sum(rows, frame, vecs, 4, 0j)(_generic_point(frame))
     assert str(info.value) == ("series term failed at lattice vector "
                                "(2, 1, 0): argument above the branch")
 

@@ -6,9 +6,13 @@ Runs the operation lists that ``benchmark/freeze.py`` freezes (series,
 collar, fiber) and the first 600 ``pointwise`` operations of seeds 1, 2
 and 3 in both checkouts, each checkout in its own subprocess with its own
 ``src/`` and ``benchmark/``, and compares every operation's observed output
-as JSON text, so two floats compare equal only when their bits do.  Prints
-one line per workload and exits 1 when any output differs.  Nothing is
-written to either checkout (no frozen files, no bytecode).
+as JSON text, so two floats compare equal only when their bits do.  Then
+runs ``orthoforms verify <suite> --json`` at the default configuration for
+each of the nine suites in both checkouts, one process each, and compares
+the stdout bytes and the exit codes (``tube_limit`` exits 1 by design, in
+both).  Prints one line per workload and per suite and exits 1 when any
+output differs.  Nothing is written to either checkout (no frozen files, no
+bytecode).
 """
 from __future__ import annotations
 
@@ -22,7 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("series", "collar", "fiber", "pointwise")
 POINTWISE_SEEDS = (1, 2, 3)
 POINTWISE_OPS = 600
+SUITES = ("geometry", "metric", "identities", "kernel", "constants", "series",
+          "restrict", "tube_limit", "current_eq")
 SHOWN = 3
+
+# run in a checkout: the orthoforms command line on that checkout's src/
+CLI = ("import sys; sys.path[:0] = ['src']; from orthoforms.cli import main; "
+       "sys.exit(main())")
 
 # run in a checkout: print {workload: {op key: observed output}} as JSON
 PROBE = """
@@ -60,6 +70,15 @@ def observe(checkout: Path) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def report(checkout: Path, suite: str) -> tuple[bytes, int]:
+    """The stdout bytes and exit code of ``orthoforms verify <suite>
+    --json`` run in a checkout."""
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", CLI, "verify", suite, "--json"],
+        cwd=checkout, capture_output=True, check=False)
+    return done.stdout, done.returncode
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path,
@@ -79,6 +98,16 @@ def main(argv=None) -> int:
                   f"(first: {', '.join(differ[:SHOWN])})")
         else:
             print(f"{name}: all {len(base)} operations identical")
+    for suite in SUITES:
+        (out, code), (base_out, base_code) = (
+            report(ROOT, suite), report(args.parent.resolve(), suite))
+        if (out, code) == (base_out, base_code):
+            print(f"verify {suite}: report identical, exit {code}")
+        else:
+            same = False
+            print(f"verify {suite}: report "
+                  f"{'identical' if out == base_out else 'differs'}, exit "
+                  f"{code} against {base_code}")
     return 0 if same else 1
 
 
