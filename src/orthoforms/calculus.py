@@ -21,17 +21,16 @@ or a domain.Block of Z rows, and one lambda or lambda rows, so the row
 kernels of the kernels module call the same closed forms.  A scalar field
 is any object with value(point) and dbar(point); ratio_field is the one
 the program uses, and its dbar is _ratio_dbar_rows bound to lambda
-(domain.bind_rows), which carries the row form of the domain module's
-contract.  xi_scalar is the point's row of one pass over the block
+(domain.bind_rows), a row form that domain.at_rows runs once over a
+block.  xi_scalar is the point's row of one pass over the block
 (domain.row_value): the field's dbar over the block, then one star01 and
 one q(Y)^kappa per row.
 Richardson central differences (dbar_jacobian) check those closed forms and
 differentiate everything else.  dbar_jacobian holds its 8n stencil points
-as one Block: a function with a row form runs it once over the block and a
-plain callable runs point by point, and the differences and the
-extrapolation are one array pass.  laplace_scalar hands it xi_scalar's row
-function bound to the field, so one call runs one ratio_dbar and one star01
-and reads no memo.
+as one Block, over which domain.at_rows evaluates the function, and the
+differences and the extrapolation are one array pass.  laplace_scalar
+hands it xi_scalar's row function bound to the field, so one call runs
+one ratio_dbar and one star01 and reads no memo.
 """
 from __future__ import annotations
 
@@ -40,8 +39,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .domain import (Block, DomainPoint, bind_rows, metric_lower, metric_upper,
-                     row_value)
+from .domain import (Block, DomainPoint, at_rows, bind_rows, metric_lower,
+                     metric_upper, row_value)
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +85,14 @@ def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
     dbar_j = (d/dx_j + i d/dy_j)/2; shape (n,) for a scalar function.
 
     The 8n shifted points of both Richardson steps are built as one
-    domain.Block.  A function with a row form (domain.bind_rows) runs it
-    once over the block, and its first failed row raises; any other runs
-    point by point, in difference order."""
+    domain.Block, in difference order, over which domain.at_rows
+    evaluates vec_func."""
     n = point.frame.n
     h = 1e-4 * max(1.0, float(np.max(np.abs(point.z))))
     units = np.eye(n, dtype=complex)
     block = Block(point.frame, np.array(
         _shifted(point.z, np.concatenate([units, 1j * units]), h)))
-    rows = getattr(vec_func, "rows", None)
-    if rows is None:
-        values = [vec_func(shifted) for shifted in block]
-    else:
-        values, failures = rows(block)
-        if failures:
-            raise failures[min(failures)]()
-    d = _richardson_differences(values, h)
+    d = _richardson_differences(at_rows(block, None, vec_func)[0], h)
     return (d[..., :n] + 1j * d[..., n:]) / 2.0
 
 

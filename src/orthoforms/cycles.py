@@ -32,17 +32,14 @@ arrays, and the coarse rule of its error estimate is the even-indexed fine
 nodes.
 
 Every quadrature holds the points of its node rows as a domain.Block,
-which a transported chart moves by one act and one action_jacobian.
+which a transported chart moves by one act and one action_jacobian, and
+evaluates its integrands over it by domain.at_rows (a WindowBump, its
+value and dbar and a kernel bound to (lambda, kappa) carry row forms).
 The face, shell and cycle-C integrals are summed one block of at most
-_BLOCK_ROWS nodes at a time.  Their integrands follow the row-form
-contract of the domain module: a function with a row form (a WindowBump,
-its value and dbar, a kernel bound to (lambda, kappa)) runs it once over
-the block, with no memo read; a plain callable runs once per node, its
-fallback.  h (and dbar h) is evaluated at every node of the block before
-H (and the shell's dbar coefficient) at the nodes where h (or dbar h) is
-nonzero, and the failure raised is the one the node loop would meet
-first.  Dot products are one stacked matmul, products and powers are
-taken in Python arithmetic (numpy's complex array products and powers
+_BLOCK_ROWS nodes at a time: h (and dbar h) at every node of the block,
+then H (and the shell's dbar coefficient) at the nodes where h (or dbar
+h) is nonzero.  Dot products are one stacked matmul, products and powers
+are taken in Python arithmetic (numpy's complex array products and powers
 round differently from the node loop's scalar ones), and terms are added
 in node order, so every sum equals the node-by-node loop bit for bit.
 
@@ -62,7 +59,7 @@ import numpy as np
 
 from .calculus import measure_factor, richardson
 from .domain import Block, BoundaryError, ComponentError, DomainPoint, \
-    WittFrame, act, bind_rows, q_plus_minus
+    WittFrame, act, at_rows, bind_rows, q_plus_minus
 from .kernels import action_jacobian
 from .quadratic import Vec, as_vec, vec_float
 from .special import gauss_legendre_grid
@@ -278,41 +275,6 @@ def _add_in_order(total, terms) -> complex:
     return _sum_in_order(np.array([total, *terms]))
 
 
-def _at_nodes(points: Block, keep: np.ndarray | None, *funcs
-              ) -> list[np.ndarray]:
-    """Each func at the nodes of a block where keep is true (every node
-    when keep is None), one row per such node.  A func with a row form
-    (domain.bind_rows) runs it once over the block; any other runs once
-    per node, in the order of the loop over those nodes that calls each
-    func in turn.  That loop stops at the first kept failed row of a row
-    form, which raises; failed rows at the other nodes raise nothing."""
-    rows = (range(len(points.z)) if keep is None
-            else keep.nonzero()[0].tolist())
-    forms = [getattr(func, "rows", None) for func in funcs]
-    blocks = [form(points) if form else None for form in forms]
-    stop = min([(i, k) for k, block in enumerate(blocks) if block
-                for i in block[1] if keep is None or keep[i]],
-               default=(len(points.z), len(funcs)))
-    plain = {k: [] for k, form in enumerate(forms) if form is None}
-    if plain:
-        calls = [(funcs[k], values.append) for k, values in plain.items()]
-        nodes = points if keep is None else itertools.compress(points, keep)
-        for i, point in zip(rows, nodes):
-            if i == stop[0]:
-                # the loop runs the funcs before the failed one here
-                for k, (func, _) in zip(plain, calls):
-                    if k < stop[1]:
-                        func(point)
-                break
-            for func, append in calls:
-                append(func(point))
-    if stop[0] < len(points.z):
-        raise blocks[stop[1]][1][stop[0]]()
-    return [np.array(plain[k]) if block is None
-            else block[0] if keep is None else block[0][keep]
-            for k, block in enumerate(blocks)]
-
-
 def _phi(u: np.ndarray) -> np.ndarray:
     """Collar coordinates u = (x1', y1', x2', y2', ...) -> Z, row by row:
     (N, 2n) -> (N, n)."""
@@ -436,11 +398,11 @@ def _face_form_integral(chart: CycleChart, face: _Box,
     a time: h at every node, H at the nodes where h != 0."""
     total = 0.0 + 0.0j
     for points, weights, minors in _box_blocks(chart, face, _hat_minors):
-        hv, = _at_nodes(points, None, h)
+        hv, = at_rows(points, None, h)
         keep = hv != 0
         if not keep.any():
             continue
-        comps, = _at_nodes(points, keep, H)
+        comps, = at_rows(points, keep, H)
         dots = (comps[:, None, :] @ minors[keep][:, :, None])[:, 0, 0]
         total = _add_in_order(total, [w * v * d for w, v, d in zip(
             weights[keep].tolist(), hv[keep].tolist(), dots.tolist())])
@@ -509,7 +471,7 @@ def cycle_integral_C(mu, h: Callable[[DomainPoint], complex], kappa: int,
         total = 0.0 + 0.0j
         for points, weights, dz in _box_blocks(
                 chart, cycle, lambda cols: np.linalg.det(cols) * -1j):
-            hv, = _at_nodes(points, None, h)
+            hv, = at_rows(points, None, h)
             pairs = points.pair(fc)
             total = _add_in_order(total, [
                 w * v * pair ** (kappa - n) * m for w, v, pair, m in zip(
@@ -576,12 +538,12 @@ def _shell_volume_integral(chart: CycleChart, h_field, p_field, dbar_coeff,
     total = 0.0 + 0.0j
     for strip in _shell_strips(chart, e1, e2):
         for points, weights, dets in _box_blocks(chart, strip, _top_det):
-            hv, = _at_nodes(points, None, h_field.value)
-            dbar_h, = _at_nodes(points, None, h_field.dbar)
+            hv, = at_rows(points, None, h_field.value)
+            dbar_h, = at_rows(points, None, h_field.dbar)
             keep = (hv != 0) | dbar_h.any(axis=1)
             if not keep.any():
                 continue
-            coeffs, comps = _at_nodes(points, keep, dbar_coeff, p_field)
+            coeffs, comps = at_rows(points, keep, dbar_coeff, p_field)
             q_factors = [measure_factor(n, q)
                          for q in points.q_y[keep].tolist()]
             dots = (dbar_h[keep][:, None, :] @ comps[:, :, None])[:, 0, 0]
@@ -690,10 +652,11 @@ def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
     """Per-slot circle integrals of H / (nu, psi)^kappa at one base node.
 
     One trapezoid rule of 2 _ANGLE_NODES angles, its geometry held as arrays
-    and H run once per angle; the coarse rule of _ANGLE_NODES angles is the
-    even-indexed terms at twice the step.  Its angles are bit-identical to
-    those of a separate coarse rule, since (2 pi / 2N) 2k = (2 pi / N) k
-    exactly, so the error estimate compares the same two sums."""
+    and its points as one Block, over which domain.at_rows evaluates H; the
+    coarse rule of _ANGLE_NODES angles is the even-indexed terms at twice
+    the step.  Its angles are bit-identical to those of a separate coarse
+    rule, since (2 pi / 2N) 2k = (2 pi / N) k exactly, so the error
+    estimate compares the same two sums."""
     frame = chart.frame
     n = frame.n
     s = np.sqrt(abs(chart.norm))
@@ -710,7 +673,7 @@ def _fiber_integral(chart: CycleChart, H, kappa: int, params: np.ndarray,
     z = np.empty((len(theta), n), dtype=complex)
     z[:] = chart.model_z(params)
     z[:, -1] = z_n
-    comps = np.array([H(point) for point in Block(frame, z)], dtype=complex)
+    comps, = at_rows(Block(frame, z), None, H)
     weights = np.full((len(theta), n), 2j * radius, dtype=complex)
     if sector == "holomorphic":
         weights[:, -1] = 1j * radius * turn
@@ -738,10 +701,11 @@ def restrict_samples(nu, H: Callable[[DomainPoint], np.ndarray], kappa: int,
     nodes, for radius eps sqrt(q(Y')) and the halved radius, with one
     Richardson level on the slot-n value.
 
-    Each circle fiber is a trapezoid rule of 2 _ANGLE_NODES angles, so H
-    runs 2 _ANGLE_NODES times per fiber and 4 _ANGLE_NODES times per window
-    node; the coarse rule of the error estimate is the even-indexed fine
-    nodes.  A fiber whose coarse and fine sums disagree, or either is not
+    Each circle fiber is a trapezoid rule of 2 _ANGLE_NODES angles, two
+    fibers per window node, whose points are one Block over which
+    domain.at_rows evaluates H: a row form once per fiber, a plain H once
+    per angle.  The coarse rule of the error estimate is the even-indexed
+    fine nodes.  A fiber whose coarse and fine sums disagree, or either is not
     finite, raises QuadratureError.  Needs 0 < eps < 1.
 
     sector selects the fiber 1-form factor: "holomorphic" pairs the last

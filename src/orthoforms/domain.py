@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, islice, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -194,10 +194,9 @@ class Block:
     argument of a row function; and the memo of row functions evaluated on
     them, which row_value alone reads and fills.  The first row failing a
     component check (finite coordinates, q(Y) > 0, y_1 > 0, in this order)
-    raises ComponentError.  A function with a row form (bind_rows) is
-    evaluated over a block by one call of that form, with no memo.  Each
-    walk yields one new DomainPoint per row: its z a view of the row, its
-    q_y the row's q(Y) as a float, its memo the block's."""
+    raises ComponentError.  Functions are evaluated over a block by
+    at_rows.  Each walk yields one new DomainPoint per row: its z a view of
+    the row, its q_y the row's q(Y) as a float, its memo the block's."""
 
     __slots__ = ("frame", "z", "q_y", "memo")
 
@@ -272,15 +271,54 @@ def row_value(point: DomainPoint, rows: Callable, *args):
 def bind_rows(rows: Callable, *args) -> Callable:
     """rows bound to its arguments, as a function of one point, point ->
     row_value(point, rows, *args), that carries its row form .rows(block)
-    -> rows(block, *args), the (values, failures) of row_value.  This is
-    the row-form contract: whoever holds a Block calls .rows once over it
-    when a function has one, and calls the function point by point
-    otherwise."""
+    -> rows(block, *args), the (values, failures) of row_value, which
+    at_rows runs once over a block."""
     def value(point: DomainPoint):
         return row_value(point, rows, *args)
 
     value.rows = lambda block: rows(block, *args)
     return value
+
+
+def at_rows(points: Block, keep: np.ndarray | None, *funcs
+            ) -> list[np.ndarray]:
+    """Each func at the rows of a Block where keep is true (every row when
+    keep is None), one value per such row: the one rule by which the
+    library evaluates functions over a block.
+
+    - A func with a row form (bind_rows) runs that form once over the
+      block.
+    - Any other func runs point by point over the kept rows, in the order
+      of the node loop that calls each func in turn at each kept row.
+    - The failure raised is the one that loop meets first: a plain func's
+      own exception, or a row form's failed row (failed rows that keep
+      drops raise nothing).
+    - A plain func runs no further than that failure."""
+    forms = [getattr(func, "rows", None) for func in funcs]
+    done = [form(points) if form else None for form in forms]
+    size = len(points.z)
+    stop, last = min([(i, k) for k, out in enumerate(done) if out
+                      for i in out[1] if keep is None or keep[i]],
+                     default=(size, len(funcs)))
+    plain = [func for func, form in zip(funcs, forms) if form is None]
+    flat = []
+    if plain:
+        # node-major over the kept rows before the stop row, then the funcs
+        # that the loop runs at the stop row before the failed one
+        nodes = iter(points) if keep is None else compress(points, keep)
+        before = stop if keep is None else int(np.count_nonzero(keep[:stop]))
+        flat = [func(point) for point in islice(nodes, before)
+                for func in plain]
+        if stop < size:
+            point = next(nodes)
+            for func, form in zip(funcs[:last], forms):
+                if form is None:
+                    func(point)
+    if stop < size:
+        raise done[last][1][stop]()
+    columns = (flat[k::len(plain)] for k in range(len(plain)))
+    return [np.array(next(columns)) if out is None
+            else out[0] if keep is None else out[0][keep] for out in done]
 
 
 # ---------------------------------------------------------------------------

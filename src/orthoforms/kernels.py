@@ -185,8 +185,8 @@ def p_tilde_components(lam_fc: np.ndarray, kappa: int, point: DomainPoint,
 def bound_p_tilde(lam_fc: np.ndarray, kappa: int, rep: str = "auto"):
     """p_tilde_components bound to (lambda, kappa, rep): point -> its row
     of p_tilde_rows, carrying the row form p_tilde_rows(block, lambda,
-    kappa, rep) (domain.bind_rows), which an integrand or a stencil over a
-    block calls once, with no memo."""
+    kappa, rep) (domain.bind_rows), which domain.at_rows runs once over a
+    block, with no memo."""
     return bind_rows(p_tilde_rows, np.asarray(lam_fc, dtype=float), kappa,
                      rep)
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orthoforms import cycles, kernels
+from orthoforms import cycles, domain, kernels
 from orthoforms.calculus import measure_factor, richardson, star_nn1, star_pair
 from orthoforms.cycles import (
     CycleChart, CycleError, QuadratureError, WindowBump, _box_blocks,
@@ -17,8 +17,9 @@ from orthoforms.cycles import (
     shell_stokes, transport_to, tube_boundary_integral,
 )
 from orthoforms.domain import (Block, BoundaryError, ComponentError,
-                               DomainPoint, WittFrame, act, bind_rows,
-                               isometry_matrix, q_plus_minus, sample_point)
+                               DomainPoint, WittFrame, act, at_rows,
+                               bind_rows, isometry_matrix, q_plus_minus,
+                               sample_point)
 from orthoforms.kernels import action_jacobian
 from orthoforms.quadratic import (lattice_from_config, standard_lattice,
                                   vec_float)
@@ -869,7 +870,7 @@ def test_window_bump_evaluates_each_block_once(geo, monkeypatch):
 
 
 def test_window_bump_block_raises_its_first_failed_row(geo, monkeypatch):
-    """When a bump's row function fails rows, _at_nodes raises the
+    """When a bump's row function fails rows, at_rows raises the
     exception of the block's first failed row, not of the first one
     recorded."""
     chart = _block_case(geo, 2, False)[0]
@@ -880,7 +881,7 @@ def test_window_bump_block_raises_its_first_failed_row(geo, monkeypatch):
     points, _, _ = next(_box_blocks(chart, _tube_faces(chart, 0.1)[0],
                                     _hat_minors))
     with pytest.raises(ValueError, match="row 1"):
-        cycles._at_nodes(points, None, bump)
+        at_rows(points, None, bump)
 
 
 def test_block_where_h_vanishes_contributes_exact_zero(geo):
@@ -1487,3 +1488,57 @@ def test_invalid_kappa_raises_at_once_on_both_paths(geo):
             _shell_volume_integral(chart, bump, H,
                                    kernels.bound_dbar_reference(fc, 1),
                                    0.05, 0.1)
+
+
+@pytest.mark.parametrize("sector", ["holomorphic", "conjugate"])
+def test_fiber_row_form_matches_the_per_angle_path_bits(geo, monkeypatch,
+                                                        sector):
+    """restrict_samples and cycle_integral_T give the same bits for a bound
+    p_tilde, whose row form runs once per circle fiber, as for the same
+    kernel called angle by angle; the row form runs one p_tilde_rows per
+    fiber and reads no row memo."""
+    _, frame, _ = geo[2]
+    chart = _chart_T2(frame, nodes=2)
+    calls = {"p_tilde_rows": 0, "row_value": 0}
+    for module, name in ((kernels, "p_tilde_rows"), (domain, "row_value")):
+        def counted(*args, inner=getattr(module, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    H = kernels.bound_p_tilde(frame.frame_coords(MU[2]), 4)
+    samples = restrict_samples(NU2, H, 4, 0.05, chart, sector=sector)
+    assert calls == {"p_tilde_rows": 2 * len(samples), "row_value": 0}
+    per_angle = restrict_samples(NU2, _plain(H), 4, 0.05, chart,
+                                 sector=sector)
+    assert calls["row_value"] == 4 * 256 * len(samples)
+    assert len(samples) == len(per_angle) == 4
+    for got, want in zip(samples, per_angle):
+        assert got.params == want.params and got.weight == want.weight
+        assert _bits(got.value) == _bits(want.value)
+        assert _bits(got.extrapolated) == _bits(want.extrapolated)
+        assert got.all_slots.tobytes() == want.all_slots.tobytes()
+    if sector == "holomorphic":
+        value = cycle_integral_T(NU2, H, 4, 0.05, chart)
+        assert value != 0
+        assert _bits(value) == _bits(cycle_integral_T(NU2, _plain(H), 4, 0.05,
+                                                      chart))
+
+
+def test_fiber_row_form_failure_raises_as_the_per_angle_path(geo):
+    """A row form that fails at some angles of a fiber raises the failure
+    of the first of them, type and message, as the same function called
+    angle by angle does, from restrict_samples and cycle_integral_T."""
+    _, frame, _ = geo[2]
+    chart = _chart_T2(frame, nodes=2)
+
+    def rows(block, *args):
+        values, failures = kernels.p_tilde_rows(block, *args)
+        assert not failures
+        return values, {i: (lambda i=i: ZeroDivisionError(f"angle {i}"))
+                        for i in (300, 37)}
+
+    H = bind_rows(rows, frame.frame_coords(MU[2]), 4, "auto")
+    for run in (restrict_samples, cycle_integral_T):
+        row = _raised(lambda: run(NU2, H, 4, 0.05, chart))
+        assert row == (ZeroDivisionError, "angle 37")
+        assert row == _raised(lambda: run(NU2, _plain(H), 4, 0.05, chart))

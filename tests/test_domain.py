@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from orthoforms.domain import (Block, BoundaryError, ComponentError,
-                               DomainPoint, act, majorant_at, metric_det,
+                               DomainPoint, act, at_rows, bind_rows,
+                               majorant_at, metric_det,
                                metric_lower, metric_upper, project,
                                q_plus_minus, row_value, sample_point,
                                sample_vector)
@@ -226,6 +227,51 @@ def test_row_value_memo_keys_by_array_bytes_and_arguments(setup_n, rng):
     assert runs == [([1.0, 2.0], 3, "plus"), ([5.0, 2.0], 3, "plus"),
                     ([[5.0], [2.0]], 3, "plus"), ([5.0, 2.0], 4, "plus"),
                     ([5.0, 2.0], 3, "minus"), ([5.0, 2.0], 3, "auto")]
+
+
+def test_at_rows_follows_the_node_loop(setup_n, rng):
+    """at_rows runs a row form once over the block and plain funcs node by
+    node over the kept rows, each in turn; it raises the first kept failed
+    row, after running at that row only the funcs before the failed one,
+    or a plain func's own exception at an earlier row; failed rows that
+    keep drops raise nothing."""
+    _, frame, _, _ = setup_n
+    block = Block(frame, _seeded_rows(frame, rng, 6))
+    calls, runs = [], []
+
+    def plain(name):
+        return lambda pt: (calls.append((name, pt.z.tolist())), len(calls))[1]
+
+    def rows(b):
+        runs.append(len(b.z))
+        return 2.0 * b.q_y, {1: lambda: ValueError("row 1"),
+                             4: lambda: ValueError("row 4")}
+
+    failing = bind_rows(rows)
+    keep = np.array([True, False, True, True, True, True])
+    with pytest.raises(ValueError, match="row 4"):
+        at_rows(block, keep, plain("a"), failing, plain("b"))
+    z = block.z.tolist()
+    assert calls == [(name, z[i]) for i in (0, 2, 3) for name in "ab"] + [
+        ("a", z[4])]
+    assert runs == [6]
+    calls.clear()
+    keep[4] = False
+    a, f, b = at_rows(block, keep, plain("a"), failing, plain("b"))
+    assert calls == [(name, z[i]) for i in (0, 2, 3, 5) for name in "ab"]
+    assert a.tolist() == [1, 3, 5, 7] and b.tolist() == [2, 4, 6, 8]
+    assert f.tolist() == (2.0 * block.q_y[keep]).tolist()
+    with pytest.raises(ValueError, match="row 1"):
+        at_rows(block, None, failing)
+
+    def raising(pt):
+        if pt.z.tolist() == z[2]:
+            raise ZeroDivisionError("plain at row 2")
+        return 0.0
+
+    keep[4] = True
+    with pytest.raises(ZeroDivisionError, match="plain at row 2"):
+        at_rows(block, keep, failing, raising)
 
 
 def test_metric_inverse_and_det(setup_n, rng):

@@ -27,14 +27,15 @@ def same_outputs(monkeypatch):
 def test_same_outputs_finds_identical_and_differing_outputs(
         tmp_path, same_outputs, capsys):
     """A checkout matches itself; a copy whose series sums are one ulp off
-    differs in series operations and in the series report, and the tool
-    returns 1.  Neither run leaves a file in either checkout's benchmark
-    directory."""
+    differs in series operations and in the series report, not in the
+    duality report, and the tool returns 1.  Neither run leaves a file in
+    either checkout."""
     before = sorted(p.name for p in (ROOT / "benchmark").iterdir())
     assert same_outputs.main([str(ROOT)]) == 0
     assert capsys.readouterr().out.strip().splitlines() == [
         "series: all 64 operations identical",
-        "verify series: report identical, exit 0"]
+        "verify series: report identical, exit 0",
+        "verify duality: report identical, exit 1"]
 
     for part in ("src", "benchmark"):
         shutil.copytree(ROOT / part, tmp_path / part,
@@ -48,24 +49,39 @@ def test_same_outputs_finds_identical_and_differing_outputs(
     assert same_outputs.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("series: ") and " of 64 operations differ" in out
-    assert out.splitlines()[-1] == "verify series: report differs, exit 0 " \
-        "against 0"
+    assert out.splitlines()[-2:] == [
+        "verify series: report differs, exit 0 against 0",
+        "verify duality: report identical, exit 1"]
     assert sorted(p.name for p in (ROOT / "benchmark").iterdir()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["benchmark", "src"]
     assert not (tmp_path / "benchmark" / "__pycache__").exists()
 
 
 def test_same_outputs_compares_report_exit_codes(same_outputs, monkeypatch,
                                                   capsys):
     """A suite whose report is the same bytes but whose exit code differs
-    counts as different; equal bytes and codes count as identical."""
-    runs = iter([(b"{}\n", 1), (b"{}\n", 1), (b"{}\n", 0), (b"{}\n", 1)])
+    counts as different; equal bytes and codes count as identical.  The
+    duality report runs on a config file outside both checkouts."""
+    runs = iter([(b"{}\n", 1), (b"{}\n", 1), (b"{}\n", 1), (b"{}\n", 1),
+                 (b"{}\n", 0), (b"{}\n", 1), (b"{}\n", 1), (b"{}\n", 1)])
+    argvs = []
+
+    def report(checkout, argv):
+        argvs.append(argv)
+        return next(runs)
+
     monkeypatch.setattr(same_outputs, "observe",
                         lambda checkout: {"series": {}})
-    monkeypatch.setattr(same_outputs, "report",
-                        lambda checkout, suite: next(runs))
+    monkeypatch.setattr(same_outputs, "report", report)
     assert same_outputs.main([str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == \
-        "verify series: report identical, exit 1"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "verify series: report identical, exit 1",
+        "verify duality: report identical, exit 1"]
     assert same_outputs.main([str(ROOT)]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == \
-        "verify series: report identical, exit 0 against 1"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "verify series: report identical, exit 0 against 1",
+        "verify duality: report identical, exit 1"]
+    assert argvs[0] == argvs[1] == ["verify", "series", "--json"]
+    verb, flag, config, json_flag = argvs[2]
+    assert (verb, flag, json_flag) == ("verify", "--config", "--json")
+    assert ROOT not in Path(config).parents

@@ -8,10 +8,12 @@ and 3 in both checkouts, each checkout in its own subprocess with its own
 ``src/`` and ``benchmark/``, and compares every operation's observed output
 as JSON text, so two floats compare equal only when their bits do.  Then
 runs ``orthoforms verify <suite> --json`` at the default configuration for
-each of the nine suites in both checkouts, one process each, and compares
-the stdout bytes and the exit codes (``tube_limit`` exits 1 by design, in
-both).  Prints one line per workload and per suite and exits 1 when any
-output differs.  Nothing is written to either checkout (no frozen files, no
+each of the nine suites, and ``verify duality`` on the settled cycle data
+of ``tests/test_cli.py`` (its config written to a temporary directory), in
+both checkouts, one process each, and compares the stdout bytes and the
+exit codes (``tube_limit`` and ``duality`` exit 1 by design, in both).
+Prints one line per workload and per report and exits 1 when any output
+differs.  Nothing is written to either checkout (no frozen files, no
 bytecode).
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,10 @@ POINTWISE_SEEDS = (1, 2, 3)
 POINTWISE_OPS = 600
 SUITES = ("geometry", "metric", "identities", "kernel", "constants", "series",
           "restrict", "tube_limit", "current_eq")
+DUALITY = {"mu": [0, 0, 1, 1], "nu": [0, 0, -1, 1],
+           "window_C": [[0.9, 1.9], [0.2, 0.6]],
+           "window_T": [[-0.4, 0.4], [0.8, 1.6]], "kappa": 4,
+           "nodes": [16, 16], "nodes_T": [4, 4]}
 SHOWN = 3
 
 # run in a checkout: the orthoforms command line on that checkout's src/
@@ -70,12 +77,11 @@ def observe(checkout: Path) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def report(checkout: Path, suite: str) -> tuple[bytes, int]:
-    """The stdout bytes and exit code of ``orthoforms verify <suite>
-    --json`` run in a checkout."""
-    done = subprocess.run(
-        [sys.executable, "-B", "-c", CLI, "verify", suite, "--json"],
-        cwd=checkout, capture_output=True, check=False)
+def report(checkout: Path, argv: list[str]) -> tuple[bytes, int]:
+    """The stdout bytes and exit code of ``orthoforms <argv>`` run in a
+    checkout."""
+    done = subprocess.run([sys.executable, "-B", "-c", CLI, *argv],
+                          cwd=checkout, capture_output=True, check=False)
     return done.stdout, done.returncode
 
 
@@ -98,16 +104,21 @@ def main(argv=None) -> int:
                   f"(first: {', '.join(differ[:SHOWN])})")
         else:
             print(f"{name}: all {len(base)} operations identical")
-    for suite in SUITES:
-        (out, code), (base_out, base_code) = (
-            report(ROOT, suite), report(args.parent.resolve(), suite))
-        if (out, code) == (base_out, base_code):
-            print(f"verify {suite}: report identical, exit {code}")
-        else:
-            same = False
-            print(f"verify {suite}: report "
-                  f"{'identical' if out == base_out else 'differs'}, exit "
-                  f"{code} against {base_code}")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "duality.json"
+        config.write_text(json.dumps({"suite": "duality", "duality": DUALITY}))
+        runs = [(suite, ["verify", suite, "--json"]) for suite in SUITES]
+        runs.append(("duality", ["verify", "--config", str(config), "--json"]))
+        for suite, command in runs:
+            (out, code), (base_out, base_code) = (
+                report(ROOT, command), report(args.parent.resolve(), command))
+            if (out, code) == (base_out, base_code):
+                print(f"verify {suite}: report identical, exit {code}")
+            else:
+                same = False
+                print(f"verify {suite}: report "
+                      f"{'identical' if out == base_out else 'differs'}, "
+                      f"exit {code} against {base_code}")
     return 0 if same else 1
 
 
