@@ -53,11 +53,15 @@ def richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _shifted(z: np.ndarray, directions, h: float) -> list[np.ndarray]:
+def _shifted(z: np.ndarray, directions, h: float) -> np.ndarray:
     """The points z + step d and z - step d of central_differences, for the
-    steps h and h/2 and each direction d, in its evaluation order."""
-    return [shifted for step in (h, h / 2.0) for d in directions
-            for shifted in (z + step * d, z - step * d)]
+    steps h and h/2 and each direction d, in its evaluation order, as the
+    rows of one array: each step d and each sum is one broadcast."""
+    step = np.array([h, h / 2.0])[:, None, None] * np.asarray(directions)
+    out = np.empty(step.shape[:2] + (2,) + step.shape[2:], dtype=complex)
+    out[:, :, 0] = z + step
+    out[:, :, 1] = z - step
+    return out.reshape(-1, step.shape[-1])
 
 
 def _richardson_differences(values, h: float) -> np.ndarray:
@@ -90,8 +94,8 @@ def dbar_jacobian(vec_func, point: DomainPoint) -> np.ndarray:
     n = point.frame.n
     h = 1e-4 * max(1.0, float(np.max(np.abs(point.z))))
     units = np.eye(n, dtype=complex)
-    block = Block(point.frame, np.array(
-        _shifted(point.z, np.concatenate([units, 1j * units]), h)))
+    block = Block(point.frame, _shifted(
+        point.z, np.concatenate([units, 1j * units]), h))
     d = _richardson_differences(at_rows(block, None, vec_func)[0], h)
     return (d[..., :n] + 1j * d[..., n:]) / 2.0
 

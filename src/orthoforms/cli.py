@@ -123,15 +123,19 @@ def _frame_from_args(args) -> tuple:
     return load_frame(data.get("lattice", {"standard": args.n}))
 
 
+def _parse_fraction(text: str, name: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(name, str(exc))
+
+
 def _parse_vec(text: str, dim: int, name: str):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != dim:
         raise ConfigError(name, f"expected {dim} comma-separated entries, "
                           f"got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(name, str(exc))
+    return tuple(_parse_fraction(p, name) for p in parts)
 
 
 def _parse_point(text: str, frame: WittFrame) -> DomainPoint:
@@ -198,10 +202,11 @@ def cmd_eval_series(args) -> int:
         coset = tuple(Fraction(0) for _ in range(lattice.dim))
     else:
         coset = _parse_vec(args.coset, lattice.dim, "--coset")
+    m = _parse_fraction(args.m, "--m")
     point = _parse_point(args.z, frame)
     try:
-        spec = SeriesSpec.create(frame, coset, Fraction(args.m), args.kappa,
-                                 args.bound, group)
+        spec = SeriesSpec.create(frame, coset, m, args.kappa, args.bound,
+                                 group)
     except SeriesError as exc:
         raise ConfigError(f"--{exc.field}", str(exc)) from exc
     try:
@@ -210,7 +215,8 @@ def cmd_eval_series(args) -> int:
             "value": _fmt_complex(scalar.value),
             "tail": scalar.tail,
             "count": scalar.count,
-            "m": args.m, "kappa": args.kappa, "bound": args.bound,
+            "m": int(m) if m.denominator == 1 else str(m),
+            "kappa": args.kappa, "bound": args.bound,
         }
         if args.form:
             form = eval_Omega(spec, point)
@@ -299,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the truncated norm-class series")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--config", help="JSON config with a lattice block")
-    p.add_argument("--m", type=int, required=True,
-                   help="norm class (positive cusp family, negative "
+    p.add_argument("--m", required=True,
+                   help="norm class, an integer or a fraction such as 5/4 "
+                        "in q(coset) + Z (positive cusp family, negative "
                         "meromorphic family)")
     p.add_argument("--coset", help="coset representative, comma-separated")
     p.add_argument("--kappa", type=int, default=4)

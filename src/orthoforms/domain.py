@@ -10,9 +10,10 @@ psi(Z) = Z - q(Z) e + e~'.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class WittFrame:
         frame._check()
         return frame
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.lattice.dim - 2
 
@@ -143,7 +144,7 @@ class WittFrame:
                 + 2.0 * (self.eps * lam[..., 2:] * z).sum(axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DomainPoint:
     """A point Z = X + iY of the tube domain over a fixed frame: a row of a
     Block, its own one-row Block when built alone."""
@@ -151,10 +152,11 @@ class DomainPoint:
     frame: WittFrame
     z: np.ndarray
 
-    def __post_init__(self):
-        block = Block(self.frame, np.asarray(self.z, dtype=complex)[None])
-        self.__dict__.update(z=block.z[0], q_y=float(block.q_y[0]),
-                             _row=(block, 0))
+    def __init__(self, frame: WittFrame, z: np.ndarray):
+        block = Block(frame, np.asarray(z, dtype=complex)[None])
+        object.__setattr__(self, "__dict__", {
+            "frame": frame, "z": block.z[0], "q_y": float(block.q_y[0]),
+            "_row": (block, 0)})
 
     @property
     def y(self) -> np.ndarray:
@@ -188,6 +190,22 @@ class DomainPoint:
         return self.pair(lam).conjugate()
 
 
+def _check_rows(z: np.ndarray, q_y: np.ndarray) -> None:
+    """Raise ComponentError for the first row of z that fails a component
+    check (finite coordinates, q(Y) > 0, y_1 > 0, in this order)."""
+    fine = np.isfinite(z).all(axis=1) & (q_y > 0) & (z[:, 0].imag > 0)
+    if fine.all():
+        return
+    row = int(np.argmin(fine))
+    bad = ~np.isfinite(z[row])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ComponentError(f"z_{k + 1} = {z[row, k]} is not finite")
+    if not q_y[row] > 0:
+        raise ComponentError("q(Y) must be positive")
+    raise ComponentError("point lies in the wrong component (y_1 <= 0)")
+
+
 class Block:
     """Points of the tube domain as the rows of one (N, n) array: Z as a
     read-only view, its imaginary part y and the (N,) q(Y), the point-like
@@ -204,17 +222,14 @@ class Block:
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[1] != frame.n:
             raise ValueError("dimension mismatch")
-        q_y = frame.q_w(z.imag)
-        ok = (q_y > 0) & (z[:, 0].imag > 0)
-        if not (ok.all() and np.isfinite(z).all()):
-            row = int(np.argmin(ok & np.isfinite(z).all(axis=1)))
-            bad = ~np.isfinite(z[row])
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ComponentError(f"z_{k + 1} = {z[row, k]} is not finite")
-            if not q_y[row] > 0:
-                raise ComponentError("q(Y) must be positive")
-            raise ComponentError("point lies in the wrong component (y_1 <= 0)")
+        y = z.imag
+        q_y = frame.q_w(y)
+        # every row passes when the least q(Y) and y_1 is positive and the
+        # sum of all coordinates finite (NaN fails both); otherwise, or
+        # when that sum overflows, each row is checked in turn
+        if not (np.minimum.reduce(np.minimum(q_y, y[:, 0]), initial=np.inf)
+                > 0 and cmath.isfinite(z.sum())):
+            _check_rows(z, q_y)
         self.frame = frame
         self.z = z.view()
         self.z.flags.writeable = False
@@ -234,14 +249,15 @@ class Block:
         frame = self.frame
         cls = DomainPoint
         new = object.__new__
+        set_dict = object.__setattr__
 
-        def make(row: np.ndarray, q: float, entry: tuple) -> DomainPoint:
+        def make(row: np.ndarray, q: float, index: int) -> DomainPoint:
             point = new(cls)
-            point.__dict__.update(frame=frame, z=row, q_y=q, _row=entry)
+            set_dict(point, "__dict__", {"frame": frame, "z": row, "q_y": q,
+                                         "_row": (self, index)})
             return point
 
-        return map(make, self.z, self.q_y.tolist(),
-                   zip(repeat(self), range(len(self.z))))
+        return map(make, self.z, self.q_y.tolist(), range(len(self.z)))
 
 
 def row_value(point: DomainPoint, rows: Callable, *args):
@@ -403,8 +419,9 @@ def norm_split(q_lam, pair, q_y):
     """(q_plus, q_minus) of a vector of norm q_lam with (lambda, psi(Z)) =
     pair, by the product formula q_plus = |pair|^2 / (4 q(Y)); on scalars,
     or on arrays with one value per row.  |pair|^2 is the real part of
-    pair * conj(pair), written out as the complex product rounds it."""
-    q_plus = (pair.real * pair.real - pair.imag * -pair.imag) / (4.0 * q_y)
+    pair * conj(pair) as the complex product rounds it, re re - im (-im),
+    which is exactly re re + im im."""
+    q_plus = (pair.real * pair.real + pair.imag * pair.imag) / (4.0 * q_y)
     return q_plus, q_lam - q_plus
 
 

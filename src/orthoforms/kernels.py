@@ -57,7 +57,7 @@ def _guarded(lam: np.ndarray, guards) -> tuple[dict, np.ndarray]:
     factory}, each row named by its first guard, and the mask of rows left."""
     flagged = reduce(np.logical_or, [guard[0] for guard in guards])
     failures = {}
-    if flagged.any():
+    if np.count_nonzero(flagged):
         for mask, reason, quantity, values in guards:
             for i, value in zip(mask.nonzero()[0].tolist(),
                                 values[mask].tolist()):
@@ -207,7 +207,7 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
     lam = lam.reshape(-1, n + 2)
     q_lam = frame.q_lambda(lam)
     if rep == "auto":
-        if not q_lam.all():
+        if np.count_nonzero(q_lam) < len(q_lam):
             raise ValueError("q(lambda) = 0 is out of scope")
         plus = q_lam > 0
     elif rep in ("plus", "minus"):
@@ -225,7 +225,7 @@ def p_tilde_rows(block, lam: np.ndarray, kappa: int,
     # minus rows: |(lambda, psi(Zbar))|, |q_minus|; plus: |q_minus|, q_plus
     guards = [(size < scale, POSITIVE, "|q_minus|", size),
               (plus & (q_plus < scale), NEGATIVE, "q_plus", q_plus)]
-    if minus.any():
+    if np.count_nonzero(minus):
         mask, *named = _cycle_guard(pair, q_lam, q_y)
         guards.insert(0, (minus & mask, *named))
     failures, left = _guarded(lam, guards)

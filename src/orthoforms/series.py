@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +76,19 @@ class SeriesSpec:
                 f"truncation bound must be positive and finite, got {bound}",
                 "bound")
         coset_v = as_vec(coset)
-        if len(coset_v) != frame.lattice.dim:
+        lattice = frame.lattice
+        if len(coset_v) != lattice.dim:
             raise SeriesError("coset vector has the wrong dimension", "coset")
+        # L is even, so the norms of coset + L lie in q(coset) + Z/d, d the
+        # least common denominator of the pairings (coset, basis_i)
+        d = lcm(*(sum(c * g for c, g in zip(coset_v, row)).denominator
+                  for row in lattice.gram))
+        q_coset = lattice.q(coset_v)
+        if ((m - q_coset) * d).denominator != 1:
+            step = "Z" if d == 1 else f"Z/{d}"
+            raise SeriesError(f"norm m = {m} is not in q(coset) + {step} = "
+                              f"{q_coset} + {step}, so its class is empty",
+                              "m")
         return cls(frame, coset_v, m, kappa, bound, group)
 
     def rescale(self, bound: float) -> "SeriesSpec":

@@ -172,7 +172,7 @@ def hyp2f1_rows(a: float, b: float, c: float,
     if _is_nonpositive_int(b) and not _is_nonpositive_int(a):
         a, b = b, a
     out = np.ones(len(z))
-    term = np.ones(len(z))
+    term = 1.0
     for k in range(int(round(-a))):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         out += term

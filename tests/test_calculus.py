@@ -103,6 +103,35 @@ def test_central_differences_exact_on_cubics():
         assert abs(d[k] - exact) < 1e-12 * abs(exact)
 
 
+def _shifted_list(z, directions, h):
+    """The stencil as a list of small array operations: z + step d and
+    z - step d for the steps h and h/2 and each direction d."""
+    return [shifted for step in (h, h / 2.0) for d in directions
+            for shifted in (z + step * d, z - step * d)]
+
+
+@pytest.mark.parametrize("scale", [0.3, 7.5])
+def test_shifted_is_the_list_stencil_bit_for_bit(scale, rng):
+    """_shifted's one broadcast gives the bytes of the list-built stencil,
+    along dbar_jacobian's directions at n = 1..4, at its steps for
+    |z|_inf below and above 1."""
+    for n in range(1, 5):
+        z = scale * (rng.uniform(-1.0, 1.0, n)
+                     + 1j * rng.uniform(0.1, 1.0, n))
+        h = 1e-4 * max(1.0, float(np.max(np.abs(z))))
+        units = np.eye(n, dtype=complex)
+        directions = np.concatenate([units, 1j * units])
+        want = np.array(_shifted_list(z, directions, h))
+        got = calculus._shifted(z, directions, h)
+        assert got.shape == want.shape == (8 * n, n)
+        assert got.tobytes() == want.tobytes()
+    directions = [np.array([1.0, 0.0], dtype=complex),
+                  np.array([0.5 - 1j, 2.0 + 0.25j])]
+    z = np.array([0.3 + 1.1j, -0.2 + 0.4j]) * scale
+    assert (calculus._shifted(z, directions, 0.1).tobytes()
+            == np.array(_shifted_list(z, directions, 0.1)).tobytes())
+
+
 def test_dbar_jacobian_evaluates_one_block_in_difference_order(setup_n,
                                                                rng):
     """The 8n shifted points come from one domain.Block, in the

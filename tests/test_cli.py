@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from orthoforms.cycles import QuadratureError
 from orthoforms.domain import DomainPoint, WittFrame
 from orthoforms.kernels import KernelSingularity, p_components
 from orthoforms.quadratic import lattice_from_config, standard_lattice
+from orthoforms.series import SeriesSpec, eval_omega
 from orthoforms.special import limit_constant
 from orthoforms.suites import (
-    ConfigError, RunConfig, RunParams, parse_config, run,
+    ConfigError, RunConfig, RunParams, load_frame, parse_config, run,
 )
 
 
@@ -744,6 +746,63 @@ def test_eval_series_reports_value_tail_count(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] > 0
     assert payload["tail"] >= 0.0
+
+
+def test_eval_series_takes_a_rational_norm_on_a_coset(capsys):
+    """q(mu) = 1/4 for the coset (0, 0, 1/2) of the rank-1 lattice, so its
+    norm classes are 1/4 + Z: --m 5/4 evaluates the library's series and
+    prints m as its fraction string."""
+    argv = ["eval-series", "--n", "1", "--coset", "0,0,1/2", "--m", "5/4",
+            "--kappa", "6", "--bound", "40", "--z", "0.2+1.1j", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lattice, frame, group = load_frame({"standard": 1})
+    spec = SeriesSpec.create(frame, [0, 0, Fraction(1, 2)], Fraction(5, 4),
+                             6, 40.0, group)
+    lib = eval_omega(spec, DomainPoint(frame, np.array([0.2 + 1.1j])))
+    assert payload["m"] == "5/4" and payload["count"] == lib.count > 0
+    assert payload["value"] == [lib.value.real, lib.value.imag]
+    assert payload["tail"] == lib.tail
+
+
+@pytest.mark.parametrize("text", ["five", "1/0", "1.5.2", "inf", ""])
+def test_eval_series_bad_norm_text_exits_2_naming_m(capsys, text):
+    assert main(["eval-series", "--n", "1", "--m", text,
+                 "--z", "0.2+1.1j"]) == 2
+    assert "'--m'" in capsys.readouterr().err
+
+
+def test_eval_series_norm_outside_the_coset_classes_exits_2_naming_m(capsys):
+    """The coset (0, 0, 1/2) has q = 1/4, so m = 1 names an empty class."""
+    assert main(["eval-series", "--n", "1", "--coset", "0,0,1/2", "--m", "1",
+                 "--kappa", "6", "--bound", "40", "--z", "0.2+1.1j"]) == 2
+    err = capsys.readouterr().err
+    assert "'--m'" in err and "1/4 + Z" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["eval-kernel", "--n", "1", "--lam", "1/0,0,1"], "--lam"),
+    (["eval-series", "--n", "1", "--m", "1", "--coset", "0,0,1/0"],
+     "--coset"),
+])
+def test_zero_denominator_in_a_vector_exits_2_naming_it(capsys, argv,
+                                                        field):
+    assert main(argv + ["--z", "0.2+1.1j"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1", "-2", "3/1", "4.0"])
+def test_eval_series_integral_norm_prints_a_json_integer(capsys, text):
+    """An integral m, however written, prints as the JSON integer that an
+    integer --m always printed."""
+    assert main(["eval-series", "--n", "1", "--m", text, "--kappa", "4",
+                 "--bound", "10", "--z", "0.2+1.1j", "--json"]) == 0
+    out = capsys.readouterr().out
+    value = int(Fraction(text))
+    assert f'"m": {value},' in out and json.loads(out)["m"] == value
+    assert main(["eval-series", "--n", "1", "--m", text, "--kappa", "4",
+                 "--bound", "10", "--z", "0.2+1.1j"]) == 0
+    assert f"\nm: {value}\n" in capsys.readouterr().out
 
 
 def test_constant_matches_library(capsys):

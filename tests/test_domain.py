@@ -153,6 +153,69 @@ def test_rows_reject_a_bad_row_like_the_single_constructor(setup_n, rng,
         assert "is not finite" in str(batch.value)
 
 
+def _check_cases(n, rng):
+    """(bad row, ComponentError message) for each component check: an
+    infinite real part with finite q(Y), a NaN in Y, q(Y) <= 0, and
+    y_1 <= 0 with q(Y) > 0."""
+    inf = np.full(n, 0.1 + 0.2j)
+    inf[0] = 0.3 + 1.2j
+    inf[-1] = complex(np.inf, inf[-1].imag)
+    nan = np.full(n, 0.1 + 0.2j)
+    nan[0] = 0.3 + 1.2j
+    nan[-1] = complex(nan[-1].real, np.nan)
+    null = np.zeros(n, dtype=complex)
+    if n > 1:
+        null[0], null[1] = 0.1j, 1.0j
+    wrong_half = np.zeros(n, dtype=complex)
+    wrong_half[0] = rng.uniform(-2.0, 2.0) - 1j
+    return {"inf": (inf, f"z_{n} = {inf[-1]} is not finite"),
+            "nan": (nan, f"z_{n} = {nan[-1]} is not finite"),
+            "q_y": (null, "q(Y) must be positive"),
+            "y1": (wrong_half,
+                   "point lies in the wrong component (y_1 <= 0)")}
+
+
+@pytest.mark.parametrize("size", [1, 512])
+@pytest.mark.parametrize("kind", ["inf", "nan", "q_y", "y1"])
+def test_block_check_raises_the_bad_row_wherever_it_lies(setup_n, rng,
+                                                         kind, size):
+    """One bad row first, in the middle or last of 1 or 512 rows raises
+    ComponentError with its check's message, as DomainPoint does at that
+    row alone."""
+    _, frame, _, n = setup_n
+    bad, message = _check_cases(n, rng)[kind]
+    with pytest.raises(ComponentError) as single:
+        DomainPoint(frame, bad)
+    assert str(single.value) == message
+    good = _seeded_rows(frame, rng, size)
+    for row in sorted({0, size // 2, size - 1}):
+        rows = good.copy()
+        rows[row] = bad
+        with pytest.raises(ComponentError) as batch:
+            Block(frame, rows)
+        assert str(batch.value) == message
+
+
+def test_block_check_names_the_first_bad_row(setup_n, rng):
+    """Of several bad rows the first one raises, whichever check it fails,
+    and within a row the checks run in order: finite, q(Y) > 0, y_1 > 0."""
+    _, frame, _, n = setup_n
+    cases = _check_cases(n, rng)
+    rows = _seeded_rows(frame, rng, 512)
+    for first, later in [("y1", "inf"), ("q_y", "nan"), ("nan", "q_y"),
+                         ("inf", "y1")]:
+        block = rows.copy()
+        block[100], block[300] = cases[first][0], cases[later][0]
+        with pytest.raises(ComponentError) as batch:
+            Block(frame, block)
+        assert str(batch.value) == cases[first][1]
+    # an infinite coordinate on a row with y_1 < 0: finiteness comes first
+    both = cases["y1"][0].copy()
+    both[-1] = complex(np.inf, 0.0) if n > 1 else complex(np.inf, -1.0)
+    with pytest.raises(ComponentError, match="is not finite"):
+        DomainPoint(frame, both)
+
+
 def test_rows_are_read_only(setup_n, rng):
     """A callback cannot write into a block point's z, which would put it
     out of step with the cached q(Y) and the block's memo."""

@@ -73,6 +73,23 @@ def test_spec_rejects_bad_parameters(small_frames):
     SeriesSpec.create(frame, zero, 1, 4, 10.0, group)
 
 
+def test_spec_rejects_a_norm_outside_the_coset_classes(small_frames):
+    """The norms of coset + L lie in q(coset) + Z/d, d the least common
+    denominator of the coset's pairings with the basis."""
+    lattice, frame, _ = small_frames[1]
+    for coset, m in (([0, 0, 0], Fraction(1, 2)),
+                     ([0, 0, Fraction(1, 2)], 1),
+                     ([Fraction(1, 3), 0, 0], Fraction(1, 7))):
+        with pytest.raises(SeriesError) as info:
+            SeriesSpec.create(frame, coset, m, 4, 10.0)
+        assert info.value.field == "m"
+    # q((1/3, 1, 0)) = 1/3: the pairings have denominator 3
+    assert lattice.q([Fraction(1, 3), 1, 0]) == Fraction(1, 3)
+    for coset, m in (([0, 0, Fraction(1, 2)], Fraction(5, 4)),
+                     ([Fraction(1, 3), 0, 0], Fraction(1, 3))):
+        assert SeriesSpec.create(frame, coset, m, 4, 10.0).m == m
+
+
 def test_empty_enumeration_gives_zero(small_frames):
     _, frame, _ = small_frames[1]
     spec = SeriesSpec.create(frame, [0, 0, 0], 1, 4, 1e-3)

@@ -12,8 +12,11 @@ each of the nine suites, and ``verify duality`` on the settled cycle data
 of ``tests/test_cli.py`` (its config written to a temporary directory), in
 both checkouts, one process each, and compares the stdout bytes and the
 exit codes (``tube_limit`` and ``duality`` exit 1 by design, in both).
-Prints one line per workload and per report and exits 1 when any output
-differs.  Nothing is written to either checkout (no frozen files, no
+Last, runs the point evaluators the same way and compares their stdout
+bytes and exit codes: ``eval-kernel --json`` for each ``--kind`` and
+``eval-series --form --json`` at an integral norm, at n = 1..4.  Prints
+one line per workload, per report and per evaluator run and exits 1 when
+any output differs.  Nothing is written to either checkout (no frozen files, no
 bytecode).
 """
 from __future__ import annotations
@@ -35,6 +38,21 @@ DUALITY = {"mu": [0, 0, 1, 1], "nu": [0, 0, -1, 1],
            "window_C": [[0.9, 1.9], [0.2, 0.6]],
            "window_T": [[-0.4, 0.4], [0.8, 1.6]], "kappa": 4,
            "nodes": [16, 16], "nodes_T": [4, 4]}
+# the point evaluators at n = 1..4: a point of the fixed component and a
+# vector of nonzero norm off the kernels' singular loci, at weight n + 2
+POINTS = {1: "0.3+1.2j", 2: "0.3+1.2j,0.1+0.2j",
+          3: "0.3+1.2j,0.1+0.2j,-0.2+0.1j",
+          4: "0.3+1.2j,0.1+0.2j,-0.2+0.1j,0.05-0.3j"}
+VECTORS = {1: "1,2,1", 2: "1,2,1,1", 3: "1,2,1,1,0", 4: "1,2,1,1,0,-1"}
+EVALUATORS = tuple(
+    run for n in POINTS for run in [
+        *((f"eval-kernel n={n} {kind}",
+           ["eval-kernel", "--n", str(n), "--kind", kind, "--lam",
+            VECTORS[n], "--kappa", str(n + 2), "--z", POINTS[n], "--json"])
+          for kind in ("omega", "p", "ptilde")),
+        (f"eval-series n={n} --form",
+         ["eval-series", "--n", str(n), "--m", "1", "--kappa", str(n + 2),
+          "--bound", "12", "--z", POINTS[n], "--form", "--json"])])
 SHOWN = 3
 
 # run in a checkout: the orthoforms command line on that checkout's src/
@@ -107,16 +125,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "duality.json"
         config.write_text(json.dumps({"suite": "duality", "duality": DUALITY}))
-        runs = [(suite, ["verify", suite, "--json"]) for suite in SUITES]
-        runs.append(("duality", ["verify", "--config", str(config), "--json"]))
-        for suite, command in runs:
+        runs = [(f"verify {suite}", "report", ["verify", suite, "--json"])
+                for suite in SUITES]
+        runs.append(("verify duality", "report",
+                     ["verify", "--config", str(config), "--json"]))
+        runs += [(label, "output", command) for label, command in EVALUATORS]
+        for label, what, command in runs:
             (out, code), (base_out, base_code) = (
                 report(ROOT, command), report(args.parent.resolve(), command))
             if (out, code) == (base_out, base_code):
-                print(f"verify {suite}: report identical, exit {code}")
+                print(f"{label}: {what} identical, exit {code}")
             else:
                 same = False
-                print(f"verify {suite}: report "
+                print(f"{label}: {what} "
                       f"{'identical' if out == base_out else 'differs'}, "
                       f"exit {code} against {base_code}")
     return 0 if same else 1
